@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import Collection, Dataset, Hyperparams, TimeSeries
 from .dataio import RaggedRecord, dataset_from_records, forecast_split, write_ragged
-from .inference import fit_posterior, forecast, predict
-from .inference import classify_many
+from .inference import class_posteriors, classify_many, fit_posterior, forecast, predict
 from .kernel import KernelParams, kernel_matrix
 from .objective import informative_timestamps, lmax_bound, loss_gradient, total_loss
 from .optimizer import pack_grads, pack_params, train_model, unpack_params
@@ -70,6 +69,7 @@ ACCURACY_TARGET = 0.90
 FORECAST_WINS_NEEDED = 4
 BENCH_SEEDS = 5
 SCALING_RATIO_LIMIT = 2.6
+SCALING_ROUNDS = 5
 
 # the monotone-refinement instances are pinned, independent of --seed
 MONOTONE_SEED = 20240817
@@ -479,8 +479,9 @@ def forecasting_instance(seed):
     return forecast_split(full, 0.8)
 
 
-def class_forecast_errors(model, train, test, k):
-    """Original-unit forecast errors for one class.
+def class_forecast_errors(model, posteriors, train, test, k):
+    """Original-unit forecast errors for one class, predicted from the
+    class posteriors fitted on train.
 
     Returns a list of per-series dicts with the query timestamps, actual
     values, model predictions, and the last-seen baseline, all de-centered
@@ -492,7 +493,7 @@ def class_forecast_errors(model, train, test, k):
     for idx, (tr, te) in enumerate(
         zip(train.collections[k].series, test.collections[k].series)
     ):
-        pred = forecast(model, train, k, te.timestamps)
+        pred = forecast(model, posteriors, k, te.timestamps)
         rows.append({
             "series": idx,
             "timestamps": [float(x) for x in t0 + te.timestamps * (t1 - t0)],
@@ -525,7 +526,8 @@ def check_forecasting(seed=0):
     for i in range(BENCH_SEEDS):
         train, test = forecasting_instance(seed + i)
         model, _ = train_model(train, hyper)
-        rows = class_forecast_errors(model, train, test, 0)
+        posteriors = class_posteriors(model, train)
+        rows = class_forecast_errors(model, posteriors, train, test, 0)
         rm, rl = summarize_rmse(rows)
         model_rmse.append(rm)
         last_rmse.append(rl)
@@ -564,17 +566,16 @@ def measure_scaling(seed=0):
     # warm up allocators and caches on a small problem first
     train_model(_scaling_dataset(seed, 20), benchmark_hyperparams())
 
-    def best_of_two(points):
-        ds = _scaling_dataset(seed, points)
-        elapsed = []
-        for _ in range(2):
+    datasets = {points: _scaling_dataset(seed, points) for points in (100, 200)}
+    best = dict.fromkeys(datasets, float("inf"))
+    # alternate the two sizes, so that a drift in host speed during the
+    # measurement reaches both of them alike; keep each size's fastest run
+    for _ in range(SCALING_ROUNDS):
+        for points, ds in datasets.items():
             start = time.perf_counter()
             train_model(ds, hyper)
-            elapsed.append(time.perf_counter() - start)
-        return min(elapsed)
-
-    small = best_of_two(100)
-    large = best_of_two(200)
+            best[points] = min(best[points], time.perf_counter() - start)
+    small, large = best[100], best[200]
     ratio = large / small
     return {
         "name": "training-scaling",

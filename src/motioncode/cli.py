@@ -40,7 +40,7 @@ from .dataio import (
     parse_records,
     save_model,
 )
-from .inference import FORECAST_HORIZON, classify_many, forecast
+from .inference import FORECAST_HORIZON, class_posteriors, classify_many, forecast
 from .optimizer import train_model
 
 __all__ = ["main"]
@@ -256,7 +256,7 @@ def cmd_classify(args):
     return 0
 
 
-def _forecast_rows_from_queries(model, train_ds, queries, k):
+def _forecast_rows_from_queries(model, posteriors, train_ds, queries, k):
     """Pair class k's query records with its training series by position."""
     mine = [q for q in queries if q.class_index == k]
     train_series = train_ds.collections[k].series
@@ -271,7 +271,7 @@ def _forecast_rows_from_queries(model, train_ds, queries, k):
     t0, t1 = model.time_scale
     rows = []
     for idx, (q, tr) in enumerate(zip(mine, train_series)):
-        pred = forecast(model, train_ds, k, q.times)
+        pred = forecast(model, posteriors, k, q.times)
         rows.append({
             "series": idx,
             "timestamps": [float(x) for x in t0 + q.times * (t1 - t0)],
@@ -292,16 +292,18 @@ def cmd_forecast(args):
     if args.split_fraction is not None:
         full = _load_in_model_coordinates(args.data, args.format, model)
         train_ds, test_ds = forecast_split(full, args.split_fraction)
+        posteriors = class_posteriors(model, train_ds)
         rows_by_class = [
-            bench.class_forecast_errors(model, train_ds, test_ds, k)
+            bench.class_forecast_errors(model, posteriors, train_ds, test_ds, k)
             for k in range(model.n_classes)
         ]
     else:
         train_ds = _load_in_model_coordinates(args.train_data, args.format, model)
         queries = load_queries(args.data, model, args.format,
                                horizon=FORECAST_HORIZON)
+        posteriors = class_posteriors(model, train_ds)
         rows_by_class = [
-            _forecast_rows_from_queries(model, train_ds, queries, k)
+            _forecast_rows_from_queries(model, posteriors, train_ds, queries, k)
             for k in range(model.n_classes)
         ]
     classes = []
@@ -327,10 +329,11 @@ def cmd_timestamps(args):
     train_ds = _load_in_model_coordinates(args.data, args.format, model)
     center, scale = model.value_center, model.value_scale
     t0, t1 = model.time_scale
+    posteriors = class_posteriors(model, train_ds)
     classes = []
     for k in range(model.n_classes):
         s = np.sort(model.inducing_timestamps(k))
-        pred = forecast(model, train_ds, k, s)
+        pred = forecast(model, posteriors, k, s)
         classes.append({
             "label": int(model.class_labels[k]),
             "timestamps_normalized": [float(x) for x in s],

@@ -18,6 +18,7 @@ Shapes (single source of truth)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,9 @@ __all__ = [
     "SingularMatrixError",
     "TimeSeries",
     "Collection",
+    "SeriesBlock",
+    "BLOCK_COLUMNS",
+    "series_blocks",
     "Dataset",
     "Hyperparams",
     "ModelParams",
@@ -139,6 +143,60 @@ class Collection:
 
     def n_points(self) -> int:
         return sum(len(s) for s in self.series)
+
+    @cached_property
+    def blocks(self) -> tuple[SeriesBlock, ...]:
+        """The series packed by series_blocks, kept for repeated passes
+        (training evaluates the bound many times)."""
+        return tuple(series_blocks(self.series))
+
+
+# series are evaluated in zero-padded blocks of about this many columns:
+# enough to amortize per-call overhead, small enough to stay in cache
+BLOCK_COLUMNS = 512
+
+
+@dataclass(frozen=True)
+class SeriesBlock:
+    """Series of similar length stacked and zero-padded to a common width.
+
+    times, values : (G, width), 0 past the end of each series
+    mask          : (G, width), True on observed points
+    n_points      : number of observed points in the block
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    mask: np.ndarray
+    n_points: int
+
+
+def series_blocks(series):
+    """Pack series into blocks of at most BLOCK_COLUMNS padded columns,
+    yielding one SeriesBlock at a time.
+
+    Series are sorted by length (ties keep their order) and each block
+    takes neighbours while G * (longest length in the block) fits in
+    BLOCK_COLUMNS; a series longer than that gets a block of its own.
+    """
+    lengths = [len(ts) for ts in series]
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and (stop - start + 1) * lengths[order[stop]] <= BLOCK_COLUMNS:
+            stop += 1
+        members = [series[i] for i in order[start:stop]]
+        counts = np.array([len(ts) for ts in members])
+        mask = np.arange(counts[-1]) < counts[:, None]
+        times = np.zeros(mask.shape)
+        values = np.zeros(mask.shape)
+        times[mask] = np.concatenate([ts.timestamps for ts in members])
+        values[mask] = np.concatenate([ts.values for ts in members])
+        for a in (times, values, mask):
+            a.setflags(write=False)
+        yield SeriesBlock(times, values, mask, int(counts.sum()))
+        start = stop
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ best Gaussian over the process values at the m inducing timestamps has
     mean = (1/c) * K_SS Lam^{-1} sum_i C_i y_i
     cov  = K_SS Lam^{-1} K_SS
 
+The sums over series run over the same zero-padded blocks the objective
+uses (core.series_blocks): one cross-covariance build per block, with the
+padded points masked out.
+
 Predictions at query timestamps T marginalize the signal through the
 inducing values:
 
@@ -34,6 +38,7 @@ from .core import (
     Prediction,
     TimeSeries,
     ValidationError,
+    series_blocks,
 )
 from .kernel import (
     CholeskyFactor,
@@ -101,10 +106,12 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     k_ss = kernel_matrix(kparams, s)
     lam = k_ss.copy()
     rhs = np.zeros(s.size)
-    for ts in collection.series:
-        cross = kernel_matrix(kparams, s, ts.timestamps)
+    # a single pass, so the blocks are packed on the fly, not cached
+    for block in series_blocks(collection.series):
+        cross = kernel_matrix(kparams, s, block.times.ravel())
+        cross *= block.mask.ravel()  # padded columns must not enter the sums
         lam += (cross @ cross.T) / c
-        rhs += cross @ ts.values
+        rhs += cross @ block.values.ravel()
     lam = 0.5 * (lam + lam.T)
     precision_factor = chol_jittered(lam, jitter)
     kernel_factor = chol_jittered(k_ss, jitter)
@@ -180,29 +187,22 @@ def class_posteriors(model: ModelParams, dataset: Dataset):
     )
 
 
-def forecast(model: ModelParams, dataset: Dataset, k: int, query) -> Prediction:
+def forecast(model: ModelParams, posteriors, k: int, query) -> Prediction:
     """One prediction for class k's whole collection at the query timestamps.
 
-    k is the internal class index (0..L-1). Queries may run past the
-    training range up to normalized time FORECAST_HORIZON.
+    posteriors are the per-class fits from class_posteriors, so a caller
+    that forecasts many series fits each class once. k is the internal
+    class index (0..L-1). Queries may run past the training range up to
+    normalized time FORECAST_HORIZON.
     """
     _check_class(model, k)
-    if model.n_classes != dataset.n_classes:
-        raise ValidationError(
-            f"model has {model.n_classes} classes but dataset has {dataset.n_classes}"
-        )
     t = np.asarray(query, dtype=float).ravel()
     if t.size and np.all(np.isfinite(t)) and float(t.max()) > FORECAST_HORIZON:
         raise InputError(
             f"forecast queries are limited to normalized time {FORECAST_HORIZON}, "
             f"got {float(t.max())}"
         )
-    h = model.hyper
-    posterior = fit_posterior(
-        dataset.collections[k], _class_kernel(model, k),
-        model.inducing_timestamps(k), h.sigma, h.jitter, class_id=k,
-    )
-    return predict(posterior, _class_kernel(model, k), t)
+    return predict(posteriors[k], _class_kernel(model, k), t)
 
 
 def _distances(model: ModelParams, posteriors, series: TimeSeries) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import SingularMatrixError, ValidationError
+from .core import NumericalError, SingularMatrixError, ValidationError
 
 __all__ = [
     "KernelParams",
@@ -163,11 +163,14 @@ def chol_jittered(a: np.ndarray, base_jitter: float) -> CholeskyFactor:
     The jitter is always added, even when the plain factorization would
     succeed, so results are reproducible regardless of conditioning. After
     MAX_JITTER_STEPS failures a SingularMatrixError reports the smallest
-    eigenvalue estimate.
+    eigenvalue estimate. A matrix with NaN or infinite entries raises
+    NumericalError; LAPACK would otherwise return a NaN factor.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"need a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"matrix of size {a.shape[0]} has non-finite entries")
     if not base_jitter > 0:
         raise ValidationError(f"base jitter must be positive, got {base_jitter}")
     n = a.shape[0]

@@ -15,6 +15,13 @@ bound decomposes over series:
 Every series term is evaluated through an m x m inner system, so one pass
 costs O(m^2 * N) time for N total points, never O(N^2).
 
+Series are not visited one at a time. Each collection is packed once into
+blocks of similar-length series, zero-padded to a common width of about
+BLOCK_COLUMNS points (core.series_blocks). A block costs one kernel build,
+one whitening solve against the K_SS factor, one stacked Cholesky of the
+per-series inner systems c*I + V_i V_i^T and batched contractions for the
+gradients. Padded points are zeroed after whitening, so they add nothing.
+
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
 
@@ -95,69 +102,104 @@ def _check_inducing(s) -> np.ndarray:
     return s
 
 
-def _bound_core(kp: KernelParams, s, times, values, c, jitter, want_grads):
-    """Shared evaluation path. times/values are sequences of 1-d arrays.
+def _block_terms(kp: KernelParams, s, factor, block, c, want_grads):
+    """One series block's share of the bound, and of its gradients when
+    asked: (value, None) or (value, (p_dot, d_log_amp, d_log_bw, d_timestamps)),
+    where p_dot is the block's unsymmetrized adjoint of K_SS.
+
+    The kernel is built with one column per padded point, series after
+    series, which keeps its inner loops long; after whitening the work runs
+    on rows, so series i's V_i^T is one contiguous (width, m) slab. Padded
+    points are zeroed after whitening, so they drop out of every sum.
+    """
+    m = s.size
+    g, width = block.times.shape
+    n_b = block.n_points
+    t_flat = block.times.ravel()
+    y = block.values[:, :, None]  # (G, width, 1)
+    diag = np.arange(m)
+    c_comps, d_b = kernel_matrix_components(kp, s, t_flat)  # (J, m, G*width)
+    v_rows = np.ascontiguousarray(factor.half_solve(c_comps.sum(axis=0)).T)
+    if n_b < g * width:
+        v_rows *= block.mask.reshape(-1, 1)
+    vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
+    e = vt.transpose(0, 2, 1) @ vt
+    e[:, diag, diag] += c  # min eigenvalue >= c, no jitter needed
+    try:
+        l_e = np.linalg.cholesky(e)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "inner inducing-point system lost positive definiteness"
+        ) from exc
+    l_inv = np.linalg.inv(l_e)
+    w = y.transpose(0, 2, 1) @ vt  # (V_i y_i)^T, (G, 1, m)
+    half = w @ l_inv.transpose(0, 2, 1)
+    quad = (float(np.vdot(y, y)) - float(np.vdot(half, half))) / c
+    logdet = (n_b - g * m) * np.log(c) + 2.0 * float(np.sum(np.log(l_e[:, diag, diag])))
+    log_lik = -0.5 * (n_b * LOG_2PI + logdet + quad)
+    trace_gap = n_b * float(np.sum(kp.amplitudes)) - float(np.vdot(v_rows, v_rows))
+    value = log_lik - trace_gap / (2.0 * c)
+    if not want_grads:
+        return value, None
+
+    # adjoint of each series covariance block is rank m+1; contract it
+    # without ever forming an n x n matrix. Transposed, series i's
+    # cross-covariance adjoint is
+    #   V_i^T E_i^{-1} (V_i W_i^T) / c + r_i (r_i^T W_i^T)
+    # with W_i = L^{-T} V_i and r_i = (y_i - V_i^T E_i^{-1} V_i y_i) / c
+    e_inv = l_inv.transpose(0, 2, 1) @ l_inv
+    resid = (y - vt @ (w @ e_inv).transpose(0, 2, 1)) / c
+    w_rows = np.ascontiguousarray(
+        scipy.linalg.solve_triangular(factor.lower.T, v_rows.T, lower=False).T)
+    wt = w_rows.reshape(g, width, m)
+    cdot = vt @ (e_inv @ (vt.transpose(0, 2, 1) @ wt))
+    cdot /= c
+    cdot += resid @ (resid.transpose(0, 2, 1) @ wt)
+    cdot = cdot.reshape(-1, m)
+    p_dot = -0.5 * (cdot.T @ w_rows)
+    # release the whitened rows before the cross differences are allocated,
+    # which keeps the block's peak working set at six row arrays
+    del v_rows, vt, w_rows, wt
+    amps = kp.amplitudes
+    bws = kp.bandwidths
+    cdot = np.ascontiguousarray(cdot.T)  # back to columns, like c_comps
+    diff_cross = s[:, None] - t_flat[None, :]
+    d_la = np.empty(kp.n_components)
+    d_lb = np.empty(kp.n_components)
+    d_s = np.zeros(m)
+    for j in range(kp.n_components):
+        d_la[j] = float(np.vdot(cdot, c_comps[j])) - n_b * amps[j] / (2.0 * c)
+        d_lb[j] = -0.5 * bws[j] * float(np.einsum("ap,ap,ap->", cdot, d_b, c_comps[j]))
+        d_s -= bws[j] * np.einsum("ap,ap,ap->a", cdot, c_comps[j], diff_cross)
+    return value, (p_dot, d_la, d_lb, d_s)
+
+
+def _bound_core(kp: KernelParams, s, blocks, c, jitter, want_grads):
+    """Shared evaluation path: sums _block_terms over a collection's blocks.
 
     Returns (value, None) or (value, (d_log_amp, d_log_bw, d_timestamps)).
     """
     m = s.size
     p_comps, d_ss = kernel_matrix_components(kp, s)
-    k_ss = p_comps.sum(axis=0)
-    factor = chol_jittered(k_ss, jitter)
-    amps = kp.amplitudes
-    bws = kp.bandwidths
-    amp_total = float(np.sum(amps))
+    factor = chol_jittered(p_comps.sum(axis=0), jitter)
     n_comp = kp.n_components
-
     value = 0.0
-    if want_grads:
-        p_dot = np.zeros((m, m))
-        d_la = np.zeros(n_comp)
-        d_lb = np.zeros(n_comp)
-        d_s = np.zeros(m)
-
-    for t_i, y_i in zip(times, values):
-        n_i = t_i.size
-        c_comps, d_i = kernel_matrix_components(kp, s, t_i)
-        c_i = c_comps.sum(axis=0)
-        v = factor.half_solve(c_i)  # (m, n_i)
-        e = c * np.eye(m) + v @ v.T  # min eigenvalue >= c, no jitter needed
-        try:
-            l_e = np.linalg.cholesky(e)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "inner inducing-point system lost positive definiteness"
-            ) from exc
-        w = v @ y_i
-        ew = scipy.linalg.cho_solve((l_e, True), w)
-        quad = (float(y_i @ y_i) - float(w @ ew)) / c
-        logdet = (n_i - m) * np.log(c) + 2.0 * float(np.sum(np.log(np.diag(l_e))))
-        log_lik = -0.5 * (n_i * LOG_2PI + logdet + quad)
-        trace_gap = n_i * amp_total - float(np.sum(v * v))
-        value += log_lik - trace_gap / (2.0 * c)
-
+    grads = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))
+    for block in blocks:
+        block_value, block_grads = _block_terms(kp, s, factor, block, c, want_grads)
+        value += block_value
         if want_grads:
-            # adjoint of the series covariance block is rank m+1; contract it
-            # without ever forming an n x n matrix
-            ei_v = scipy.linalg.cho_solve((l_e, True), v)  # (m, n_i)
-            resid = (y_i - v.T @ ew) / c  # (n_i,)
-            w_mat = scipy.linalg.solve_triangular(factor.lower.T, v, lower=False)
-            c_dot = (w_mat @ v.T) @ ei_v / c + np.outer(w_mat @ resid, resid)
-            p_dot -= 0.5 * (c_dot @ w_mat.T)
-            diff_cross = s[:, None] - t_i[None, :]
-            g_cross = np.zeros((m, n_i))
-            for j in range(n_comp):
-                d_la[j] += float(np.sum(c_dot * c_comps[j])) - n_i * amps[j] / (2.0 * c)
-                d_lb[j] += -0.5 * bws[j] * float(np.sum(c_dot * d_i * c_comps[j]))
-                g_cross -= bws[j] * diff_cross * c_comps[j]
-            d_s += np.sum(c_dot * g_cross, axis=1)
+            for total, part in zip(grads, block_grads):
+                total += part
 
     if not np.isfinite(value):
         raise NumericalError("collection bound evaluated to a non-finite value")
     if not want_grads:
         return value, None
 
+    p_dot, d_la, d_lb, d_s = grads
     p_dot = 0.5 * (p_dot + p_dot.T)
+    bws = kp.bandwidths
     diff_ss = s[:, None] - s[None, :]
     g_ss = np.zeros((m, m))
     for j in range(n_comp):
@@ -166,12 +208,6 @@ def _bound_core(kp: KernelParams, s, times, values, c, jitter, want_grads):
         g_ss -= bws[j] * diff_ss * p_comps[j]
     d_s += 2.0 * np.sum(p_dot * g_ss, axis=1)
     return value, (d_la, d_lb, d_s)
-
-
-def _collection_arrays(collection: Collection):
-    times = tuple(s.timestamps for s in collection.series)
-    values = tuple(s.values for s in collection.series)
-    return times, values
 
 
 def lmax_bound(kernel_params: KernelParams, inducing, collection: Collection,
@@ -184,9 +220,9 @@ def lmax_bound(kernel_params: KernelParams, inducing, collection: Collection,
     s = _check_inducing(inducing)
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    times, values = _collection_arrays(collection)
     c = collection.size * sigma * sigma
-    value, _ = _bound_core(kernel_params, s, times, values, c, jitter, want_grads=False)
+    value, _ = _bound_core(kernel_params, s, collection.blocks, c, jitter,
+                           want_grads=False)
     return value
 
 
@@ -197,9 +233,9 @@ def lmax_bound_and_grads(kernel_params: KernelParams, inducing, collection: Coll
     s = _check_inducing(inducing)
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    times, values = _collection_arrays(collection)
     c = collection.size * sigma * sigma
-    value, grads = _bound_core(kernel_params, s, times, values, c, jitter, want_grads=True)
+    value, grads = _bound_core(kernel_params, s, collection.blocks, c, jitter,
+                               want_grads=True)
     d_la, d_lb, d_s = grads
     return BoundGrads(
         value=value,
@@ -222,9 +258,8 @@ def _class_term(params: ModelParams, dataset: Dataset, k: int, want_grads: bool)
     z_k = params.codes[k]
     s_k = code_to_timestamps(params.code_map, z_k)
     collection = dataset.collections[k]
-    times, values = _collection_arrays(collection)
     c = collection.size * h.sigma * h.sigma
-    value, grads = _bound_core(kp, s_k, times, values, c, h.jitter, want_grads)
+    value, grads = _bound_core(kp, s_k, collection.blocks, c, h.jitter, want_grads)
     penalty = h.lam * float(z_k @ z_k)
     if not want_grads:
         return -value + penalty, None
@@ -235,32 +270,38 @@ def _class_term(params: ModelParams, dataset: Dataset, k: int, want_grads: bool)
     return -value + penalty, (-d_la, -d_lb, d_code, d_map)
 
 
-def total_loss(params: ModelParams, dataset: Dataset, threads: int = 1) -> float:
-    """Training loss: sum of negated collection bounds plus the code penalty."""
+def _class_terms(params: ModelParams, dataset: Dataset, threads: int, want_grads: bool):
+    """Every class's (loss term, grads), in class order. Per-class work is
+    independent, so threads > 1 evaluates classes on a thread pool."""
     _check_match(params, dataset)
+    # pack every collection on this thread: blocks packed on a pool thread
+    # would stay in that thread's malloc arena after the pool shuts down
+    for collection in dataset.collections:
+        _ = collection.blocks
+
+    def term(k):
+        return _class_term(params, dataset, k, want_grads)
+
     ks = range(dataset.n_classes)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(lambda k: _class_term(params, dataset, k, False), ks))
-    else:
-        terms = [_class_term(params, dataset, k, False) for k in ks]
+            return list(pool.map(term, ks))
+    return [term(k) for k in ks]
+
+
+def total_loss(params: ModelParams, dataset: Dataset, threads: int = 1) -> float:
+    """Training loss: sum of negated collection bounds plus the code penalty."""
+    terms = _class_terms(params, dataset, threads, want_grads=False)
     # fixed class-order reduction keeps results reproducible at any thread count
-    return float(sum(t[0] for t in terms))
+    return float(sum(t for t, _ in terms))
 
 
 def loss_gradient(params: ModelParams, dataset: Dataset, threads: int = 1):
     """Training loss and its gradients w.r.t. every learnable parameter.
 
-    Returns (loss, ModelGrads). Per-class work is independent, so classes can
-    be evaluated on a thread pool; the reduction always runs in class order.
+    Returns (loss, ModelGrads). The reduction always runs in class order.
     """
-    _check_match(params, dataset)
-    ks = range(dataset.n_classes)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(lambda k: _class_term(params, dataset, k, True), ks))
-    else:
-        terms = [_class_term(params, dataset, k, True) for k in ks]
+    terms = _class_terms(params, dataset, threads, want_grads=True)
 
     L, J = params.log_amplitudes.shape
     d = params.hyper.d

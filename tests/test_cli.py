@@ -8,7 +8,7 @@ import pytest
 from motioncode.cli import main
 from motioncode.core import TimeSeries
 from motioncode.dataio import load_dataset, load_model
-from motioncode.inference import classify, forecast
+from motioncode.inference import class_posteriors, classify, forecast
 from motioncode.objective import informative_timestamps
 
 REPORT_KEYS = {"command", "hyperparams", "wall_clock_seconds", "payload"}
@@ -147,7 +147,7 @@ def test_classify_prototype_series(tmp_path, two_constants, capsys):
     model = load_model(model_path)
     train = load_dataset(two_constants)
     t = np.linspace(0.1, 0.9, 15)
-    proto = forecast(model, train, 1, t)
+    proto = forecast(model, class_posteriors(model, train), 1, t)
     label, dists = classify(model, train, TimeSeries(t, proto.mean))
     assert label == 1
     assert dists[1] == 0.0

@@ -261,14 +261,14 @@ def test_forecast_zero_class():
     from motioncode.optimizer import init_params
 
     model = init_params(1, h)
-    pred = forecast(model, ds, 0, [0.3, 0.9, 1.2])
+    pred = forecast(model, class_posteriors(model, ds), 0, [0.3, 0.9, 1.2])
     assert np.max(np.abs(pred.mean)) < 1e-6
 
 
 def test_forecast_uses_only_its_class():
     model, ds = constant_model_and_data()
     q = [0.2, 0.5, 0.9]
-    base = forecast(model, ds, 0, q)
+    base = forecast(model, class_posteriors(model, ds), 0, q)
     # perturb class 1's values; class 0's forecast must not move a bit
     rng = np.random.default_rng(35)
     new_series = tuple(
@@ -278,7 +278,7 @@ def test_forecast_uses_only_its_class():
     ds2 = Dataset(
         (ds.collections[0], Collection(1, new_series)), ds.time_scale
     )
-    again = forecast(model, ds2, 0, q)
+    again = forecast(model, class_posteriors(model, ds2), 0, q)
     assert np.array_equal(base.mean, again.mean)
     assert np.array_equal(base.variance, again.variance)
 
@@ -286,9 +286,9 @@ def test_forecast_uses_only_its_class():
 def test_forecast_input_errors():
     model, ds = constant_model_and_data()
     with pytest.raises(InputError):
-        forecast(model, ds, 5, [0.5])  # unknown class
+        forecast(model, class_posteriors(model, ds), 5, [0.5])  # unknown class
     with pytest.raises(InputError):
-        forecast(model, ds, 0, [1.3])  # beyond the forecast horizon
+        forecast(model, class_posteriors(model, ds), 0, [1.3])  # beyond the forecast horizon
 
 
 def test_forecast_trained_sine_in_range():
@@ -299,7 +299,7 @@ def test_forecast_trained_sine_in_range():
     h = Hyperparams(m=10, d=2, j=1, sigma=0.1, max_iters=50, epsilon=1e-8)
     model, info = train_model(ds, h)
     q = np.linspace(0.1, 0.9, 17)
-    pred = forecast(model, ds, 0, q)
+    pred = forecast(model, class_posteriors(model, ds), 0, q)
     assert np.max(np.abs(pred.mean - np.sin(2 * np.pi * q))) < 0.1
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motioncode.core import SingularMatrixError, ValidationError
+from motioncode.core import NumericalError, SingularMatrixError, ValidationError
 from motioncode.kernel import (
     CholeskyFactor,
     KernelParams,
@@ -144,6 +144,16 @@ def test_chol_jittered_gives_up():
     with pytest.raises(SingularMatrixError) as err:
         chol_jittered(a, 1e-10)
     assert "eigenvalue" in str(err.value)
+
+
+def test_chol_jittered_rejects_non_finite():
+    # LAPACK factorizes a NaN matrix without complaint and returns NaNs
+    with pytest.raises(NumericalError, match="non-finite"):
+        chol_jittered(np.full((3, 3), np.nan), 1e-6)
+    a = np.eye(3)
+    a[1, 2] = a[2, 1] = np.inf
+    with pytest.raises(NumericalError, match="non-finite"):
+        chol_jittered(a, 1e-6)
 
 
 def test_cholesky_factor_solver():
