@@ -69,7 +69,6 @@ ACCURACY_TARGET = 0.90
 FORECAST_WINS_NEEDED = 4
 BENCH_SEEDS = 5
 SCALING_RATIO_LIMIT = 2.6
-SCALING_ROUNDS = 5
 
 # the monotone-refinement instances are pinned, independent of --seed
 MONOTONE_SEED = 20240817
@@ -566,16 +565,17 @@ def measure_scaling(seed=0):
     # warm up allocators and caches on a small problem first
     train_model(_scaling_dataset(seed, 20), benchmark_hyperparams())
 
-    datasets = {points: _scaling_dataset(seed, points) for points in (100, 200)}
-    best = dict.fromkeys(datasets, float("inf"))
-    # alternate the two sizes, so that a drift in host speed during the
-    # measurement reaches both of them alike; keep each size's fastest run
-    for _ in range(SCALING_ROUNDS):
-        for points, ds in datasets.items():
+    def best_of_two(points):
+        ds = _scaling_dataset(seed, points)
+        elapsed = []
+        for _ in range(2):
             start = time.perf_counter()
             train_model(ds, hyper)
-            best[points] = min(best[points], time.perf_counter() - start)
-    small, large = best[100], best[200]
+            elapsed.append(time.perf_counter() - start)
+        return min(elapsed)
+
+    small = best_of_two(100)
+    large = best_of_two(200)
     ratio = large / small
     return {
         "name": "training-scaling",

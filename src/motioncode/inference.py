@@ -106,7 +106,9 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     k_ss = kernel_matrix(kparams, s)
     lam = k_ss.copy()
     rhs = np.zeros(s.size)
-    # a single pass, so the blocks are packed on the fly, not cached
+    # packed on the fly, not through the Collection.blocks cache: a posterior
+    # is fitted once per class and command, and cached blocks would stay on
+    # the collection for the rest of the command
     for block in series_blocks(collection.series):
         cross = kernel_matrix(kparams, s, block.times.ravel())
         cross *= block.mask.ravel()  # padded columns must not enter the sums

@@ -91,7 +91,8 @@ def _sqdist(t, s) -> np.ndarray:
     t = np.asarray(t, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     d = t[:, None] - s[None, :]
-    return d * d
+    d *= d
+    return d
 
 
 def kernel_matrix(params: KernelParams, t, s=None) -> np.ndarray:
@@ -122,8 +123,12 @@ def kernel_matrix_components(params: KernelParams, t, s=None):
     amp = params.amplitudes
     bw = params.bandwidths
     comps = np.empty((params.n_components,) + r2.shape)
+    # built in place: over thousands of points every temporary is a buffer
+    # of its own that the allocator maps and page-faults afresh
     for j in range(params.n_components):
-        comps[j] = amp[j] * np.exp(-0.5 * bw[j] * r2)
+        np.multiply(r2, -0.5 * bw[j], out=comps[j])
+        np.exp(comps[j], out=comps[j])
+        comps[j] *= amp[j]
     return comps, r2
 
 

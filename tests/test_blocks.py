@@ -54,18 +54,21 @@ def test_blocks_cover_every_point_once(name, lengths, m, j):
     _, _, col = make_case(lengths, m, j, seed=1)
     blocks = col.blocks
     widths = [b.times.shape[1] for b in blocks]
-    assert widths == sorted(widths)
+    assert widths == sorted(widths, reverse=True)
     rows = []
     for b in blocks:
         g, width = b.times.shape
-        assert g * width <= BLOCK_COLUMNS or g == 1
         counts = b.mask.sum(axis=1)
+        # a block takes one more series while its padded size is below
+        # BLOCK_COLUMNS, and closes once it is not (or the series run out)
+        assert (g - 1) * width < BLOCK_COLUMNS
+        assert g * width >= BLOCK_COLUMNS or b is blocks[-1]
         assert b.n_points == counts.sum()
         assert counts.max() == width
         assert np.all(b.times[~b.mask] == 0.0) and np.all(b.values[~b.mask] == 0.0)
         rows += [(b.times[i, :n], b.values[i, :n]) for i, n in enumerate(counts)]
-    # the stable sort by length keeps equal-length series in input order
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    # longest first; the stable sort keeps equal-length series in input order
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
     assert len(rows) == len(order)
     for (t, y), i in zip(rows, order):
         assert np.array_equal(t, col.series[i].timestamps)
