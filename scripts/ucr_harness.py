@@ -109,7 +109,6 @@ def main(argv=None):
                         help="injected noise level (fraction of peak value)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-iters", type=int, default=10)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--reference", default=None,
                         help="CSV of name,expected_percent rows to compare against")
     parser.add_argument("--tolerance", type=float, default=5.0,

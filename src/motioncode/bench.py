@@ -488,16 +488,18 @@ def class_forecast_errors(model, posteriors, train, test, k):
     """
     center, scale = model.value_center, model.value_scale
     t0, t1 = model.time_scale
+    pairs = list(zip(train.collections[k].series, test.collections[k].series))
+    # one prediction over every test series' timestamps, split back by length
+    pred = forecast(model, posteriors, k,
+                    np.concatenate([te.timestamps for _, te in pairs]))
+    means = np.split(pred.mean, np.cumsum([len(te) for _, te in pairs[:-1]]))
     rows = []
-    for idx, (tr, te) in enumerate(
-        zip(train.collections[k].series, test.collections[k].series)
-    ):
-        pred = forecast(model, posteriors, k, te.timestamps)
+    for idx, ((tr, te), mean) in enumerate(zip(pairs, means)):
         rows.append({
             "series": idx,
             "timestamps": [float(x) for x in t0 + te.timestamps * (t1 - t0)],
             "actual": [float(x) for x in center + scale * te.values],
-            "predicted": [float(x) for x in center + scale * pred.mean],
+            "predicted": [float(x) for x in center + scale * mean],
             "last_seen": float(center + scale * tr.values[-1]),
         })
     return rows

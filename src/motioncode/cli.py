@@ -70,14 +70,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_io_flags(sub, with_threads=True):
+# accepted so that existing command lines keep working; classes are
+# evaluated in turn on the calling thread whatever its value
+THREADS_HELP = "ignored; kept for compatibility"
+
+
+def _add_io_flags(sub):
     sub.add_argument("--data", required=True, help="input dataset path")
     sub.add_argument("--format", choices=("ragged", "ucr"), default="ragged",
                      help="input file format")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
-    if with_threads:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for per-class computations")
+    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     sub.add_argument("--out", default=None,
                      help="also write the JSON report to this path")
 
@@ -114,7 +117,7 @@ def _build_parser():
     tr.add_argument("--split-fraction", type=float, default=None,
                     help="train on only the first fraction of every series")
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--threads", type=int, default=1)
+    tr.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     tr.add_argument("--out", default="model.json", help="model output path")
     tr.set_defaults(handler=cmd_train)
 
@@ -214,7 +217,7 @@ def cmd_train(args):
     if args.split_fraction is not None:
         dataset, _ = forecast_split(dataset, args.split_fraction)
         log.info("kept the first %.0f%% of every series", 100 * args.split_fraction)
-    model, info = train_model(dataset, hyper, threads=args.threads)
+    model, info = train_model(dataset, hyper)
     model = dataclasses.replace(model, data_digest=file_digest(args.data))
     save_model(model, args.out)
     log.info("model written to %s", args.out)
@@ -269,14 +272,16 @@ def _forecast_rows_from_queries(model, posteriors, train_ds, queries, k):
         )
     center, scale = model.value_center, model.value_scale
     t0, t1 = model.time_scale
+    # one prediction over every query's timestamps, split back by length
+    pred = forecast(model, posteriors, k, np.concatenate([q.times for q in mine]))
+    means = np.split(pred.mean, np.cumsum([q.times.size for q in mine[:-1]]))
     rows = []
-    for idx, (q, tr) in enumerate(zip(mine, train_series)):
-        pred = forecast(model, posteriors, k, q.times)
+    for idx, (q, tr, mean) in enumerate(zip(mine, train_series, means)):
         rows.append({
             "series": idx,
             "timestamps": [float(x) for x in t0 + q.times * (t1 - t0)],
             "actual": [float(x) for x in center + scale * q.values],
-            "predicted": [float(x) for x in center + scale * pred.mean],
+            "predicted": [float(x) for x in center + scale * mean],
             "last_seen": float(center + scale * tr.values[-1]),
         })
     return rows

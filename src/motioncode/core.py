@@ -107,9 +107,9 @@ class TimeSeries:
             )
         if t.size < 1:
             raise ValidationError("a time series needs at least one point")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
             raise ValidationError("timestamps and values must be finite")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ValidationError("timestamps must be strictly increasing")
         if t[0] < 0.0 or t[-1] > 1.0:
             raise ValidationError(
@@ -153,8 +153,9 @@ class Collection:
         return tuple(series_blocks(self.series))
 
 
-# series are evaluated in zero-padded blocks of about this many columns:
-# enough to amortize per-call overhead, small enough to stay in cache
+# series are evaluated in zero-padded blocks of about this many columns, and
+# predictions in chunks of this many query points: enough to amortize
+# per-call overhead, small enough to stay in cache
 BLOCK_COLUMNS = 512
 
 

@@ -83,9 +83,9 @@ class RaggedRecord:
             )
         if t.size < 2:
             raise ValidationError("record needs at least two points")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
             raise ValidationError("record values must be finite")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ValidationError("record timestamps must be strictly increasing")
         if self.label < 0 or self.label != int(self.label):
             raise ValidationError(f"record label must be a non-negative integer, got {self.label}")
@@ -121,9 +121,9 @@ def _record_from_json(obj, path, line_no) -> RaggedRecord:
         raise _located(ParseError, path, line_no, f"label must be an integer, got {label!r}")
     for key in ("t", "y"):
         seq = obj[key]
-        if not isinstance(seq, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq
-        ):
+        # json.loads builds plain ints and floats, and type(True) is bool,
+        # so booleans fail this check as they should
+        if not isinstance(seq, list) or not set(map(type, seq)) <= {int, float}:
             raise _located(ParseError, path, line_no, f"field '{key}' must be a numeric array")
     try:
         return RaggedRecord(label=label, t=obj["t"], y=obj["y"])

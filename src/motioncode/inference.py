@@ -19,6 +19,11 @@ inducing values:
     p      = K_TS K_SS^{-1} mean
     var[t] = k(t,t) - q(t,t) + [K_TS K_SS^{-1} cov K_SS^{-1} K_ST](t,t)
 
+Queries are evaluated in chunks of BLOCK_COLUMNS points, the same size as
+the blocks above: one cross-covariance build and one solve per chunk, so a
+query of any length costs a bounded working set. Serving concatenates every
+series it predicts for one class and makes a single predict call.
+
 Classification assigns a series to the class whose predicted mean curve is
 closest in Euclidean distance (ties go to the smallest class index).
 """
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_COLUMNS,
     Collection,
     Dataset,
     InputError,
@@ -141,23 +147,30 @@ def predict(posterior: VariationalPosterior, kparams: KernelParams,
     Queries may exceed 1 (forecasting); far from all data the mean reverts
     to 0 and the variance to the kernel's diagonal. Variances are clipped
     to 0 from below once they clear the VARIANCE_SLACK roundoff check.
+    The query is evaluated in chunks of BLOCK_COLUMNS points.
     """
     t = np.asarray(query, dtype=float).ravel()
     if t.size < 1 or not np.all(np.isfinite(t)):
         raise ValidationError("query timestamps must be a non-empty finite array")
-    k_ts = kernel_matrix(kparams, t, posterior.inducing)  # (n_q, m)
-    u = posterior.kernel_factor.solve(k_ts.T)  # K_SS^{-1} K_ST, (m, n_q)
-    mean = k_ts @ posterior.kernel_factor.solve(posterior.mean)
+    factor = posterior.kernel_factor
+    weights = factor.solve(posterior.mean)  # K_SS^{-1} mean
     prior_diag = float(np.sum(kparams.amplitudes))
-    q_diag = np.sum(k_ts.T * u, axis=0)
-    post_diag = np.sum(u * (posterior.covariance @ u), axis=0)
-    var = prior_diag - q_diag + post_diag
+    mean = np.empty(t.size)
+    var = np.empty(t.size)
+    for start in range(0, t.size, BLOCK_COLUMNS):
+        chunk = slice(start, start + BLOCK_COLUMNS)
+        k_ts = kernel_matrix(kparams, t[chunk], posterior.inducing)  # (n_c, m)
+        u = factor.solve(k_ts.T)  # K_SS^{-1} K_ST, (m, n_c)
+        mean[chunk] = k_ts @ weights
+        q_diag = np.sum(k_ts.T * u, axis=0)
+        post_diag = np.sum(u * (posterior.covariance @ u), axis=0)
+        var[chunk] = prior_diag - q_diag + post_diag
     low = float(var.min())
     if low < VARIANCE_SLACK:
         raise NumericalError(
             f"predictive variance fell below the roundoff tolerance: {low:.3e}"
         )
-    var = np.clip(var, 0.0, None)
+    np.clip(var, 0.0, None, out=var)
     return Prediction(timestamps=t, mean=mean, variance=var)
 
 
@@ -207,33 +220,32 @@ def forecast(model: ModelParams, posteriors, k: int, query) -> Prediction:
     return predict(posteriors[k], _class_kernel(model, k), t)
 
 
-def _distances(model: ModelParams, posteriors, series: TimeSeries) -> np.ndarray:
-    d = np.empty(len(posteriors))
-    for k, post in enumerate(posteriors):
-        pred = predict(post, _class_kernel(model, k), series.timestamps)
-        d[k] = float(np.linalg.norm(series.values - pred.mean))
-    return d
-
-
 def classify(model: ModelParams, dataset: Dataset, series: TimeSeries):
     """Label one series by its nearest predicted mean curve.
 
     Returns (class index, per-class distance vector). The reported label is
     always the argmin of the distances; ties break to the smallest index.
     """
-    posteriors = class_posteriors(model, dataset)
-    d = _distances(model, posteriors, series)
-    return int(np.argmin(d)), d
+    return classify_many(model, dataset, [series])[0]
 
 
 def classify_many(model: ModelParams, dataset: Dataset, series_list):
     """Classify a batch of series, fitting each class posterior only once.
 
-    Returns a list of (class index, distance vector) pairs in input order.
+    Every class predicts the whole batch in one call, over the series'
+    concatenated timestamps. Returns a list of (class index, distance
+    vector) pairs in input order.
     """
     posteriors = class_posteriors(model, dataset)
-    out = []
-    for series in series_list:
-        d = _distances(model, posteriors, series)
-        out.append((int(np.argmin(d)), d))
-    return out
+    series_list = list(series_list)
+    if not series_list:
+        return []
+    times = np.concatenate([s.timestamps for s in series_list])
+    values = np.concatenate([s.values for s in series_list])
+    starts = np.cumsum([0] + [len(s) for s in series_list[:-1]])
+    dists = np.empty((len(series_list), len(posteriors)))
+    for k, post in enumerate(posteriors):
+        pred = predict(post, _class_kernel(model, k), times)
+        dists[:, k] = np.add.reduceat((values - pred.mean) ** 2, starts)
+    np.sqrt(dists, out=dists)
+    return [(int(np.argmin(d)), d) for d in dists]

@@ -33,7 +33,6 @@ where class k's inducing timestamps are sigmoid(code_map @ z_k).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,38 +272,25 @@ def _class_term(params: ModelParams, dataset: Dataset, k: int, want_grads: bool)
     return -value + penalty, (-d_la, -d_lb, d_code, d_map)
 
 
-def _class_terms(params: ModelParams, dataset: Dataset, threads: int, want_grads: bool):
-    """Every class's (loss term, grads), in class order. Per-class work is
-    independent, so threads > 1 evaluates classes on a thread pool."""
+def _class_terms(params: ModelParams, dataset: Dataset, want_grads: bool):
+    """Every class's (loss term, grads), in class order."""
     _check_match(params, dataset)
-    # pack every collection on this thread: blocks packed on a pool thread
-    # would stay in that thread's malloc arena after the pool shuts down
-    for collection in dataset.collections:
-        _ = collection.blocks
-
-    def term(k):
-        return _class_term(params, dataset, k, want_grads)
-
-    ks = range(dataset.n_classes)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(term, ks))
-    return [term(k) for k in ks]
+    return [_class_term(params, dataset, k, want_grads)
+            for k in range(dataset.n_classes)]
 
 
-def total_loss(params: ModelParams, dataset: Dataset, threads: int = 1) -> float:
+def total_loss(params: ModelParams, dataset: Dataset) -> float:
     """Training loss: sum of negated collection bounds plus the code penalty."""
-    terms = _class_terms(params, dataset, threads, want_grads=False)
-    # fixed class-order reduction keeps results reproducible at any thread count
+    terms = _class_terms(params, dataset, want_grads=False)
     return float(sum(t for t, _ in terms))
 
 
-def loss_gradient(params: ModelParams, dataset: Dataset, threads: int = 1):
+def loss_gradient(params: ModelParams, dataset: Dataset):
     """Training loss and its gradients w.r.t. every learnable parameter.
 
     Returns (loss, ModelGrads). The reduction always runs in class order.
     """
-    terms = _class_terms(params, dataset, threads, want_grads=True)
+    terms = _class_terms(params, dataset, want_grads=True)
 
     L, J = params.log_amplitudes.shape
     d = params.hyper.d

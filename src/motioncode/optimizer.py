@@ -234,7 +234,7 @@ class TrainInfo:
     stop_reason: str
 
 
-def train_model(dataset: Dataset, hyper: Hyperparams, threads: int = 1):
+def train_model(dataset: Dataset, hyper: Hyperparams):
     """Fit one model to the dataset: init_params, then minimize the loss.
 
     Returns (ModelParams, TrainInfo). Evaluation failures at wild trial
@@ -247,12 +247,12 @@ def train_model(dataset: Dataset, hyper: Hyperparams, threads: int = 1):
 
     def loss_fn(x):
         try:
-            return total_loss(unpack_params(x, start), dataset, threads=threads)
+            return total_loss(unpack_params(x, start), dataset)
         except MotionCodeError:
             return np.inf
 
     def grad_fn(x):
-        _, grads = loss_gradient(unpack_params(x, start), dataset, threads=threads)
+        _, grads = loss_gradient(unpack_params(x, start), dataset)
         return pack_grads(grads)
 
     result = minimize(loss_fn, grad_fn, x0, hyper.max_iters, hyper.epsilon)

@@ -87,6 +87,22 @@ def test_load_ragged_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError):
         parse_ragged(p)
 
+    # booleans, strings, nulls and nested arrays are not numbers
+    for bad in (True, "2", None, [1]):
+        for key in ("t", "y"):
+            row = {"label": 0, "t": [0, 1, 2], "y": [1, 2, 3]}
+            row[key] = row[key][:1] + [bad] + row[key][2:]
+            write_lines(p, [json.dumps(row)])
+            with pytest.raises(ParseError) as err:
+                parse_ragged(p)
+            assert ":1:" in str(err.value) and "numeric array" in str(err.value)
+
+    # NaN parses as a number but is not a finite value
+    write_lines(p, [json.dumps({"label": 0, "t": [0, 1], "y": [1, float("nan")]})])
+    with pytest.raises(ValidationError) as err:
+        parse_ragged(p)
+    assert ":1:" in str(err.value) and "finite" in str(err.value)
+
 
 def test_load_ragged_needs_two_labels(tmp_path):
     p = tmp_path / "one.jsonl"

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from motioncode import bench, cli
 from motioncode.core import (
+    BLOCK_COLUMNS,
     Collection,
     Dataset,
     Hyperparams,
@@ -12,6 +14,7 @@ from motioncode.core import (
     TimeSeries,
     ValidationError,
 )
+from motioncode.dataio import QueryRecord, forecast_split
 from motioncode.inference import (
     classify,
     classify_many,
@@ -21,7 +24,7 @@ from motioncode.inference import (
     predict,
 )
 from motioncode.kernel import KernelParams, kernel_matrix
-from motioncode.optimizer import train_model
+from motioncode.optimizer import init_params, train_model
 
 
 def spaced(rng, n, lo=0.02, hi=0.98, grid=400):
@@ -345,3 +348,105 @@ def test_classify_scale_mapping():
     )
     assert label == label2
     assert np.allclose(dist2, rho * dist, rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# chunked prediction and batched serving
+
+
+def mixed_model_and_data(lengths, seed):
+    """An untrained two-class model with a sharper kernel, and a dataset
+    whose class-k series have the given lengths."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for k in range(2):
+        series = []
+        for n in lengths:
+            t = spaced(rng, n, grid=2000)
+            series.append(TimeSeries(t, np.sin(2 * np.pi * t + k) + rng.normal(0.0, 0.2, n)))
+        cols.append(Collection(k, tuple(series)))
+    ds = Dataset(tuple(cols), (0.0, 1.0))
+    model = dataclasses.replace(
+        init_params(2, Hyperparams(m=6, d=2, j=1, sigma=0.3)),
+        log_bandwidths=np.full((2, 1), np.log(30.0)),
+        codes=rng.normal(size=(2, 2)),
+    )
+    return model, ds
+
+
+def test_predict_chunks_match_dense_oracle():
+    # three chunks, the last one partial; queries unsorted and past 1
+    rng = np.random.default_rng(40)
+    kp = sharp_params(rng, 2)
+    s = good_inducing(rng, kp, 4)
+    col = rand_collection(rng, n_series=3)
+    post = fit_posterior(col, kp, s, sigma=0.5, jitter=1e-12)
+    q = rng.uniform(0.0, 1.2, 2 * BLOCK_COLUMNS + 276)
+    pred = predict(post, kp, q)
+    p, var = dense_predict(kp, s, post.mean, post.covariance, q)
+    assert np.array_equal(pred.timestamps, q)
+    assert np.allclose(pred.mean, p, atol=1e-8)
+    assert np.allclose(pred.variance, np.clip(var, 0, None), atol=1e-8)
+
+
+def test_classify_many_distances_over_mixed_lengths():
+    model, ds = mixed_model_and_data([12, 30, 7], seed=41)
+    rng = np.random.default_rng(42)
+    lengths = [1, 9, BLOCK_COLUMNS + 88, 2, 40, 1, 300]
+    tests = [TimeSeries(spaced(rng, n, grid=2000), rng.normal(size=n))
+             for n in lengths]
+    posteriors = class_posteriors(model, ds)
+    batch = classify_many(model, ds, tests)
+    assert len(batch) == len(tests)
+    for series, (label, dist) in zip(tests, batch):
+        want = np.array([
+            np.linalg.norm(series.values - predict(
+                post, KernelParams(model.log_amplitudes[k], model.log_bandwidths[k]),
+                series.timestamps).mean)
+            for k, post in enumerate(posteriors)
+        ])
+        assert np.allclose(dist, want, rtol=1e-12, atol=0.0)
+        assert label == int(np.argmin(dist))
+    assert classify_many(model, ds, []) == []
+
+
+def forecast_row_case(seed):
+    model, ds = mixed_model_and_data([5, 20, 2 * BLOCK_COLUMNS, 3, 60], seed)
+    train, test = forecast_split(ds, 0.6)
+    return model, train, test, class_posteriors(model, train)
+
+
+def assert_rows_match_per_series(model, posteriors, k, rows, queries, train_series):
+    center, scale = model.value_center, model.value_scale
+    assert len(rows) == len(queries)
+    for idx, (row, (times, values), tr) in enumerate(zip(rows, queries, train_series)):
+        mean = forecast(model, posteriors, k, times).mean
+        assert row["series"] == idx
+        assert np.array_equal(row["actual"], center + scale * values)
+        assert np.allclose(row["predicted"], center + scale * mean,
+                           rtol=1e-12, atol=1e-12)
+        assert row["last_seen"] == float(center + scale * tr.values[-1])
+
+
+def test_bench_forecast_rows_match_per_series_forecast():
+    model, train, test, posteriors = forecast_row_case(43)
+    for k in range(2):
+        rows = bench.class_forecast_errors(model, posteriors, train, test, k)
+        queries = [(te.timestamps, te.values) for te in test.collections[k].series]
+        assert_rows_match_per_series(model, posteriors, k, rows, queries,
+                                     train.collections[k].series)
+
+
+def test_cli_forecast_rows_match_per_series_forecast():
+    model, train, test, posteriors = forecast_row_case(44)
+    rng = np.random.default_rng(45)
+    # queries run past the training range, up to the forecast horizon
+    records = [
+        QueryRecord(k, np.sort(rng.uniform(0.0, 1.25, n)), rng.normal(size=n))
+        for k in range(2) for n in (4, 1, BLOCK_COLUMNS + 10, 7, 30)
+    ]
+    for k in range(2):
+        rows = cli._forecast_rows_from_queries(model, posteriors, train, records, k)
+        queries = [(q.times, q.values) for q in records if q.class_index == k]
+        assert_rows_match_per_series(model, posteriors, k, rows, queries,
+                                     train.collections[k].series)

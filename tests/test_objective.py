@@ -218,16 +218,6 @@ def test_loss_gradient_matches_finite_differences():
     fd_field("code_map", grads.d_code_map)
 
 
-def test_threaded_evaluation_is_bitwise_identical():
-    params, ds = small_model_and_data(seed=11, L=3)
-    l1, g1 = loss_gradient(params, ds, threads=1)
-    l2, g2 = loss_gradient(params, ds, threads=3)
-    assert l1 == l2
-    assert np.array_equal(g1.d_codes, g2.d_codes)
-    assert np.array_equal(g1.d_code_map, g2.d_code_map)
-    assert total_loss(params, ds, threads=2) == total_loss(params, ds)
-
-
 def test_input_validation():
     params, ds = small_model_and_data(seed=2)
     kp = KernelParams(np.zeros(1), np.zeros(1))

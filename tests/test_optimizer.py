@@ -229,7 +229,7 @@ def test_train_model_deterministic():
     ds = tiny_dataset(2)
     h = Hyperparams(m=3, d=2, j=1, max_iters=5, sigma=0.3)
     f1, i1 = train_model(ds, h)
-    f2, i2 = train_model(ds, h, threads=2)
+    f2, i2 = train_model(ds, h)
     assert np.array_equal(f1.codes, f2.codes)
     assert np.array_equal(f1.code_map, f2.code_map)
     assert i1.loss == i2.loss
