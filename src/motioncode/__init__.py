@@ -17,7 +17,6 @@ from .core import (
     Hyperparams,
     ModelParams,
     Prediction,
-    normalize_timestamps,
     code_to_timestamps,
 )
 

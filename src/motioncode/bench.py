@@ -7,7 +7,7 @@ The oracle checks re-derive every quantity with plain dense linear algebra
 low-rank production path. The benchmark checks train real models on
 generated two-class data (a unit-amplitude sine versus a linear ramp) and
 score classification accuracy and forecast error against a last-seen
-baseline.
+baseline. class_forecast_errors also builds the forecast command's rows.
 
 Every check returns a plain dict of JSON-safe values so reports serialize
 byte-identically for a fixed seed. Wall-clock measurements live in a
@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Collection, Dataset, Hyperparams, TimeSeries
+from .core import (Collection, Dataset, Hyperparams, InputError, TimeSeries,
+                   code_to_timestamps)
 from .dataio import RaggedRecord, dataset_from_records, forecast_split, write_ragged
 from .inference import class_posteriors, classify_many, fit_posterior, forecast, predict
 from .kernel import KernelParams, kernel_matrix
-from .objective import informative_timestamps, lmax_bound, loss_gradient, total_loss
+from .objective import lmax_bound, loss_gradient, total_loss
 from .optimizer import pack_grads, pack_params, train_model, unpack_params
 from .optimizer import init_params
 
@@ -309,7 +310,7 @@ def _gradient_instance(rng, n_classes, j, m, d):
     for _ in range(500):
         codes = rng.normal(0.0, 1.0, (n_classes, d))
         code_map = rng.normal(0.0, 0.8, (m, d))
-        spreads = [informative_timestamps(code_map, z) for z in codes]
+        spreads = [code_to_timestamps(code_map, z) for z in codes]
         gap_ok = all(
             s.size == 1 or float(np.min(np.diff(np.sort(s)))) > 0.03
             for s in spreads
@@ -478,31 +479,38 @@ def forecasting_instance(seed):
     return forecast_split(full, 0.8)
 
 
-def class_forecast_errors(model, posteriors, train, test, k):
-    """Original-unit forecast errors for one class, predicted from the
-    class posteriors fitted on train.
+def class_forecast_errors(model, posteriors, k, train_series, queries):
+    """Original-unit forecast rows for class k, predicted from the class
+    posteriors of class_posteriors.
 
-    Returns a list of per-series dicts with the query timestamps, actual
-    values, model predictions, and the last-seen baseline, all de-centered
-    back to the data's units.
+    queries is a list of (times, values) pairs in model coordinates, paired
+    by position with class k's training series train_series. Returns one
+    dict per query with its timestamps, actual values, model predictions
+    and the last-seen baseline, all de-centered back to the data's units;
+    [] when there are no queries.
     """
+    if not queries:
+        return []
+    if len(queries) != len(train_series):
+        raise InputError(
+            f"class {model.class_labels[k]}: {len(queries)} test series cannot "
+            f"be paired with {len(train_series)} training series"
+        )
     center, scale = model.value_center, model.value_scale
     t0, t1 = model.time_scale
-    pairs = list(zip(train.collections[k].series, test.collections[k].series))
-    # one prediction over every test series' timestamps, split back by length
-    pred = forecast(model, posteriors, k,
-                    np.concatenate([te.timestamps for _, te in pairs]))
-    means = np.split(pred.mean, np.cumsum([len(te) for _, te in pairs[:-1]]))
-    rows = []
-    for idx, ((tr, te), mean) in enumerate(zip(pairs, means)):
-        rows.append({
+    # one prediction over every query's timestamps, split back by length
+    pred = forecast(model, posteriors, k, np.concatenate([t for t, _ in queries]))
+    means = np.split(pred.mean, np.cumsum([t.size for t, _ in queries[:-1]]))
+    return [
+        {
             "series": idx,
-            "timestamps": [float(x) for x in t0 + te.timestamps * (t1 - t0)],
-            "actual": [float(x) for x in center + scale * te.values],
+            "timestamps": [float(x) for x in t0 + t * (t1 - t0)],
+            "actual": [float(x) for x in center + scale * y],
             "predicted": [float(x) for x in center + scale * mean],
             "last_seen": float(center + scale * tr.values[-1]),
-        })
-    return rows
+        }
+        for idx, ((t, y), tr, mean) in enumerate(zip(queries, train_series, means))
+    ]
 
 
 def summarize_rmse(rows):
@@ -528,7 +536,9 @@ def check_forecasting(seed=0):
         train, test = forecasting_instance(seed + i)
         model, _ = train_model(train, hyper)
         posteriors = class_posteriors(model, train)
-        rows = class_forecast_errors(model, posteriors, train, test, 0)
+        queries = [(ts.timestamps, ts.values) for ts in test.collections[0].series]
+        rows = class_forecast_errors(model, posteriors, 0,
+                                     train.collections[0].series, queries)
         rm, rl = summarize_rmse(rows)
         model_rmse.append(rm)
         last_rmse.append(rl)

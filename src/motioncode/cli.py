@@ -73,6 +73,7 @@ class _Parser(argparse.ArgumentParser):
 # accepted so that existing command lines keep working; classes are
 # evaluated in turn on the calling thread whatever its value
 THREADS_HELP = "ignored; kept for compatibility"
+REPORT_OUT_HELP = "also write the JSON report to this path"
 
 
 def _add_io_flags(sub):
@@ -81,8 +82,6 @@ def _add_io_flags(sub):
                      help="input file format")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
     sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    sub.add_argument("--out", default=None,
-                     help="also write the JSON report to this path")
 
 
 def _build_parser():
@@ -91,9 +90,8 @@ def _build_parser():
                                  "for labeled time series")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    tr = subs.add_parser("train", parents=[], help="fit a model")
-    tr.add_argument("--data", required=True)
-    tr.add_argument("--format", choices=("ragged", "ucr"), default="ragged")
+    tr = subs.add_parser("train", help="fit a model")
+    _add_io_flags(tr)
     tr.add_argument("-m", "--m", type=int, default=10, dest="m",
                     help="number of informative timestamps per class")
     tr.add_argument("-d", "--d", type=int, default=2, dest="d",
@@ -116,8 +114,6 @@ def _build_parser():
                     help="scale injected noise per series instead of per dataset")
     tr.add_argument("--split-fraction", type=float, default=None,
                     help="train on only the first fraction of every series")
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     tr.add_argument("--out", default="model.json", help="model output path")
     tr.set_defaults(handler=cmd_train)
 
@@ -126,6 +122,7 @@ def _build_parser():
     cl.add_argument("--train-data", required=True,
                     help="the collections the model was trained on")
     _add_io_flags(cl)
+    cl.add_argument("--out", default=None, help=REPORT_OUT_HELP)
     cl.set_defaults(handler=cmd_classify)
 
     fc = subs.add_parser("forecast", help="predict future values per class")
@@ -135,6 +132,7 @@ def _build_parser():
     fc.add_argument("--split-fraction", type=float, default=None,
                     help="split --data in time instead of reading separate files")
     _add_io_flags(fc)
+    fc.add_argument("--out", default=None, help=REPORT_OUT_HELP)
     fc.set_defaults(handler=cmd_forecast)
 
     ts = subs.add_parser("timestamps",
@@ -142,6 +140,7 @@ def _build_parser():
                               "predicted signal there")
     ts.add_argument("--model", required=True)
     _add_io_flags(ts)
+    ts.add_argument("--out", default=None, help=REPORT_OUT_HELP)
     ts.set_defaults(handler=cmd_timestamps)
 
     be = subs.add_parser("bench",
@@ -259,34 +258,6 @@ def cmd_classify(args):
     return 0
 
 
-def _forecast_rows_from_queries(model, posteriors, train_ds, queries, k):
-    """Pair class k's query records with its training series by position."""
-    mine = [q for q in queries if q.class_index == k]
-    train_series = train_ds.collections[k].series
-    if not mine:
-        return []
-    if len(mine) != len(train_series):
-        raise InputError(
-            f"class {model.class_labels[k]}: {len(mine)} test series cannot "
-            f"be paired with {len(train_series)} training series"
-        )
-    center, scale = model.value_center, model.value_scale
-    t0, t1 = model.time_scale
-    # one prediction over every query's timestamps, split back by length
-    pred = forecast(model, posteriors, k, np.concatenate([q.times for q in mine]))
-    means = np.split(pred.mean, np.cumsum([q.times.size for q in mine[:-1]]))
-    rows = []
-    for idx, (q, tr, mean) in enumerate(zip(mine, train_series, means)):
-        rows.append({
-            "series": idx,
-            "timestamps": [float(x) for x in t0 + q.times * (t1 - t0)],
-            "actual": [float(x) for x in center + scale * q.values],
-            "predicted": [float(x) for x in center + scale * mean],
-            "last_seen": float(center + scale * tr.values[-1]),
-        })
-    return rows
-
-
 def cmd_forecast(args):
     started = time.perf_counter()
     model = load_model(args.model)
@@ -297,22 +268,20 @@ def cmd_forecast(args):
     if args.split_fraction is not None:
         full = _load_in_model_coordinates(args.data, args.format, model)
         train_ds, test_ds = forecast_split(full, args.split_fraction)
-        posteriors = class_posteriors(model, train_ds)
-        rows_by_class = [
-            bench.class_forecast_errors(model, posteriors, train_ds, test_ds, k)
-            for k in range(model.n_classes)
-        ]
+        queries = [[(ts.timestamps, ts.values) for ts in col.series]
+                   for col in test_ds.collections]
     else:
         train_ds = _load_in_model_coordinates(args.train_data, args.format, model)
-        queries = load_queries(args.data, model, args.format,
+        records = load_queries(args.data, model, args.format,
                                horizon=FORECAST_HORIZON)
-        posteriors = class_posteriors(model, train_ds)
-        rows_by_class = [
-            _forecast_rows_from_queries(model, posteriors, train_ds, queries, k)
-            for k in range(model.n_classes)
-        ]
+        queries = [[(q.times, q.values) for q in records if q.class_index == k]
+                   for k in range(model.n_classes)]
+    posteriors = class_posteriors(model, train_ds)
     classes = []
-    for k, rows in enumerate(rows_by_class):
+    for k, class_queries in enumerate(queries):
+        rows = bench.class_forecast_errors(model, posteriors, k,
+                                           train_ds.collections[k].series,
+                                           class_queries)
         if not rows:
             continue
         rmse, last_seen = bench.summarize_rmse(rows)

@@ -40,7 +40,6 @@ __all__ = [
     "Hyperparams",
     "ModelParams",
     "Prediction",
-    "normalize_timestamps",
     "code_to_timestamps",
 ]
 
@@ -420,22 +419,3 @@ class Prediction:
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "variance", var)
 
-
-def normalize_timestamps(raw_times, time_scale) -> np.ndarray:
-    """Affinely map raw times in [t_min, t_max] onto [0, 1].
-
-    Raises ValidationError naming the first offending value if any time
-    falls outside the scale.
-    """
-    t_min, t_max = float(time_scale[0]), float(time_scale[1])
-    if not t_min < t_max:
-        raise ValidationError(f"time_scale must satisfy t_min < t_max, got ({t_min}, {t_max})")
-    raw = np.asarray(raw_times, dtype=float)
-    if raw.size:
-        lo, hi = raw.min(), raw.max()
-        if lo < t_min or hi > t_max:
-            bad = lo if lo < t_min else hi
-            raise ValidationError(
-                f"timestamp {bad} falls outside the time scale [{t_min}, {t_max}]"
-            )
-    return (raw - t_min) / (t_max - t_min)

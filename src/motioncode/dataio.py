@@ -51,8 +51,6 @@ __all__ = [
     "parse_ucr_style",
     "parse_records",
     "dataset_from_records",
-    "load_ragged",
-    "load_ucr_style",
     "load_dataset",
     "load_queries",
     "write_ragged",
@@ -210,6 +208,7 @@ def parse_ucr_style(path) -> list[RaggedRecord]:
 
 
 def parse_records(path, fmt: str) -> list[RaggedRecord]:
+    """Read a data file's records; fmt is 'ragged' or 'ucr'."""
     if fmt == "ragged":
         return parse_ragged(path)
     if fmt == "ucr":
@@ -227,13 +226,12 @@ def dataset_from_records(records, time_scale=None, value_center=None,
     if not records:
         raise ValidationError("no records to assemble")
     if time_scale is None:
-        t_min = min(float(r.t.min()) for r in records)
-        t_max = max(float(r.t.max()) for r in records)
-        if not t_min < t_max:
-            raise ValidationError(
-                f"degenerate time range [{t_min}, {t_max}] across the records"
-            )
-        time_scale = (t_min, t_max)
+        time_scale = (min(float(r.t.min()) for r in records),
+                      max(float(r.t.max()) for r in records))
+    if not time_scale[0] < time_scale[1]:
+        raise ValidationError(
+            f"degenerate time range [{time_scale[0]}, {time_scale[1]}]"
+        )
     if value_center is None or value_scale is None:
         all_values = np.concatenate([r.y for r in records])
         value_center = float(np.mean(all_values))
@@ -265,32 +263,14 @@ def dataset_from_records(records, time_scale=None, value_center=None,
     )
 
 
-def load_ragged(path) -> Dataset:
-    """Load a ragged JSON-lines dataset. Needs at least two distinct labels."""
-    ds = dataset_from_records(parse_ragged(path))
-    if ds.n_classes < 2:
-        raise ValidationError(
-            f"{path}: dataset has {ds.n_classes} label(s); at least 2 are needed"
-        )
-    return ds
-
-
-def load_ucr_style(path) -> Dataset:
-    """Load a grid-sampled dataset. Needs at least two distinct labels."""
-    ds = dataset_from_records(parse_ucr_style(path))
-    if ds.n_classes < 2:
-        raise ValidationError(
-            f"{path}: dataset has {ds.n_classes} label(s); at least 2 are needed"
-        )
-    return ds
-
-
 def load_dataset(path, fmt: str = "ragged") -> Dataset:
-    if fmt == "ragged":
-        return load_ragged(path)
-    if fmt == "ucr":
-        return load_ucr_style(path)
-    raise InputError(f"unknown data format {fmt!r} (expected 'ragged' or 'ucr')")
+    """Load a dataset file in either format. Needs at least two distinct labels."""
+    ds = dataset_from_records(parse_records(path, fmt))
+    if ds.n_classes < 2:
+        raise ValidationError(
+            f"{path}: dataset has {ds.n_classes} label(s); at least 2 are needed"
+        )
+    return ds
 
 
 def load_queries(path, model: ModelParams, fmt: str = "ragged",
@@ -316,10 +296,6 @@ def load_queries(path, model: ModelParams, fmt: str = "ragged",
         y = (r.y - model.value_center) / model.value_scale
         out.append(QueryRecord(class_index=model.class_index(r.label), times=t, values=y))
     return out
-
-
-def _format_floats(values) -> list:
-    return [repr(float(v)) for v in values]
 
 
 def write_ragged(dataset: Dataset, path):
@@ -465,6 +441,8 @@ def _field(doc, path_parts, kind):
     if kind == "matrix":
         if not isinstance(node, list) or not all(isinstance(row, list) for row in node):
             raise ParseError(f"model file field {where} must be a list of rows")
+        if len({len(row) for row in node}) > 1:
+            raise ParseError(f"model file field {where} has rows of unequal length")
         for i, row in enumerate(node):
             for jj, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):

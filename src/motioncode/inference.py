@@ -42,7 +42,6 @@ from .core import (
     ModelParams,
     NumericalError,
     Prediction,
-    TimeSeries,
     ValidationError,
     series_blocks,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "fit_posterior",
     "predict",
     "forecast",
-    "classify",
     "class_posteriors",
     "classify_many",
     "FORECAST_HORIZON",
@@ -220,21 +218,13 @@ def forecast(model: ModelParams, posteriors, k: int, query) -> Prediction:
     return predict(posteriors[k], _class_kernel(model, k), t)
 
 
-def classify(model: ModelParams, dataset: Dataset, series: TimeSeries):
-    """Label one series by its nearest predicted mean curve.
-
-    Returns (class index, per-class distance vector). The reported label is
-    always the argmin of the distances; ties break to the smallest index.
-    """
-    return classify_many(model, dataset, [series])[0]
-
-
 def classify_many(model: ModelParams, dataset: Dataset, series_list):
     """Classify a batch of series, fitting each class posterior only once.
 
     Every class predicts the whole batch in one call, over the series'
     concatenated timestamps. Returns a list of (class index, distance
-    vector) pairs in input order.
+    vector) pairs in input order; each class index is the argmin of its
+    distances, ties going to the smallest index.
     """
     posteriors = class_posteriors(model, dataset)
     series_list = list(series_list)

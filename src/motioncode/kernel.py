@@ -20,10 +20,8 @@ from .core import NumericalError, SingularMatrixError, ValidationError
 
 __all__ = [
     "KernelParams",
-    "kernel_eval",
     "kernel_matrix",
     "kernel_matrix_components",
-    "kernel_diag_total",
     "CholeskyFactor",
     "chol_jittered",
 ]
@@ -76,36 +74,12 @@ class KernelParams:
         return np.exp(self.log_bandwidths)
 
 
-def kernel_eval(params: KernelParams, t, s) -> np.ndarray:
-    """Pointwise covariance k(t, s) with broadcasting."""
-    r2 = (np.asarray(t, dtype=float) - np.asarray(s, dtype=float)) ** 2
-    amp = params.amplitudes
-    bw = params.bandwidths
-    out = np.zeros_like(r2, dtype=float)
-    for j in range(params.n_components):
-        out += amp[j] * np.exp(-0.5 * bw[j] * r2)
-    return out
-
-
 def _sqdist(t, s) -> np.ndarray:
     t = np.asarray(t, dtype=float).ravel()
     s = np.asarray(s, dtype=float).ravel()
     d = t[:, None] - s[None, :]
     d *= d
     return d
-
-
-def kernel_matrix(params: KernelParams, t, s=None) -> np.ndarray:
-    """Cross-covariance matrix K[a, b] = k(t[a], s[b]); s defaults to t."""
-    if s is None:
-        s = t
-    r2 = _sqdist(t, s)
-    amp = params.amplitudes
-    bw = params.bandwidths
-    out = np.zeros_like(r2)
-    for j in range(params.n_components):
-        out += amp[j] * np.exp(-0.5 * bw[j] * r2)
-    return out
 
 
 def kernel_matrix_components(params: KernelParams, t, s=None):
@@ -132,9 +106,9 @@ def kernel_matrix_components(params: KernelParams, t, s=None):
     return comps, r2
 
 
-def kernel_diag_total(params: KernelParams, n: int) -> float:
-    """Trace of an n-point self-covariance: n * sum_j amp_j (r2 = 0 on the diagonal)."""
-    return float(n) * float(np.sum(params.amplitudes))
+def kernel_matrix(params: KernelParams, t, s=None) -> np.ndarray:
+    """Cross-covariance matrix K[a, b] = k(t[a], s[b]); s defaults to t."""
+    return kernel_matrix_components(params, t, s)[0].sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ penalty on the per-class codes:
 
     loss = -sum_k bound_k + lam * sum_k ||z_k||^2
 
-where class k's inducing timestamps are sigmoid(code_map @ z_k).
+where class k's inducing timestamps are sigmoid(code_map @ z_k). Each class
+term is one lmax_bound call, the same entry point the dense oracles check.
 """
 
 from __future__ import annotations
@@ -48,36 +49,13 @@ from .core import (
 from .kernel import KernelParams, chol_jittered, kernel_matrix_components
 
 __all__ = [
-    "BoundGrads",
     "ModelGrads",
-    "informative_timestamps",
     "lmax_bound",
-    "lmax_bound_and_grads",
     "total_loss",
     "loss_gradient",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def informative_timestamps(code_map, code) -> np.ndarray:
-    """Inducing timestamps of one class: sigmoid(code_map @ code), in (0, 1)."""
-    return code_to_timestamps(code_map, code)
-
-
-@dataclass(frozen=True)
-class BoundGrads:
-    """One collection's bound value and its parameter gradients.
-
-    d_log_amplitudes : (J,)
-    d_log_bandwidths : (J,)
-    d_timestamps     : (m,)  derivative w.r.t. the inducing timestamps
-    """
-
-    value: float
-    d_log_amplitudes: np.ndarray
-    d_log_bandwidths: np.ndarray
-    d_timestamps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,17 +66,6 @@ class ModelGrads:
     d_log_bandwidths: np.ndarray  # (L, J)
     d_codes: np.ndarray  # (L, d)
     d_code_map: np.ndarray  # (m, d)
-
-
-def _check_inducing(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float).ravel()
-    if s.size < 1 or not np.all(np.isfinite(s)):
-        raise ValidationError("inducing timestamps must be a non-empty finite array")
-    if s.min() < 0.0 or s.max() > 1.0:
-        raise ValidationError(
-            f"inducing timestamps must lie in [0, 1], got range [{s.min()}, {s.max()}]"
-        )
-    return s
 
 
 def _block_terms(kp: KernelParams, s, whiten, block, c, want_grads):
@@ -173,11 +140,27 @@ def _block_terms(kp: KernelParams, s, whiten, block, c, want_grads):
     return value, (p_dot, d_la, d_lb, d_s)
 
 
-def _bound_core(kp: KernelParams, s, blocks, c, jitter, want_grads):
-    """Shared evaluation path: sums _block_terms over a collection's blocks.
+def lmax_bound(kp: KernelParams, inducing, collection: Collection,
+               sigma: float, jitter: float = 1e-6, grads: bool = False):
+    """Evidence lower bound of one collection at the given inducing timestamps.
 
-    Returns (value, None) or (value, (d_log_amp, d_log_bw, d_timestamps)).
+    c = (number of series) * sigma**2 is the effective per-point noise
+    variance. Cost is O(m^2 * N) for N total observations, with or without
+    gradients. Returns the value, or with grads=True the pair
+    (value, (d_log_amplitudes, d_log_bandwidths, d_timestamps)): analytic
+    gradients w.r.t. the log-kernel parameters, each (J,), and the inducing
+    timestamps, (m,).
     """
+    s = np.asarray(inducing, dtype=float).ravel()
+    if s.size < 1 or not np.all(np.isfinite(s)):
+        raise ValidationError("inducing timestamps must be a non-empty finite array")
+    if s.min() < 0.0 or s.max() > 1.0:
+        raise ValidationError(
+            f"inducing timestamps must lie in [0, 1], got range [{s.min()}, {s.max()}]"
+        )
+    if not sigma > 0:
+        raise ValidationError(f"sigma must be positive, got {sigma}")
+    c = collection.size * sigma * sigma
     m = s.size
     p_comps, d_ss = kernel_matrix_components(kp, s)
     factor = chol_jittered(p_comps.sum(axis=0), jitter)
@@ -186,20 +169,20 @@ def _bound_core(kp: KernelParams, s, blocks, c, jitter, want_grads):
     whiten = factor.half_solve(np.eye(m))
     n_comp = kp.n_components
     value = 0.0
-    grads = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))
-    for block in blocks:
-        block_value, block_grads = _block_terms(kp, s, whiten, block, c, want_grads)
+    sums = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))
+    for block in collection.blocks:
+        block_value, block_grads = _block_terms(kp, s, whiten, block, c, grads)
         value += block_value
-        if want_grads:
-            for total, part in zip(grads, block_grads):
+        if grads:
+            for total, part in zip(sums, block_grads):
                 total += part
 
     if not np.isfinite(value):
         raise NumericalError("collection bound evaluated to a non-finite value")
-    if not want_grads:
-        return value, None
+    if not grads:
+        return value
 
-    p_dot, d_la, d_lb, d_s = grads
+    p_dot, d_la, d_lb, d_s = sums
     p_dot = 0.5 * (p_dot + p_dot.T)
     bws = kp.bandwidths
     diff_ss = s[:, None] - s[None, :]
@@ -212,60 +195,17 @@ def _bound_core(kp: KernelParams, s, blocks, c, jitter, want_grads):
     return value, (d_la, d_lb, d_s)
 
 
-def lmax_bound(kernel_params: KernelParams, inducing, collection: Collection,
-               sigma: float, jitter: float = 1e-6) -> float:
-    """Evidence lower bound of one collection at the given inducing timestamps.
-
-    c = (number of series) * sigma**2 is the effective per-point noise
-    variance. Cost is O(m^2 * N) for N total observations.
-    """
-    s = _check_inducing(inducing)
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    c = collection.size * sigma * sigma
-    value, _ = _bound_core(kernel_params, s, collection.blocks, c, jitter,
-                           want_grads=False)
-    return value
-
-
-def lmax_bound_and_grads(kernel_params: KernelParams, inducing, collection: Collection,
-                         sigma: float, jitter: float = 1e-6) -> BoundGrads:
-    """Bound value plus analytic gradients w.r.t. log-kernel parameters and
-    the inducing timestamps. Same O(m^2 * N) cost as the value alone."""
-    s = _check_inducing(inducing)
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    c = collection.size * sigma * sigma
-    value, grads = _bound_core(kernel_params, s, collection.blocks, c, jitter,
-                               want_grads=True)
-    d_la, d_lb, d_s = grads
-    return BoundGrads(
-        value=value,
-        d_log_amplitudes=d_la,
-        d_log_bandwidths=d_lb,
-        d_timestamps=d_s,
-    )
-
-
-def _check_match(params: ModelParams, dataset: Dataset):
-    if params.n_classes != dataset.n_classes:
-        raise ValidationError(
-            f"model has {params.n_classes} classes but dataset has {dataset.n_classes}"
-        )
-
-
 def _class_term(params: ModelParams, dataset: Dataset, k: int, want_grads: bool):
     h = params.hyper
     kp = KernelParams(params.log_amplitudes[k], params.log_bandwidths[k])
     z_k = params.codes[k]
     s_k = code_to_timestamps(params.code_map, z_k)
-    collection = dataset.collections[k]
-    c = collection.size * h.sigma * h.sigma
-    value, grads = _bound_core(kp, s_k, collection.blocks, c, h.jitter, want_grads)
+    bound = lmax_bound(kp, s_k, dataset.collections[k], h.sigma, h.jitter,
+                       grads=want_grads)
     penalty = h.lam * float(z_k @ z_k)
     if not want_grads:
-        return -value + penalty, None
-    d_la, d_lb, d_s = grads
+        return -bound + penalty, None
+    value, (d_la, d_lb, d_s) = bound
     gate = d_s * s_k * (1.0 - s_k)  # chain through the sigmoid
     d_code = -(params.code_map.T @ gate) + 2.0 * h.lam * z_k
     d_map = -np.outer(gate, z_k)
@@ -274,7 +214,10 @@ def _class_term(params: ModelParams, dataset: Dataset, k: int, want_grads: bool)
 
 def _class_terms(params: ModelParams, dataset: Dataset, want_grads: bool):
     """Every class's (loss term, grads), in class order."""
-    _check_match(params, dataset)
+    if params.n_classes != dataset.n_classes:
+        raise ValidationError(
+            f"model has {params.n_classes} classes but dataset has {dataset.n_classes}"
+        )
     return [_class_term(params, dataset, k, want_grads)
             for k in range(dataset.n_classes)]
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from motioncode.cli import main
-from motioncode.core import TimeSeries
+from motioncode.core import TimeSeries, code_to_timestamps
 from motioncode.dataio import load_dataset, load_model
-from motioncode.inference import class_posteriors, classify, forecast
-from motioncode.objective import informative_timestamps
+from motioncode.inference import class_posteriors, classify_many, forecast
 
 REPORT_KEYS = {"command", "hyperparams", "wall_clock_seconds", "payload"}
 HYPER_KEYS = {"m", "d", "J", "lambda", "sigma", "max_iters", "epsilon", "jitter"}
@@ -148,7 +147,7 @@ def test_classify_prototype_series(tmp_path, two_constants, capsys):
     train = load_dataset(two_constants)
     t = np.linspace(0.1, 0.9, 15)
     proto = forecast(model, class_posteriors(model, train), 1, t)
-    label, dists = classify(model, train, TimeSeries(t, proto.mean))
+    label, dists = classify_many(model, train, [TimeSeries(t, proto.mean)])[0]
     assert label == 1
     assert dists[1] == 0.0
     assert dists[0] > 1.0
@@ -287,7 +286,7 @@ def test_timestamps_sorted_permutation(tmp_path, two_constants, capsys):
     assert code == 0
     model = load_model(model_path)
     for k, c in enumerate(report["payload"]["classes"]):
-        raw = informative_timestamps(model.code_map, model.codes[k])
+        raw = code_to_timestamps(model.code_map, model.codes[k])
         got = np.asarray(c["timestamps_normalized"])
         assert np.array_equal(got, np.sort(raw))
         assert np.all(np.diff(got) >= 0)

@@ -10,8 +10,8 @@ from motioncode.core import (
     TimeSeries,
     ValidationError,
     code_to_timestamps,
-    normalize_timestamps,
 )
+from motioncode.dataio import RaggedRecord, dataset_from_records
 
 
 def make_series(n=5, lo=0.0, hi=1.0, seed=0):
@@ -178,11 +178,18 @@ def test_prediction_variance_nonnegative():
 
 
 def test_normalize_timestamps():
-    t = normalize_timestamps([0.0, 5.0, 10.0], (0.0, 10.0))
-    assert np.allclose(t, [0.0, 0.5, 1.0])
-    with pytest.raises(ValidationError):
-        normalize_timestamps([-1.0, 5.0], (0.0, 10.0))
-    with pytest.raises(ValidationError):
-        normalize_timestamps([5.0, 11.0], (0.0, 10.0))
-    with pytest.raises(ValidationError):
-        normalize_timestamps([1.0], (2.0, 2.0))
+    """Loading maps raw times onto [0, 1] through a supplied time scale and
+    rejects times outside it, or a degenerate scale."""
+
+    def load(raw_times, time_scale):
+        records = [RaggedRecord(0, raw_times, np.arange(len(raw_times), dtype=float))]
+        return dataset_from_records(records, time_scale=time_scale)
+
+    ds = load([0.0, 5.0, 10.0], (0.0, 10.0))
+    assert np.allclose(ds.collections[0].series[0].timestamps, [0.0, 0.5, 1.0])
+    with pytest.raises(ValidationError, match="outside the time scale"):
+        load([-1.0, 5.0], (0.0, 10.0))
+    with pytest.raises(ValidationError, match="outside the time scale"):
+        load([5.0, 11.0], (0.0, 10.0))
+    with pytest.raises(ValidationError, match="degenerate"):
+        load([1.0, 3.0], (2.0, 2.0))

@@ -22,10 +22,9 @@ from motioncode.dataio import (
     file_digest,
     forecast_split,
     inject_noise,
+    load_dataset,
     load_model,
     load_queries,
-    load_ragged,
-    load_ucr_style,
     parse_ragged,
     save_model,
     write_ragged,
@@ -43,7 +42,7 @@ def test_load_ragged_basic(tmp_path):
         json.dumps({"label": 0, "t": [10.0, 20.0, 30.0], "y": [1.0, 2.0, 3.0]}),
         json.dumps({"label": 1, "t": [10.0, 30.0], "y": [4.0, 0.0]}),
     ])
-    ds = load_ragged(p)
+    ds = load_dataset(p)
     assert ds.n_classes == 2
     assert ds.time_scale == (10.0, 30.0)
     assert ds.class_labels == (0, 1)
@@ -111,13 +110,13 @@ def test_load_ragged_needs_two_labels(tmp_path):
         json.dumps({"label": 4, "t": [0, 2], "y": [1, 2]}),
     ])
     with pytest.raises(ValidationError) as err:
-        load_ragged(p)
+        load_dataset(p)
     assert "at least 2" in str(err.value)
 
 
 def test_missing_file():
     with pytest.raises(InputError) as err:
-        load_ragged("/nonexistent/path/data.jsonl")
+        load_dataset("/nonexistent/path/data.jsonl")
     assert "/nonexistent/path/data.jsonl" in str(err.value)
 
 
@@ -127,7 +126,7 @@ def test_label_remapping(tmp_path):
         json.dumps({"label": 7, "t": [0, 1], "y": [1, 2]}),
         json.dumps({"label": 3, "t": [0, 1], "y": [3, 4]}),
     ])
-    ds = load_ragged(p)
+    ds = load_dataset(p)
     assert ds.class_labels == (3, 7)  # ascending original labels
     assert ds.collections[0].label == 0 and ds.collections[1].label == 1
 
@@ -145,7 +144,7 @@ def test_write_ragged_round_trip(tmp_path):
     ds = dataset_from_records(records)
     p = tmp_path / "round.jsonl"
     write_ragged(ds, p)
-    back = load_ragged(p)
+    back = load_dataset(p)
     assert back.class_labels == ds.class_labels
     assert back.time_scale == pytest.approx(ds.time_scale, rel=1e-14)
     for c1, c2 in zip(ds.collections, back.collections):
@@ -157,21 +156,37 @@ def test_write_ragged_round_trip(tmp_path):
 def test_load_ucr_style(tmp_path):
     p = tmp_path / "grid.tsv"
     write_lines(p, ["1\t0.0\t0.5\t1.0", "3\t2.0\t2.5\t3.0"])
-    ds = load_ucr_style(p)
+    ds = load_dataset(p, "ucr")
     assert ds.class_labels == (1, 3)
     assert np.allclose(ds.collections[0].series[0].timestamps, [0, 0.5, 1.0])
     # comma flavor, N = 2 degenerate grid
     p2 = tmp_path / "grid.csv"
     write_lines(p2, ["1,0.0,0.5", "2,1.0,2.0"])
-    ds2 = load_ucr_style(p2)
+    ds2 = load_dataset(p2, "ucr")
     assert np.allclose(ds2.collections[0].series[0].timestamps, [0.0, 1.0])
+
+
+def test_load_ucr_needs_two_labels(tmp_path):
+    p = tmp_path / "one.csv"
+    write_lines(p, ["2,0.0,0.5,1.0", "2,1.0,2.0,1.5"])
+    with pytest.raises(ValidationError) as err:
+        load_dataset(p, "ucr")
+    assert "at least 2" in str(err.value)
+
+
+def test_load_dataset_rejects_unknown_format(tmp_path):
+    p = tmp_path / "grid.tsv"
+    write_lines(p, ["1\t0.0\t0.5", "3\t2.0\t2.5"])
+    with pytest.raises(InputError) as err:
+        load_dataset(p, "bogus")
+    assert "unknown data format 'bogus'" in str(err.value)
 
 
 def test_load_ucr_rejects_ragged_rows(tmp_path):
     p = tmp_path / "ragged.csv"
     write_lines(p, ["1,0.0,0.5,1.0", "2,1.0,2.0"])
     with pytest.raises(ParseError) as err:
-        load_ucr_style(p)
+        load_dataset(p, "ucr")
     assert ":2:" in str(err.value)
 
 
@@ -346,6 +361,15 @@ def test_model_corrupt_field_names_path(tmp_path):
     with pytest.raises(ParseError) as err:
         load_model(p)
     assert "codes[1][0]" in str(err.value)
+
+    # rows of unequal length would otherwise escape as numpy's ValueError
+    save_model(params, p)
+    doc = json.loads(p.read_text())
+    doc["code_map"][1] = [0.5]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        load_model(p)
+    assert "code_map" in str(err.value) and "unequal length" in str(err.value)
 
     save_model(params, p)
     doc = json.loads(p.read_text())

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from motioncode import bench, cli
+from motioncode import bench
 from motioncode.core import (
     BLOCK_COLUMNS,
     Collection,
@@ -16,7 +16,6 @@ from motioncode.core import (
 )
 from motioncode.dataio import QueryRecord, forecast_split
 from motioncode.inference import (
-    classify,
     classify_many,
     class_posteriors,
     fit_posterior,
@@ -217,7 +216,7 @@ def test_classify_separated_constants():
     model, ds = constant_model_and_data()
     rng = np.random.default_rng(31)
     t = spaced(rng, 10)
-    label, dist = classify(model, ds, TimeSeries(t, np.full(10, 0.2)))
+    label, dist = classify_many(model, ds, [TimeSeries(t, np.full(10, 0.2))])[0]
     assert label == 0
     assert dist[0] < dist[1]
     assert dist.shape == (2,)
@@ -237,7 +236,7 @@ def test_classify_tie_breaks_to_smallest_index():
 
     model = init_params(2, Hyperparams(m=5, d=2, j=1, sigma=0.1))
     t = spaced(rng, 8)
-    label, dist = classify(model, ds, TimeSeries(t, np.full(8, 1.0)))
+    label, dist = classify_many(model, ds, [TimeSeries(t, np.full(8, 1.0))])[0]
     assert dist[0] == dist[1]
     assert label == 0
 
@@ -250,7 +249,7 @@ def test_classify_many_matches_single():
     ]
     batch = classify_many(model, ds, tests)
     for series, (label, dist) in zip(tests, batch):
-        l2, d2 = classify(model, ds, series)
+        l2, d2 = classify_many(model, ds, [series])[0]
         assert label == l2
         assert np.array_equal(dist, d2)
 
@@ -342,10 +341,10 @@ def test_classify_scale_mapping():
         log_amplitudes=model.log_amplitudes + 2.0 * np.log(rho),
         hyper=dataclasses.replace(h, sigma=h.sigma * rho, jitter=h.jitter * rho**2),
     )
-    label, dist = classify(model, ds, series)
-    label2, dist2 = classify(
-        model_scaled, ds_scaled, TimeSeries(t, series.values * rho)
-    )
+    label, dist = classify_many(model, ds, [series])[0]
+    label2, dist2 = classify_many(
+        model_scaled, ds_scaled, [TimeSeries(t, series.values * rho)]
+    )[0]
     assert label == label2
     assert np.allclose(dist2, rho * dist, rtol=1e-6)
 
@@ -431,8 +430,9 @@ def assert_rows_match_per_series(model, posteriors, k, rows, queries, train_seri
 def test_bench_forecast_rows_match_per_series_forecast():
     model, train, test, posteriors = forecast_row_case(43)
     for k in range(2):
-        rows = bench.class_forecast_errors(model, posteriors, train, test, k)
         queries = [(te.timestamps, te.values) for te in test.collections[k].series]
+        rows = bench.class_forecast_errors(model, posteriors, k,
+                                           train.collections[k].series, queries)
         assert_rows_match_per_series(model, posteriors, k, rows, queries,
                                      train.collections[k].series)
 
@@ -446,7 +446,15 @@ def test_cli_forecast_rows_match_per_series_forecast():
         for k in range(2) for n in (4, 1, BLOCK_COLUMNS + 10, 7, 30)
     ]
     for k in range(2):
-        rows = cli._forecast_rows_from_queries(model, posteriors, train, records, k)
         queries = [(q.times, q.values) for q in records if q.class_index == k]
+        rows = bench.class_forecast_errors(model, posteriors, k,
+                                           train.collections[k].series, queries)
         assert_rows_match_per_series(model, posteriors, k, rows, queries,
                                      train.collections[k].series)
+    # no queries for a class gives no rows; a count that cannot be paired
+    # with the class's training series is an input error
+    assert bench.class_forecast_errors(model, posteriors, 0,
+                                       train.collections[0].series, []) == []
+    with pytest.raises(InputError, match="cannot be paired"):
+        bench.class_forecast_errors(model, posteriors, 0,
+                                    train.collections[0].series, queries[:2])

@@ -6,8 +6,6 @@ from motioncode.kernel import (
     CholeskyFactor,
     KernelParams,
     chol_jittered,
-    kernel_diag_total,
-    kernel_eval,
     kernel_matrix,
     kernel_matrix_components,
 )
@@ -17,30 +15,36 @@ def params(amps, bws):
     return KernelParams(np.log(amps), np.log(bws))
 
 
+def entry(amps, bws, t, s):
+    """Closed-form k(t, s) = sum_j amp_j exp(-0.5 bw_j (t - s)^2)."""
+    return sum(a * np.exp(-0.5 * b * (t - s) ** 2) for a, b in zip(amps, bws))
+
+
 def test_kernel_eval_single_component():
     p = params([2.0], [4.0])
     # k(t, s) = 2 exp(-0.5 * 4 * (t-s)^2)
-    assert kernel_eval(p, 0.3, 0.3) == pytest.approx(2.0)
-    assert kernel_eval(p, 0.0, 1.0) == pytest.approx(2.0 * np.exp(-2.0))
+    assert kernel_matrix(p, [0.3], [0.3])[0, 0] == pytest.approx(2.0)
+    assert kernel_matrix(p, [0.0], [1.0])[0, 0] == pytest.approx(2.0 * np.exp(-2.0))
 
 
 def test_kernel_eval_sums_components():
     p = params([1.0, 3.0], [1.0, 10.0])
     r2 = 0.25
     expected = np.exp(-0.5 * r2) + 3.0 * np.exp(-5.0 * r2)
-    assert kernel_eval(p, 0.0, 0.5) == pytest.approx(expected)
+    assert kernel_matrix(p, [0.0], [0.5])[0, 0] == pytest.approx(expected)
 
 
 def test_kernel_matrix_matches_eval():
     rng = np.random.default_rng(0)
-    p = params([0.7, 1.3], [2.0, 30.0])
+    amps, bws = [0.7, 1.3], [2.0, 30.0]
+    p = params(amps, bws)
     t = np.sort(rng.uniform(0, 1, 6))
     s = np.sort(rng.uniform(0, 1, 4))
     K = kernel_matrix(p, t, s)
     assert K.shape == (6, 4)
     for a in range(6):
         for b in range(4):
-            assert K[a, b] == pytest.approx(kernel_eval(p, t[a], s[b]))
+            assert K[a, b] == pytest.approx(entry(amps, bws, t[a], s[b]))
 
 
 def test_kernel_matrix_symmetric_and_decaying():
@@ -93,9 +97,11 @@ def test_components_sum_and_gradients():
 
 
 def test_kernel_diag_total():
+    # r2 = 0 on the diagonal, so the trace of an n-point self-covariance
+    # is n * sum_j amp_j
     p = params([1.5, 0.5], [3.0, 9.0])
     t = np.linspace(0, 1, 11)
-    assert kernel_diag_total(p, 11) == pytest.approx(np.trace(kernel_matrix(p, t)))
+    assert np.trace(kernel_matrix(p, t)) == pytest.approx(11 * 2.0)
 
 
 def test_kernel_params_validation():
