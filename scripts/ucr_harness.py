@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from motioncode.core import Hyperparams, TimeSeries
-from motioncode.dataio import RaggedRecord, dataset_from_records, parse_records
+from motioncode.dataio import (RaggedRecord, dataset_from_records, parse_records,
+                               to_model_coordinates)
 from motioncode.inference import classify_many
 from motioncode.optimizer import train_model
 
@@ -74,12 +75,8 @@ def run_dataset(name, train_path, test_path, noise, seed, hyper):
     train_ds = dataset_from_records(train_recs)
     model, info = train_model(train_ds, hyper)
 
-    series, truth = [], []
-    for rec in test_recs:
-        t = (rec.t - model.time_scale[0]) / (model.time_scale[1] - model.time_scale[0])
-        values = (rec.y - model.value_center) / model.value_scale
-        series.append(TimeSeries(np.clip(t, 0.0, 1.0), values))
-        truth.append(model.class_index(rec.label))
+    series = [TimeSeries(*to_model_coordinates(model, r.t, r.y)) for r in test_recs]
+    truth = [model.class_index(r.label) for r in test_recs]
     results = classify_many(model, train_ds, series)
     hits = sum(1 for (pred, _), want in zip(results, truth) if pred == want)
     return {

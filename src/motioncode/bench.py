@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import (Collection, Dataset, Hyperparams, InputError, TimeSeries,
                    code_to_timestamps)
-from .dataio import RaggedRecord, dataset_from_records, forecast_split, write_ragged
+from .dataio import (RaggedRecord, dataset_from_records, forecast_split,
+                     to_model_coordinates, to_original_units, write_ragged)
 from .inference import class_posteriors, classify_many, fit_posterior, forecast, predict
 from .kernel import KernelParams, kernel_matrix
 from .objective import lmax_bound, loss_gradient, total_loss
@@ -427,6 +428,18 @@ def _two_class_records(rng, per_class, noise_level):
     ]
 
 
+def _classification_records(seed):
+    """The classification benchmark's raw records for one seed:
+    (train, test) with 10 and 20 series per class."""
+    rng = np.random.default_rng([seed, 606])
+    records = _two_class_records(rng, 30, 0.3)
+    by_label = {0: [], 1: []}
+    for rec in records:
+        by_label[rec.label].append(rec)
+    return (by_label[0][:10] + by_label[1][:10],
+            by_label[0][10:] + by_label[1][10:])
+
+
 def classification_instance(seed):
     """One benchmark draw: a 10-series-per-class training dataset plus 20
     noisy test series per class, the test series already mapped into the
@@ -434,18 +447,10 @@ def classification_instance(seed):
 
     Returns (train_dataset, test_series list, true internal labels).
     """
-    rng = np.random.default_rng([seed, 606])
-    records = _two_class_records(rng, 30, 0.3)
-    by_label = {0: [], 1: []}
-    for rec in records:
-        by_label[rec.label].append(rec)
-    train_recs = by_label[0][:10] + by_label[1][:10]
-    test_recs = by_label[0][10:] + by_label[1][10:]
+    train_recs, test_recs = _classification_records(seed)
     train = dataset_from_records(train_recs)
-    test_series = [
-        TimeSeries(r.t, (r.y - train.value_center) / train.value_scale)
-        for r in test_recs
-    ]
+    test_series = [TimeSeries(*to_model_coordinates(train, r.t, r.y))
+                   for r in test_recs]
     truth = [0] * 20 + [1] * 20
     return train, test_series, truth
 
@@ -470,13 +475,16 @@ def check_classification(seed=0):
     }
 
 
+def _forecasting_dataset(seed):
+    """The forecasting benchmark's two-class dataset for one seed, unsplit."""
+    rng = np.random.default_rng([seed, 707])
+    return dataset_from_records(_two_class_records(rng, 10, 0.1))
+
+
 def forecasting_instance(seed):
     """A two-class dataset for the forecasting benchmark, already split in
     time. Returns (train, test) datasets sharing one coordinate system."""
-    rng = np.random.default_rng([seed, 707])
-    records = _two_class_records(rng, 10, 0.1)
-    full = dataset_from_records(records)
-    return forecast_split(full, 0.8)
+    return forecast_split(_forecasting_dataset(seed), 0.8)
 
 
 def class_forecast_errors(model, posteriors, k, train_series, queries):
@@ -496,20 +504,25 @@ def class_forecast_errors(model, posteriors, k, train_series, queries):
             f"class {model.class_labels[k]}: {len(queries)} test series cannot "
             f"be paired with {len(train_series)} training series"
         )
-    center, scale = model.value_center, model.value_scale
-    t0, t1 = model.time_scale
-    # one prediction over every query's timestamps, split back by length
-    pred = forecast(model, posteriors, k, np.concatenate([t for t, _ in queries]))
-    means = np.split(pred.mean, np.cumsum([t.size for t, _ in queries[:-1]]))
+    # one prediction and one map back over every query's points, split
+    # back by length
+    query_times = np.concatenate([t for t, _ in queries])
+    pred = forecast(model, posteriors, k, query_times)
+    times, actual, _ = to_original_units(
+        model, query_times, np.concatenate([y for _, y in queries]))
+    _, predicted, _ = to_original_units(model, y=pred.mean)
+    _, last_seen, _ = to_original_units(model, y=[tr.values[-1] for tr in train_series])
+    splits = np.cumsum([t.size for t, _ in queries[:-1]])
+    per_query = zip(*(np.split(a, splits) for a in (times, actual, predicted)), last_seen)
     return [
         {
             "series": idx,
-            "timestamps": [float(x) for x in t0 + t * (t1 - t0)],
-            "actual": [float(x) for x in center + scale * y],
-            "predicted": [float(x) for x in center + scale * mean],
-            "last_seen": float(center + scale * tr.values[-1]),
+            "timestamps": [float(x) for x in t],
+            "actual": [float(x) for x in y],
+            "predicted": [float(x) for x in mean],
+            "last_seen": float(last),
         }
-        for idx, ((t, y), tr, mean) in enumerate(zip(queries, train_series, means))
+        for idx, (t, y, mean, last) in enumerate(per_query)
     ]
 
 
@@ -633,21 +646,13 @@ def write_fixtures(out_dir, seed=0):
     commands. Returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng([seed, 606])
-    records = _two_class_records(rng, 30, 0.3)
-    by_label = {0: [], 1: []}
-    for rec in records:
-        by_label[rec.label].append(rec)
-    train = dataset_from_records(by_label[0][:10] + by_label[1][:10])
-    test = dataset_from_records(by_label[0][10:] + by_label[1][10:])
-    rng_f = np.random.default_rng([seed, 707])
-    forecast_full = dataset_from_records(_two_class_records(rng_f, 10, 0.1))
-    paths = {
-        "classification_train": out / "classification_train.jsonl",
-        "classification_test": out / "classification_test.jsonl",
-        "forecast": out / "forecast.jsonl",
+    train_recs, test_recs = _classification_records(seed)
+    datasets = {
+        "classification_train": dataset_from_records(train_recs),
+        "classification_test": dataset_from_records(test_recs),
+        "forecast": _forecasting_dataset(seed),
     }
-    write_ragged(train, paths["classification_train"])
-    write_ragged(test, paths["classification_test"])
-    write_ragged(forecast_full, paths["forecast"])
+    paths = {name: out / f"{name}.jsonl" for name in datasets}
+    for name, dataset in datasets.items():
+        write_ragged(dataset, paths[name])
     return paths

@@ -33,12 +33,14 @@ from .dataio import (
     dataset_from_records,
     file_digest,
     forecast_split,
+    in_file,
     inject_noise,
     load_dataset,
     load_model,
     load_queries,
     parse_records,
     save_model,
+    to_original_units,
 )
 from .inference import FORECAST_HORIZON, class_posteriors, classify_many, forecast
 from .optimizer import train_model
@@ -182,12 +184,9 @@ def _load_in_model_coordinates(path, fmt, model: ModelParams):
     """Load collections pinned to a model's coordinate system; the file must
     contain exactly the model's classes."""
     records = parse_records(path, fmt)
-    ds = dataset_from_records(
-        records,
-        time_scale=model.time_scale,
-        value_center=model.value_center,
-        value_scale=model.value_scale,
-    )
+    with in_file(path):
+        ds = dataset_from_records(records, model.time_scale, model.value_center,
+                                  model.value_scale)
     if ds.class_labels != model.class_labels:
         raise InputError(
             f"{path}: class labels {ds.class_labels} do not match the "
@@ -301,19 +300,18 @@ def cmd_timestamps(args):
     started = time.perf_counter()
     model = load_model(args.model)
     train_ds = _load_in_model_coordinates(args.data, args.format, model)
-    center, scale = model.value_center, model.value_scale
-    t0, t1 = model.time_scale
     posteriors = class_posteriors(model, train_ds)
     classes = []
     for k in range(model.n_classes):
         s = np.sort(model.inducing_timestamps(k))
         pred = forecast(model, posteriors, k, s)
+        times, mean, variance = to_original_units(model, s, pred.mean, pred.variance)
         classes.append({
             "label": int(model.class_labels[k]),
             "timestamps_normalized": [float(x) for x in s],
-            "timestamps": [float(x) for x in t0 + s * (t1 - t0)],
-            "mean": [float(x) for x in center + scale * pred.mean],
-            "variance": [float(x) for x in scale * scale * pred.variance],
+            "timestamps": [float(x) for x in times],
+            "mean": [float(x) for x in mean],
+            "variance": [float(x) for x in variance],
         })
     payload = {"classes": classes}
     _emit("timestamps", _hyper_dict(model.hyper), payload, started, args.out)

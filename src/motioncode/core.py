@@ -17,6 +17,7 @@ Shapes (single source of truth)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +37,7 @@ __all__ = [
     "SeriesBlock",
     "BLOCK_COLUMNS",
     "series_blocks",
+    "Scales",
     "Dataset",
     "Hyperparams",
     "ModelParams",
@@ -205,13 +207,46 @@ def series_blocks(series):
 
 
 @dataclass(frozen=True)
+class Scales:
+    """The map between data units and model coordinates: raw time t_min
+    maps to 0 and t_max to 1, and a raw value y to
+    (y - value_center) / value_scale. dataio.to_model_coordinates and
+    dataio.to_original_units apply it, reading these three fields from a
+    Scales, Dataset or ModelParams; both of those build a Scales to check
+    their own fields."""
+
+    time_scale: tuple[float, float]
+    value_center: float = 0.0
+    value_scale: float = 1.0
+
+    def __post_init__(self):
+        t0, t1 = float(self.time_scale[0]), float(self.time_scale[1])
+        if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+            raise ValidationError(f"degenerate or non-finite time range [{t0}, {t1}]")
+        if not math.isfinite(self.value_center):
+            raise ValidationError(f"value_center must be finite, got {self.value_center}")
+        if not 0.0 < self.value_scale < math.inf:
+            raise ValidationError(
+                f"value_scale must be positive and finite, got {self.value_scale}"
+            )
+        object.__setattr__(self, "time_scale", (t0, t1))
+
+
+def _class_labels(labels, n_classes) -> tuple[int, ...]:
+    """The original label of each class index, 0..n-1 when none are given."""
+    labels = tuple(int(v) for v in labels) if labels else tuple(range(n_classes))
+    if len(labels) != n_classes or len(set(labels)) != n_classes:
+        raise ValidationError("class_labels must hold one distinct label per class")
+    return labels
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Labeled collections plus the normalization metadata recorded at load.
 
     collections  : labels contiguous 0..L-1, sorted
-    time_scale   : (t_min, t_max) in original time units
-    value_center : subtracted from raw values at load
-    value_scale  : raw values divided by this after centering
+    time_scale, value_center, value_scale : the Scales the series were
+                   mapped through at load
     class_labels : original file labels, index -> label (identity by default)
 
     Classification datasets need L >= 2; the single-collection case is
@@ -226,7 +261,8 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "collections", tuple(self.collections))
-        object.__setattr__(self, "time_scale", (float(self.time_scale[0]), float(self.time_scale[1])))
+        scales = Scales(self.time_scale, self.value_center, self.value_scale)
+        object.__setattr__(self, "time_scale", scales.time_scale)
         if not self.collections:
             raise ValidationError("dataset has no collections")
         labels = [c.label for c in self.collections]
@@ -234,20 +270,7 @@ class Dataset:
             raise ValidationError(
                 f"collection labels must be contiguous 0..L-1 in order, got {labels}"
             )
-        if self.time_scale[0] >= self.time_scale[1]:
-            raise ValidationError(
-                f"time_scale must satisfy t_min < t_max, got {self.time_scale}"
-            )
-        if not self.value_scale > 0:
-            raise ValidationError(f"value_scale must be positive, got {self.value_scale}")
-        if not self.class_labels:
-            object.__setattr__(self, "class_labels", tuple(range(len(labels))))
-        else:
-            object.__setattr__(self, "class_labels", tuple(int(v) for v in self.class_labels))
-        if len(self.class_labels) != len(self.collections):
-            raise ValidationError("class_labels must list one original label per collection")
-        if len(set(self.class_labels)) != len(self.class_labels):
-            raise ValidationError("class_labels must be distinct")
+        object.__setattr__(self, "class_labels", _class_labels(self.class_labels, len(labels)))
 
     @property
     def n_classes(self) -> int:
@@ -255,10 +278,6 @@ class Dataset:
 
     def n_points(self) -> int:
         return sum(c.n_points() for c in self.collections)
-
-    def to_original_values(self, centered) -> np.ndarray:
-        """Map centered values back to original units."""
-        return np.asarray(centered, dtype=float) * self.value_scale + self.value_center
 
 
 @dataclass(frozen=True)
@@ -367,17 +386,9 @@ class ModelParams:
         object.__setattr__(self, "log_bandwidths", lb)
         object.__setattr__(self, "codes", z)
         object.__setattr__(self, "code_map", cm)
-        ts = (float(self.time_scale[0]), float(self.time_scale[1]))
-        if ts[0] >= ts[1]:
-            raise ValidationError(f"time_scale must satisfy t_min < t_max, got {ts}")
-        object.__setattr__(self, "time_scale", ts)
-        if not self.value_scale > 0:
-            raise ValidationError(f"value_scale must be positive, got {self.value_scale}")
-        labels = self.class_labels if self.class_labels else tuple(range(L))
-        labels = tuple(int(v) for v in labels)
-        if len(labels) != L or len(set(labels)) != L:
-            raise ValidationError("class_labels must hold one distinct label per class")
-        object.__setattr__(self, "class_labels", labels)
+        scales = Scales(self.time_scale, self.value_center, self.value_scale)
+        object.__setattr__(self, "time_scale", scales.time_scale)
+        object.__setattr__(self, "class_labels", _class_labels(self.class_labels, L))
 
     @property
     def n_classes(self) -> int:

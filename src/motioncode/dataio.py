@@ -1,6 +1,6 @@
 """
-dataio.py - dataset file formats, normalization, noise injection, splits,
-and model persistence.
+dataio.py - dataset file formats, the map into model coordinates, noise
+injection, splits, and model persistence.
 
 Ragged dataset format (one JSON object per line, UTF-8):
 
@@ -10,8 +10,13 @@ Timestamps are in original units and strictly increasing per record; every
 record needs at least two points. Loading computes one shared time scale
 (min t, max t over the whole file), maps every timestamp into [0, 1], and
 centers values globally: subtract the dataset mean, divide by the dataset
-standard deviation. The recorded (center, scale) invert predictions back
-to original units.
+standard deviation. to_model_coordinates is that map and to_original_units
+its inverse; this module is the only place either is written out.
+
+Test files for classify and forecast go through the same map, with the
+scales stored in the model. Forecast queries may reach normalized time
+FORECAST_HORIZON (1.25); any other timestamp outside [0, 1] raises a
+ValidationError naming the file, so the CLI exits with code 1.
 
 UCR-style format: one series per line, delimiter-separated (tab or comma),
 first field the integer label, remaining fields equal-length values on the
@@ -23,10 +28,11 @@ Python repr, which round-trips bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .core import (
     InputError,
     ModelParams,
     ParseError,
+    Scales,
     SplitError,
     TimeSeries,
     ValidationError,
@@ -50,6 +57,9 @@ __all__ = [
     "parse_ragged",
     "parse_ucr_style",
     "parse_records",
+    "in_file",
+    "to_model_coordinates",
+    "to_original_units",
     "dataset_from_records",
     "load_dataset",
     "load_queries",
@@ -104,107 +114,101 @@ class QueryRecord:
     values: np.ndarray
 
 
-def _located(exc_cls, path, line_no, message):
-    return exc_cls(f"{path}:{line_no}: {message}")
+@contextlib.contextmanager
+def in_file(path):
+    """Prefix the path of the file being read to any ValidationError raised
+    in the block."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def _record_from_json(obj, path, line_no) -> RaggedRecord:
+def _read_records(path, parse_line) -> list[RaggedRecord]:
+    """One RaggedRecord per non-blank line of a data file. parse_line(text)
+    returns the line's (label, t, y) or raises ParseError; that error and
+    the record's ValidationError get the path and line number."""
+    records = []
+    try:
+        handle = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read data file {path}: {exc}") from None
+    with handle:
+        for line_no, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                records.append(RaggedRecord(*parse_line(stripped)))
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+    if not records:
+        raise ParseError(f"{path}: file contains no records")
+    return records
+
+
+def _ragged_line(text):
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(obj, dict):
-        raise _located(ParseError, path, line_no, "record must be a JSON object")
+        raise ParseError("record must be a JSON object")
     for key in ("label", "t", "y"):
         if key not in obj:
-            raise _located(ParseError, path, line_no, f"missing field '{key}'")
+            raise ParseError(f"missing field '{key}'")
     label = obj["label"]
     if isinstance(label, bool) or not isinstance(label, int):
-        raise _located(ParseError, path, line_no, f"label must be an integer, got {label!r}")
+        raise ParseError(f"label must be an integer, got {label!r}")
+    arrays = []
     for key in ("t", "y"):
         seq = obj[key]
         # json.loads builds plain ints and floats, and type(True) is bool,
         # so booleans fail this check as they should
         if not isinstance(seq, list) or not set(map(type, seq)) <= {int, float}:
-            raise _located(ParseError, path, line_no, f"field '{key}' must be a numeric array")
-    try:
-        return RaggedRecord(label=label, t=obj["t"], y=obj["y"])
-    except ValidationError as exc:
-        raise _located(ValidationError, path, line_no, str(exc)) from None
+            raise ParseError(f"field '{key}' must be a numeric array")
+        try:
+            arrays.append(np.array(seq, dtype=float))
+        except OverflowError:
+            raise ParseError(f"field '{key}' must be a numeric array of floats") from None
+    return label, *arrays
 
 
 def parse_ragged(path) -> list[RaggedRecord]:
     """Read ragged records from a JSON-lines file, one object per line."""
-    records = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read data file {path}: {exc}") from None
-    with handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise _located(ParseError, path, line_no, f"invalid JSON ({exc.msg})") from None
-            records.append(_record_from_json(obj, path, line_no))
-    if not records:
-        raise ParseError(f"{path}: file contains no records")
-    return records
-
-
-def _split_delimited(line: str):
-    return line.split("\t") if "\t" in line else line.split(",")
+    return _read_records(path, _ragged_line)
 
 
 def parse_ucr_style(path) -> list[RaggedRecord]:
     """Read grid-sampled records: label first, then equal-length values."""
-    records = []
     width = None
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read data file {path}: {exc}") from None
-    with handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = _split_delimited(stripped)
-            if len(fields) < 3:
-                raise _located(
-                    ParseError, path, line_no,
-                    "row needs a label plus at least two values",
-                )
-            try:
-                raw_label = float(fields[0])
-            except ValueError:
-                raise _located(
-                    ParseError, path, line_no, f"label field {fields[0]!r} is not numeric"
-                ) from None
-            if not raw_label.is_integer():
-                raise _located(
-                    ParseError, path, line_no, f"label {fields[0]!r} is not an integer"
-                )
-            try:
-                values = [float(v) for v in fields[1:]]
-            except ValueError as exc:
-                raise _located(ParseError, path, line_no, f"bad value field: {exc}") from None
-            n = len(values)
-            if width is None:
-                width = n
-            elif n != width:
-                raise _located(
-                    ParseError, path, line_no,
-                    f"row has {n} values but earlier rows have {width} "
-                    "(uneven data belongs in the ragged format)",
-                )
-            grid = np.linspace(0.0, 1.0, n)
-            try:
-                records.append(RaggedRecord(label=int(raw_label), t=grid, y=values))
-            except ValidationError as exc:
-                raise _located(ValidationError, path, line_no, str(exc)) from None
-    if not records:
-        raise ParseError(f"{path}: file contains no records")
-    return records
+
+    def ucr_line(text):
+        nonlocal width
+        fields = text.split("\t") if "\t" in text else text.split(",")
+        if len(fields) < 3:
+            raise ParseError("row needs a label plus at least two values")
+        try:
+            raw_label = float(fields[0])
+        except ValueError:
+            raise ParseError(f"label field {fields[0]!r} is not numeric") from None
+        if not raw_label.is_integer():
+            raise ParseError(f"label {fields[0]!r} is not an integer")
+        try:
+            values = [float(v) for v in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(f"bad value field: {exc}") from None
+        n = len(values)
+        if width is None:
+            width = n
+        elif n != width:
+            raise ParseError(
+                f"row has {n} values but earlier rows have {width} "
+                "(uneven data belongs in the ragged format)"
+            )
+        return int(raw_label), np.linspace(0.0, 1.0, n), values
+
+    return _read_records(path, ucr_line)
 
 
 def parse_records(path, fmt: str) -> list[RaggedRecord]:
@@ -216,56 +220,76 @@ def parse_records(path, fmt: str) -> list[RaggedRecord]:
     raise InputError(f"unknown data format {fmt!r} (expected 'ragged' or 'ucr')")
 
 
+def to_model_coordinates(scales, t, y, horizon: float = 1.0):
+    """Map raw timestamps t and values y into model coordinates through the
+    map of a Scales, Dataset or ModelParams; returns (times, values).
+    Times must land in [0, horizon]: 1.0 for datasets and classify queries,
+    FORECAST_HORIZON for forecast queries."""
+    t0, t1 = scales.time_scale
+    times = (t - t0) / (t1 - t0)
+    if times[0] < 0.0 or times[-1] > horizon:
+        i = 0 if times[0] < 0.0 else -1
+        raise ValidationError(
+            f"timestamp {t[i]} maps to {times[i]:.4g}, outside the time scale "
+            f"[{t0}, {t1}] (normalized range [0, {horizon}])"
+        )
+    return times, (y - scales.value_center) / scales.value_scale
+
+
+def to_original_units(scales, t=(), y=(), var=()):
+    """The inverse of to_model_coordinates: (times, values, variances) in
+    original units for the timestamps t, values y and variances var, any of
+    which may be left out."""
+    t0, t1 = scales.time_scale
+    center, scale = scales.value_center, scales.value_scale
+    return (
+        t0 + np.asarray(t, dtype=float) * (t1 - t0),
+        center + scale * np.asarray(y, dtype=float),
+        scale * scale * np.asarray(var, dtype=float),
+    )
+
+
 def dataset_from_records(records, time_scale=None, value_center=None,
                          value_scale=None) -> Dataset:
-    """Assemble a Dataset, normalizing timestamps and centering values.
+    """Assemble a Dataset, mapping every record into model coordinates.
 
-    Normalization metadata is computed from the records unless supplied
-    (supply it to bring test data into a trained model's coordinates).
+    Each scale not supplied is computed from the records: the time range
+    over every record, and the mean and standard deviation of every value
+    (a standard deviation of 0 becomes 1). Supply all three to bring test
+    data into a trained model's coordinates.
     """
     if not records:
         raise ValidationError("no records to assemble")
     if time_scale is None:
         time_scale = (min(float(r.t.min()) for r in records),
                       max(float(r.t.max()) for r in records))
-    if not time_scale[0] < time_scale[1]:
-        raise ValidationError(
-            f"degenerate time range [{time_scale[0]}, {time_scale[1]}]"
-        )
     if value_center is None or value_scale is None:
         all_values = np.concatenate([r.y for r in records])
-        value_center = float(np.mean(all_values))
-        std = float(np.std(all_values))
-        value_scale = std if std > 0 else 1.0
-
-    span = time_scale[1] - time_scale[0]
+        # values near the float limit overflow here; Scales rejects the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            if value_center is None:
+                value_center = float(np.mean(all_values))
+            if value_scale is None:
+                std = float(np.std(all_values))
+                value_scale = std if std > 0 else 1.0
+    scales = Scales(time_scale, value_center, value_scale)
     by_label = {}
     for r in records:
-        t = (r.t - time_scale[0]) / span
-        if t[0] < 0.0 or t[-1] > 1.0:
-            bad = r.t[0] if t[0] < 0.0 else r.t[-1]
-            raise ValidationError(
-                f"timestamp {bad} falls outside the time scale "
-                f"[{time_scale[0]}, {time_scale[1]}]"
-            )
-        y = (r.y - value_center) / value_scale
-        by_label.setdefault(r.label, []).append(TimeSeries(t, y))
+        series = TimeSeries(*to_model_coordinates(scales, r.t, r.y))
+        by_label.setdefault(r.label, []).append(series)
     labels = sorted(by_label)
     collections = tuple(
         Collection(idx, tuple(by_label[lbl])) for idx, lbl in enumerate(labels)
     )
-    return Dataset(
-        collections=collections,
-        time_scale=time_scale,
-        value_center=value_center,
-        value_scale=value_scale,
-        class_labels=tuple(labels),
-    )
+    return Dataset(collections, scales.time_scale, scales.value_center,
+                   scales.value_scale, tuple(labels))
 
 
 def load_dataset(path, fmt: str = "ragged") -> Dataset:
     """Load a dataset file in either format. Needs at least two distinct labels."""
-    ds = dataset_from_records(parse_records(path, fmt))
+    records = parse_records(path, fmt)
+    with in_file(path):
+        ds = dataset_from_records(records)
     if ds.n_classes < 2:
         raise ValidationError(
             f"{path}: dataset has {ds.n_classes} label(s); at least 2 are needed"
@@ -275,39 +299,24 @@ def load_dataset(path, fmt: str = "ragged") -> Dataset:
 
 def load_queries(path, model: ModelParams, fmt: str = "ragged",
                  horizon: float = 1.0) -> list[QueryRecord]:
-    """Load test records into a trained model's coordinate system.
-
-    Timestamps are normalized with the model's stored time scale and must
-    land in [0, horizon]; values are centered with the model's stored
-    statistics; labels are mapped to model class indices.
-    """
+    """Load test records into a trained model's coordinate system with
+    to_model_coordinates, and map their labels to model class indices."""
     records = parse_records(path, fmt)
-    t0, t1 = model.time_scale
-    span = t1 - t0
     out = []
-    for r in records:
-        t = (r.t - t0) / span
-        if t[0] < 0.0 or t[-1] > horizon:
-            bad = r.t[0] if t[0] < 0.0 else r.t[-1]
-            raise InputError(
-                f"{path}: timestamp {bad} maps to {((bad - t0) / span):.4g}, outside "
-                f"the usable range [0, {horizon}] of the model's time scale"
-            )
-        y = (r.y - model.value_center) / model.value_scale
-        out.append(QueryRecord(class_index=model.class_index(r.label), times=t, values=y))
+    with in_file(path):
+        for r in records:
+            times, values = to_model_coordinates(model, r.t, r.y, horizon)
+            out.append(QueryRecord(model.class_index(r.label), times, values))
     return out
 
 
 def write_ragged(dataset: Dataset, path):
     """Write a dataset back to the ragged format in original units."""
-    t0, t1 = dataset.time_scale
-    span = t1 - t0
     with open(path, "w", encoding="utf-8") as handle:
         for col in dataset.collections:
             label = dataset.class_labels[col.label]
             for ts in col.series:
-                t_raw = ts.timestamps * span + t0
-                y_raw = dataset.to_original_values(ts.values)
+                t_raw, y_raw, _ = to_original_units(dataset, ts.timestamps, ts.values)
                 obj = {"label": int(label), "t": list(t_raw), "y": list(y_raw)}
                 handle.write(json.dumps(obj) + "\n")
 
@@ -340,13 +349,7 @@ def inject_noise(dataset: Dataset, level: float, seed: int,
             noisy = ts.values + rng.normal(0.0, std, ts.values.size) if std > 0 else ts.values
             series.append(TimeSeries(ts.timestamps, noisy))
         collections.append(Collection(col.label, tuple(series)))
-    return Dataset(
-        collections=tuple(collections),
-        time_scale=dataset.time_scale,
-        value_center=dataset.value_center,
-        value_scale=dataset.value_scale,
-        class_labels=dataset.class_labels,
-    )
+    return replace(dataset, collections=tuple(collections))
 
 
 def forecast_split(dataset: Dataset, fraction: float):
@@ -372,16 +375,8 @@ def forecast_split(dataset: Dataset, fraction: float):
             test_series.append(TimeSeries(ts.timestamps[n_train:], ts.values[n_train:]))
         train_cols.append(Collection(col.label, tuple(train_series)))
         test_cols.append(Collection(col.label, tuple(test_series)))
-    meta = dict(
-        time_scale=dataset.time_scale,
-        value_center=dataset.value_center,
-        value_scale=dataset.value_scale,
-        class_labels=dataset.class_labels,
-    )
-    return (
-        Dataset(collections=tuple(train_cols), **meta),
-        Dataset(collections=tuple(test_cols), **meta),
-    )
+    return (replace(dataset, collections=tuple(train_cols)),
+            replace(dataset, collections=tuple(test_cols)))
 
 
 def _matrix(a) -> list:
@@ -490,21 +485,19 @@ def load_model(path) -> ModelParams:
     digest = doc.get("data_digest")
     if digest is not None and not isinstance(digest, str):
         raise ParseError("model file field data_digest must be a string or null")
-    return ModelParams(
-        log_amplitudes=_field(doc, ["log_amplitudes"], "matrix"),
-        log_bandwidths=_field(doc, ["log_bandwidths"], "matrix"),
-        codes=_field(doc, ["codes"], "matrix"),
-        code_map=_field(doc, ["code_map"], "matrix"),
-        hyper=hyper,
-        time_scale=(
-            _field(doc, ["time_scale", 0], "float"),
-            _field(doc, ["time_scale", 1], "float"),
-        ),
-        value_center=_field(doc, ["value_center"], "float"),
-        value_scale=_field(doc, ["value_scale"], "float"),
-        class_labels=tuple(_field(doc, ["class_labels"], "intlist")),
-        data_digest=digest,
-    )
+    with in_file(path):
+        return ModelParams(
+            log_amplitudes=_field(doc, ["log_amplitudes"], "matrix"),
+            log_bandwidths=_field(doc, ["log_bandwidths"], "matrix"),
+            codes=_field(doc, ["codes"], "matrix"),
+            code_map=_field(doc, ["code_map"], "matrix"),
+            hyper=hyper,
+            time_scale=[_field(doc, ["time_scale", i], "float") for i in (0, 1)],
+            value_center=_field(doc, ["value_center"], "float"),
+            value_scale=_field(doc, ["value_scale"], "float"),
+            class_labels=tuple(_field(doc, ["class_labels"], "intlist")),
+            data_digest=digest,
+        )
 
 
 def file_digest(path) -> str:

@@ -241,8 +241,11 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     points surface as an infinite loss so the line search backtracks past
     them; a failure at the starting point still raises.
     """
-    start = init_params(dataset.n_classes, hyper)
-    start = _with_dataset_metadata(start, dataset)
+    # the model keeps the dataset's scales and labels to map later inputs
+    start = dataclasses.replace(
+        init_params(dataset.n_classes, hyper), time_scale=dataset.time_scale,
+        value_center=dataset.value_center, value_scale=dataset.value_scale,
+        class_labels=dataset.class_labels)
     x0 = pack_params(start)
 
     def loss_fn(x):
@@ -260,13 +263,3 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     info = TrainInfo(loss=result.loss, iterations=result.iterations,
                      stop_reason=result.stop_reason)
     return fitted, info
-
-
-def _with_dataset_metadata(params: ModelParams, dataset: Dataset) -> ModelParams:
-    return dataclasses.replace(
-        params,
-        time_scale=dataset.time_scale,
-        value_center=dataset.value_center,
-        value_scale=dataset.value_scale,
-        class_labels=dataset.class_labels,
-    )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from motioncode import bench
 from motioncode.cli import main
 from motioncode.core import TimeSeries, code_to_timestamps
 from motioncode.dataio import load_dataset, load_model
@@ -97,6 +98,40 @@ def test_train_zero_iterations(tmp_path, two_constants, capsys):
     assert report["payload"]["stop_reason"] == "max-iters"
     model = load_model(model_path)
     assert np.array_equal(model.codes, np.ones((2, 2)))
+
+
+def test_train_rejects_non_finite_scales(tmp_path, capsys):
+    # values of +-1e308 give an infinite standard deviation, which no model
+    # file can hold
+    data = tmp_path / "huge.jsonl"
+    write_jsonl(data, [{"label": label, "t": [0.0, 1.0], "y": [1e308, -1e308]}
+                       for label in (0, 1)])
+    model_path = tmp_path / "model.json"
+    code, report, err = run(capsys, ["train", "--data", str(data),
+                                     "--out", str(model_path)])
+    assert code == 1 and report is None
+    assert err == f"error: {data}: value_scale must be positive and finite, got inf\n"
+    assert not model_path.exists()
+
+
+def test_out_of_range_timestamps_exit_1(tmp_path, two_constants, capsys):
+    # test files go through the model's time scale, 0..10 here: classify
+    # allows normalized times up to 1 and forecast up to 1.25
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(two_constants), "--max-iters", "0",
+                 "--out", str(model_path)]) == 0
+    late = tmp_path / "late.jsonl"
+    write_jsonl(late, [{"label": label, "t": [11.0, 13.0], "y": [0.0, 0.0]}
+                       for label in (0, 1)])
+    for argv in (["classify", "--train-data", str(two_constants)],
+                 ["forecast", "--train-data", str(two_constants)],
+                 ["forecast", "--split-fraction", "0.5"],
+                 ["timestamps"]):
+        code, _, err = run(capsys, argv + ["--model", str(model_path),
+                                           "--data", str(late)])
+        assert code == 1
+        assert err.startswith(f"error: {late}: timestamp 13.0 maps to 1.3, "
+                              "outside the time scale [0.0, 10.0]")
 
 
 def test_missing_data_file(capsys):
@@ -348,6 +383,15 @@ def test_bench_end_to_end(tmp_path, capsys):
     assert stored["all_passed"] is True
     # the stored report carries no wall-clock fields
     assert "wall_clock_seconds" not in json.dumps(stored)
+
+
+def test_bench_exit_code_carries_the_scaling_gate(tmp_path, capsys, monkeypatch):
+    failed = {"name": "training-scaling", "ratio": 3.0, "limit": 2.6, "passed": False}
+    monkeypatch.setattr(bench, "measure_scaling", lambda seed: failed)
+    code, report, _ = run(capsys, ["bench", "--out", str(tmp_path), "--seed", "0"])
+    assert code == 1
+    assert report["payload"]["all_passed"] is False
+    assert json.loads((tmp_path / "report.json").read_text())["all_passed"] is True
 
 
 def test_bench_unwritable_out(tmp_path, capsys):

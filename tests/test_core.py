@@ -11,7 +11,7 @@ from motioncode.core import (
     ValidationError,
     code_to_timestamps,
 )
-from motioncode.dataio import RaggedRecord, dataset_from_records
+from motioncode.dataio import RaggedRecord, dataset_from_records, to_original_units
 
 
 def make_series(n=5, lo=0.0, hi=1.0, seed=0):
@@ -79,8 +79,24 @@ def test_dataset_label_contiguity():
 def test_dataset_value_round_trip():
     c0 = Collection(0, (make_series(seed=3),))
     ds = Dataset((c0,), (0.0, 1.0), value_center=2.0, value_scale=3.0)
-    raw = ds.to_original_values([0.0, 1.0])
+    _, raw, _ = to_original_units(ds, y=[0.0, 1.0])
     assert np.allclose(raw, [2.0, 5.0])
+
+
+@pytest.mark.parametrize("scales", [
+    {"time_scale": (0.0, np.inf)},
+    {"time_scale": (np.nan, 1.0)},
+    {"time_scale": (0.0, 1.0), "value_center": np.inf},
+    {"time_scale": (0.0, 1.0), "value_scale": np.inf},
+    {"time_scale": (0.0, 1.0), "value_scale": 0.0},
+])
+def test_dataset_and_model_share_the_scales_check(scales):
+    # a non-finite scale would reach save_model, which cannot write it
+    with pytest.raises(ValidationError):
+        Dataset((Collection(0, (make_series(),)),), **scales)
+    with pytest.raises(ValidationError):
+        ModelParams(np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 2)),
+                    np.ones((4, 2)), Hyperparams(m=4, d=2, j=1), **scales)
 
 
 def test_hyperparams_validation():
@@ -181,9 +197,9 @@ def test_normalize_timestamps():
     """Loading maps raw times onto [0, 1] through a supplied time scale and
     rejects times outside it, or a degenerate scale."""
 
-    def load(raw_times, time_scale):
+    def load(raw_times, time_scale, **values):
         records = [RaggedRecord(0, raw_times, np.arange(len(raw_times), dtype=float))]
-        return dataset_from_records(records, time_scale=time_scale)
+        return dataset_from_records(records, time_scale=time_scale, **values)
 
     ds = load([0.0, 5.0, 10.0], (0.0, 10.0))
     assert np.allclose(ds.collections[0].series[0].timestamps, [0.0, 0.5, 1.0])
@@ -193,3 +209,10 @@ def test_normalize_timestamps():
         load([5.0, 11.0], (0.0, 10.0))
     with pytest.raises(ValidationError, match="degenerate"):
         load([1.0, 3.0], (2.0, 2.0))
+    # a supplied half of the value pair is kept and only the other computed:
+    # the values 0, 1, 2 have mean 1 and standard deviation sqrt(2/3)
+    ds = load([0.0, 5.0, 10.0], (0.0, 10.0), value_center=4.0)
+    assert (ds.value_center, ds.value_scale) == (4.0, np.std([0.0, 1.0, 2.0]))
+    ds = load([0.0, 5.0, 10.0], (0.0, 10.0), value_scale=2.0)
+    assert (ds.value_center, ds.value_scale) == (1.0, 2.0)
+    assert np.array_equal(ds.collections[0].series[0].values, [-0.5, 0.0, 0.5])

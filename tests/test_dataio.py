@@ -27,6 +27,7 @@ from motioncode.dataio import (
     load_queries,
     parse_ragged,
     save_model,
+    to_original_units,
     write_ragged,
 )
 from motioncode.optimizer import init_params
@@ -55,7 +56,7 @@ def test_load_ragged_basic(tmp_path):
     )
     assert np.mean(all_values) == pytest.approx(0.0, abs=1e-12)
     assert np.std(all_values) == pytest.approx(1.0, rel=1e-12)
-    raw = ds.to_original_values(ds.collections[0].series[0].values)
+    _, raw, _ = to_original_units(ds, y=ds.collections[0].series[0].values)
     assert np.allclose(raw, [1.0, 2.0, 3.0])
 
 
@@ -86,8 +87,9 @@ def test_load_ragged_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError):
         parse_ragged(p)
 
-    # booleans, strings, nulls and nested arrays are not numbers
-    for bad in (True, "2", None, [1]):
+    # booleans, strings, nulls and nested arrays are not numbers, and an
+    # integer too large for a float is not a usable one
+    for bad in (True, "2", None, [1], 10**400):
         for key in ("t", "y"):
             row = {"label": 0, "t": [0, 1, 2], "y": [1, 2, 3]}
             row[key] = row[key][:1] + [bad] + row[key][2:]
@@ -371,6 +373,13 @@ def test_model_corrupt_field_names_path(tmp_path):
         load_model(p)
     assert "code_map" in str(err.value) and "unequal length" in str(err.value)
 
+    # json.load accepts Infinity, but the scales must be finite
+    save_model(params, p)
+    p.write_text(p.read_text().replace('"value_scale": 1.0', '"value_scale": Infinity'))
+    with pytest.raises(ValidationError) as err:
+        load_model(p)
+    assert str(p) in str(err.value) and "value_scale" in str(err.value)
+
     save_model(params, p)
     doc = json.loads(p.read_text())
     del doc["log_bandwidths"]
@@ -401,9 +410,16 @@ def test_load_queries_maps_into_model_coordinates(tmp_path):
     assert np.allclose(qs[0].values, [0.0, 1.0, 2.0])
     assert qs[1].class_index == 0
     assert np.allclose(qs[1].times, [1.1, 1.2])
-    # the same file fails under the classification horizon
-    with pytest.raises(InputError):
+    # the same file fails under the classification horizon, as a dataset
+    # load through the model's scales does
+    with pytest.raises(ValidationError) as err:
         load_queries(p, params, horizon=1.0)
+    assert str(err.value) == (
+        f"{p}: timestamp 120.0 maps to 1.2, outside the time scale "
+        "[0.0, 100.0] (normalized range [0, 1.0])"
+    )
+    with pytest.raises(ValidationError, match="outside the time scale"):
+        dataset_from_records(parse_ragged(p), time_scale=params.time_scale)
     # unknown label
     write_lines(p, [json.dumps({"label": 4, "t": [0.0, 1.0], "y": [0, 0]})])
     with pytest.raises(InputError):

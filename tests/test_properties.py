@@ -10,7 +10,8 @@ from motioncode.core import (
     code_to_timestamps,
 )
 from motioncode.core import SplitError
-from motioncode.dataio import RaggedRecord, dataset_from_records, forecast_split
+from motioncode.dataio import (RaggedRecord, dataset_from_records, forecast_split,
+                              to_original_units)
 from motioncode.kernel import KernelParams, chol_jittered, kernel_matrix
 from motioncode.optimizer import init_params, pack_params, unpack_params
 
@@ -129,7 +130,7 @@ def test_value_round_trip_through_normalization(values, shift, other):
         RaggedRecord(1, t, np.full(len(values), other)),
     ]
     ds = dataset_from_records(records)
-    raw = ds.to_original_values(ds.collections[0].series[0].values)
+    _, raw, _ = to_original_units(ds, y=ds.collections[0].series[0].values)
     want = np.asarray(values) + shift
     scale = max(1.0, float(np.abs(want).max()))
     assert np.allclose(raw, want, atol=1e-12 * scale)
