@@ -6,7 +6,9 @@ layout (NAME_TRAIN.tsv / NAME_TEST.tsv pairs, tab or comma separated, label
 first). For each dataset the harness injects Gaussian noise at a chosen
 level (std = level * max |value| over train and test combined), trains a
 model with the package defaults, classifies the noisy test split, and
-prints per-dataset accuracy.
+prints per-dataset accuracy. A dataset that fails to load or train is
+reported with its error, the remaining pairs still run, and the exit code
+is 1.
 
 Published accuracy tables for this protocol are not embedded here; supply
 them yourself with --reference, a CSV of "name,expected_percent" rows, and
@@ -28,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from motioncode.core import Hyperparams, TimeSeries
-from motioncode.dataio import (RaggedRecord, dataset_from_records, parse_records,
-                               to_model_coordinates)
+from motioncode.core import Hyperparams, MotionCodeError
+from motioncode.dataio import RaggedRecord, dataset_from_records, model_series, parse_records
 from motioncode.inference import classify_many
 from motioncode.optimizer import train_model
 
@@ -66,8 +67,8 @@ def add_noise(records, level, rng):
 def run_dataset(name, train_path, test_path, noise, seed, hyper):
     # crc32 keeps the stream name-dependent but stable across processes
     rng = np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
-    train_recs = parse_records(train_path, "ucr")
-    test_recs = parse_records(test_path, "ucr")
+    train_recs = list(parse_records(train_path, "ucr"))
+    test_recs = list(parse_records(test_path, "ucr"))
     split = len(train_recs)
     noisy = add_noise(train_recs + test_recs, noise, rng)
     train_recs, test_recs = noisy[:split], noisy[split:]
@@ -75,7 +76,7 @@ def run_dataset(name, train_path, test_path, noise, seed, hyper):
     train_ds = dataset_from_records(train_recs)
     model, info = train_model(train_ds, hyper)
 
-    series = [TimeSeries(*to_model_coordinates(model, r.t, r.y)) for r in test_recs]
+    series = model_series(model, test_recs)
     truth = [model.class_index(r.label) for r in test_recs]
     results = classify_many(model, train_ds, series)
     hits = sum(1 for (pred, _), want in zip(results, truth) if pred == want)
@@ -123,10 +124,17 @@ def main(argv=None):
                         max_iters=args.max_iters, epsilon=1e-5, jitter=1e-6)
 
     rows = []
-    any_out_of_band = False
+    any_out_of_band = any_failed = False
     for name, train_path, test_path in pairs:
-        row = run_dataset(name, train_path, test_path, args.noise, args.seed,
-                          hyper)
+        try:
+            row = run_dataset(name, train_path, test_path, args.noise, args.seed,
+                              hyper)
+        except MotionCodeError as exc:
+            # one bad pair is reported and the rest still run
+            print(f"{name:30s} FAILED: {exc}")
+            rows.append({"name": name, "error": str(exc)})
+            any_failed = True
+            continue
         line = (f"{row['name']:30s} acc {row['accuracy_percent']:6.2f}%"
                 f"  ({row['n_train']} train / {row['n_test']} test,"
                 f" {row['classes']} classes)")
@@ -148,7 +156,7 @@ def main(argv=None):
                        "tolerance": args.tolerance, "datasets": rows},
                       handle, indent=1)
             handle.write("\n")
-    return 1 if any_out_of_band else 0
+    return 1 if any_out_of_band or any_failed else 0
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ import numpy as np
 
 from .core import (Collection, Dataset, Hyperparams, InputError, TimeSeries,
                    code_to_timestamps)
-from .dataio import (RaggedRecord, dataset_from_records, forecast_split,
-                     to_model_coordinates, to_original_units, write_ragged)
+from .dataio import (RaggedRecord, dataset_from_records, forecast_split, model_series,
+                     to_original_units, write_ragged)
 from .inference import class_posteriors, classify_many, fit_posterior, forecast, predict
 from .kernel import KernelParams, kernel_matrix
 from .objective import lmax_bound, loss_gradient, total_loss
@@ -449,8 +449,7 @@ def classification_instance(seed):
     """
     train_recs, test_recs = _classification_records(seed)
     train = dataset_from_records(train_recs)
-    test_series = [TimeSeries(*to_model_coordinates(train, r.t, r.y))
-                   for r in test_recs]
+    test_series = model_series(train, test_recs)
     truth = [0] * 20 + [1] * 20
     return train, test_series, truth
 

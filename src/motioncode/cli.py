@@ -236,8 +236,9 @@ def cmd_classify(args):
     model = load_model(args.model)
     train_ds = _load_in_model_coordinates(args.train_data, args.format, model)
     queries = load_queries(args.data, model, args.format, horizon=1.0)
-    series = [TimeSeries(q.times, q.values) for q in queries]
-    results = classify_many(model, train_ds, series)
+    # the queries' arrays are read-only views the loader already checked
+    results = classify_many(model, train_ds,
+                            [TimeSeries.view(q.times, q.values) for q in queries])
     rows = []
     hits = 0
     for q, (pred, dists) in zip(queries, results):

@@ -6,6 +6,8 @@ Conventions used throughout:
     * values are centered/scaled dataset-wide at load time
     * every container is immutable after construction and safe to share
       across threads
+    * a loaded series is a read-only view into the flat arrays its file
+      was read into (see dataio), so a dataset holds each point once
 
 Shapes (single source of truth)
 -------------------------------
@@ -93,6 +95,9 @@ class TimeSeries:
 
     Single-point series are permitted only so that forecast splits can
     hold a lone future observation; file loaders require N >= 2.
+
+    The constructor copies and checks its arrays. The loaders check a whole
+    file's arrays at once and build each series with view() instead.
     """
 
     timestamps: np.ndarray
@@ -119,6 +124,17 @@ class TimeSeries:
             )
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", y)
+
+    @classmethod
+    def view(cls, timestamps, values) -> TimeSeries:
+        """A series over arrays that already meet every rule above: equal
+        length, read-only floats, finite, strictly increasing times in
+        [0, 1]. Nothing is copied or checked, so a slice of a loaded file
+        stays a view."""
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "timestamps", timestamps)
+        object.__setattr__(ts, "values", values)
+        return ts
 
     def __len__(self) -> int:
         return self.timestamps.size
@@ -308,6 +324,10 @@ class Hyperparams:
     def __post_init__(self):
         if self.m < 1 or self.d < 1 or self.j < 1:
             raise ValidationError("m, d and J must all be >= 1")
+        for name, value in (("sigma", self.sigma), ("lambda", self.lam),
+                            ("epsilon", self.epsilon), ("jitter", self.jitter)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not (self.sigma > 0 and self.jitter > 0 and self.epsilon > 0):
             raise ValidationError("sigma, jitter and epsilon must be positive")
         if self.lam < 0:

@@ -115,6 +115,14 @@ def test_hyperparams_validation():
         Hyperparams(max_iters=-1)
 
 
+@pytest.mark.parametrize("field", ["sigma", "lam", "epsilon", "jitter"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_hyperparams_must_be_finite(field, value):
+    # an infinite sigma and lambda once gave a model that classified at chance
+    with pytest.raises(ValidationError, match="must be finite"):
+        Hyperparams(**{field: value})
+
+
 def test_code_to_timestamps_open_interval():
     # saturated logits must stay strictly inside (0, 1)
     cm = np.array([[50.0], [-50.0], [0.0]])

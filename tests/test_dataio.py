@@ -393,6 +393,17 @@ def test_model_corrupt_field_names_path(tmp_path):
         load_model(p)
 
 
+def test_model_with_non_finite_hyperparams_fails_to_load(tmp_path):
+    p = tmp_path / "m.json"
+    save_model(init_params(2, Hyperparams()), p)
+    doc = json.loads(p.read_text())
+    doc["hyper"]["sigma"] = doc["hyper"]["lam"] = float("inf")
+    p.write_text(json.dumps(doc))  # json writes Infinity, and json.load accepts it
+    with pytest.raises(ValidationError) as err:
+        load_model(p)
+    assert str(err.value) == f"{p}: sigma must be finite, got inf"
+
+
 def test_load_queries_maps_into_model_coordinates(tmp_path):
     params = init_params(2, Hyperparams())
     params = dataclasses.replace(
