@@ -82,8 +82,6 @@ def _add_io_flags(sub):
     sub.add_argument("--data", required=True, help="input dataset path")
     sub.add_argument("--format", choices=("ragged", "ucr"), default="ragged",
                      help="input file format")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
 
 
 def _build_parser():
@@ -94,6 +92,8 @@ def _build_parser():
 
     tr = subs.add_parser("train", help="fit a model")
     _add_io_flags(tr)
+    tr.add_argument("--seed", type=int, default=0, help="seed of --noise")
+    tr.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     tr.add_argument("-m", "--m", type=int, default=10, dest="m",
                     help="number of informative timestamps per class")
     tr.add_argument("-d", "--d", type=int, default=2, dest="d",

@@ -15,13 +15,14 @@ its inverse; this module is the only place either is written out.
 
 Files are read into flat form (Records): every timestamp of the file in one
 array, every value in another, and the offsets where each record starts.
-Per line the parsers only decode the line and check its structure; each
-numeric rule (element types, float overflow, finite values, two points per
-record, strictly increasing times) then runs once over the flat arrays, and
-the map into model coordinates is one pass over them too, which checks that
-the mapped times and values are still finite and increasing. A loaded series
-is a read-only view into the mapped arrays. An error names the file and
-the line of the first bad record, as a line-by-line check would.
+Each line is checked for its own shape as it is read: the fields are lists
+of numbers, no int too large for a float, t and y of equal length, at least
+two points. The rules that need the numbers (finite values, strictly
+increasing times, non-negative labels) then run once over the flat arrays,
+and the map into model coordinates is one pass over them too, which checks
+that the mapped times and values are still finite and increasing. A loaded
+series is a read-only view into the mapped arrays. An error names the file
+and the line of the first bad record, as a line-by-line check would.
 
 Test files for classify and forecast go through the same map, with the
 scales stored in the model. Forecast queries may reach normalized time
@@ -90,7 +91,7 @@ MODEL_FORMAT_VERSION = 1
 # at a time, so the lists held at once stay small whatever the file size
 CHUNK_POINTS = 1 << 14
 
-_NUMERIC = {int, float}
+_FLOAT, _NUMERIC = frozenset({float}), frozenset({int, float})
 
 
 class RaggedRecord(NamedTuple):
@@ -155,79 +156,61 @@ def _joined(parts) -> np.ndarray:
 
 
 def _record_of(offsets, element) -> int:
-    """The record holding the flat array's element; empty records hold none."""
+    """The record holding the flat array's element."""
     return int(np.searchsorted(offsets, element, side="right")) - 1
 
 
 def _first_stall(t, offsets):
     """The first element of t whose next one is not larger, not counting
-    the step from one record into the next, or None."""
+    the step from one record into the next, or None. No record is empty."""
     stalled = t[1:] <= t[:-1]
-    starts = offsets[1:-1]
-    stalled[starts[(starts > 0) & (starts < t.size)] - 1] = False
+    stalled[offsets[1:-1] - 1] = False
     return int(np.argmax(stalled)) if stalled.any() else None
 
 
-def _floats(values):
-    """values as a float array, or None when one of them is not an int or
-    float or is an int too large for a float."""
-    if not set(map(type, values)) <= _NUMERIC:
-        return None
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        return None
+def _float_list(key, seq):
+    """A JSON field as a list of floats, or a ParseError when it is not a
+    list of ints and floats or holds an int too large for a float."""
+    if type(seq) is list:
+        if _FLOAT.issuperset(map(type, seq)):
+            return seq
+        if _NUMERIC.issuperset(map(type, seq)):
+            try:
+                # float(int) rounds as np.array(..., dtype=float) does
+                return list(map(float, seq))
+            except OverflowError:
+                raise ParseError(f"field '{key}' must be a numeric array of floats") from None
+    raise ParseError(f"field '{key}' must be a numeric array")
 
 
-def _field_fault(key, seq):
-    """The ParseError of one record's field, or None when _floats takes it."""
-    if not set(map(type, seq)) <= _NUMERIC:
-        return ParseError(f"field '{key}' must be a numeric array")
-    if _floats(seq) is None:
-        return ParseError(f"field '{key}' must be a numeric array of floats")
+def _shape_fault(record, t, y):
+    """(record, ValidationError) when t and y differ in length or hold
+    fewer than two points, else None; lengths are checked first."""
+    if len(t) != len(y):
+        return record, ValidationError(f"record arrays must be equal-length 1-d, "
+                                       f"got ({len(t)},) and ({len(y)},)")
+    if len(t) < 2:
+        return record, ValidationError("record needs at least two points")
     return None
 
 
-def _element_fault(t_values, y_values, t_lengths, y_lengths):
-    """(record, ParseError) of the first buffered record whose t or y holds
-    an element _floats rejects; t is checked before y, as on one line."""
-    t_end = y_end = 0
-    for r, (nt, ny) in enumerate(zip(t_lengths, y_lengths)):
-        t_end, y_end = t_end + nt, y_end + ny
-        fault = (_field_fault("t", t_values[t_end - nt:t_end])
-                 or _field_fault("y", y_values[y_end - ny:y_end]))
-        if fault:
-            return r, fault
-    raise AssertionError("no buffered record holds a rejected element")
-
-
-def _record_fault(labels, t, y, t_offsets, y_offsets):
-    """(record, ValidationError) of the first record that breaks a record
+def _record_fault(labels, t, y, offsets):
+    """(record, ValidationError) of the first record that breaks a numeric
     rule, or None. Each rule runs once over the flat arrays; a record that
-    breaks several reports the first in this order: equal lengths, two
-    points, finite values, increasing times, a non-negative label."""
-    t_len, y_len = np.diff(t_offsets), np.diff(y_offsets)
+    breaks several reports the first in this order: finite values,
+    increasing times, a non-negative label."""
     found = []
-    bad = np.flatnonzero(t_len != y_len)
-    if bad.size:
-        r = int(bad[0])
-        found.append((r, 0, f"record arrays must be equal-length 1-d, got "
-                            f"({t_len[r]},) and ({y_len[r]},)"))
-    bad = np.flatnonzero(t_len < 2)
-    if bad.size:
-        found.append((int(bad[0]), 1, "record needs at least two points"))
-    for values, offsets in ((t, t_offsets), (y, y_offsets)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            found.append((_record_of(offsets, np.argmin(finite)), 2,
-                          "record values must be finite"))
-    stall = _first_stall(t, t_offsets)
+    finite = np.isfinite(t) & np.isfinite(y)
+    if not finite.all():
+        found.append((_record_of(offsets, np.argmin(finite)), 0,
+                      "record values must be finite"))
+    stall = _first_stall(t, offsets)
     if stall is not None:
-        found.append((_record_of(t_offsets, stall), 3,
+        found.append((_record_of(offsets, stall), 1,
                       "record timestamps must be strictly increasing"))
     if labels and min(labels) < 0:
         r = next(i for i, label in enumerate(labels) if label < 0)
-        found.append((r, 4, f"record label must be a non-negative integer, "
+        found.append((r, 2, f"record label must be a non-negative integer, "
                             f"got {labels[r]}"))
     if not found:
         return None
@@ -239,33 +222,24 @@ def _read_records(path, parse_line) -> Records:
     """Read a data file into Records, one record per non-blank line.
 
     parse_line(text) returns the line's (label, t, y), t and y lists of
-    numbers, or raises ParseError. Their numbers go into flat buffers,
-    converted to float arrays CHUNK_POINTS at a time, and every numeric rule
-    then runs once over the whole file. Errors get the path and the line of
-    the first bad record: reading stops at a line that does not parse, and
-    a rule that an earlier line breaks wins over that line's error.
+    floats, or raises ParseError. Each line's shape (equal lengths, then at
+    least two points) is checked as it is read, and reading stops at the
+    first line that fails to parse or is badly shaped. The numbers of the
+    lines before it go into flat buffers, converted to float arrays
+    CHUNK_POINTS at a time, and the numeric rules (finite values,
+    increasing times, non-negative labels) then run once over them. Errors
+    get the path and the line of the first bad record, so a numeric fault
+    on an earlier line wins over the line that stopped the read.
     """
-    labels, lines, t_lengths, y_lengths = [], [], [], []
+    labels, lines, lengths = [], [], []
     t_buf, y_buf, t_parts, y_parts = [], [], [], []
-    flushed = 0  # records already converted
-    fault = None  # (record, error) of the first bad record found so far
+    fault = None  # (record, error) of the line that stopped the read
 
     def flush():
-        # on an element fault only the records before it are kept
-        nonlocal flushed
-        t, y = _floats(t_buf), _floats(y_buf)
-        fault = None
-        if t is None or y is None:
-            r, exc = _element_fault(t_buf, y_buf, t_lengths[flushed:], y_lengths[flushed:])
-            fault = (flushed + r, exc)
-            t = np.array(t_buf[:sum(t_lengths[flushed:flushed + r])], dtype=float)
-            y = np.array(y_buf[:sum(y_lengths[flushed:flushed + r])], dtype=float)
-        t_parts.append(t)
-        y_parts.append(y)
+        t_parts.append(np.array(t_buf, dtype=float))
+        y_parts.append(np.array(y_buf, dtype=float))
         t_buf.clear()
         y_buf.clear()
-        flushed = len(t_lengths)
-        return fault
 
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -282,28 +256,25 @@ def _read_records(path, parse_line) -> Records:
             except ParseError as exc:
                 fault = (len(labels), exc)
                 break
+            fault = _shape_fault(len(labels), t, y)
+            if fault:
+                break
             labels.append(label)
-            t_lengths.append(len(t))
-            y_lengths.append(len(y))
+            lengths.append(len(t))
             t_buf += t
             y_buf += y
             if len(t_buf) >= CHUNK_POINTS:
-                fault = flush()
-                if fault:
-                    break
-    # records still in the buffers come before any line that failed to parse
-    if t_buf or y_buf:
-        fault = flush() or fault
-    n = fault[0] if fault else len(labels)
-    t, y = _joined(t_parts), _joined(y_parts)
-    t_offsets = _offsets(t_lengths[:n])
-    fault = _record_fault(labels[:n], t, y, t_offsets, _offsets(y_lengths[:n])) or fault
+                flush()
+    if t_buf:
+        flush()
+    t, y, offsets = _joined(t_parts), _joined(y_parts), _offsets(lengths)
+    fault = _record_fault(labels, t, y, offsets) or fault
     if fault:
         r, exc = fault
         raise type(exc)(f"{path}:{lines[r]}: {exc}") from None
     if not labels:
         raise ParseError(f"{path}: file contains no records")
-    return Records(tuple(labels), t, y, t_offsets)
+    return Records(tuple(labels), t, y, offsets)
 
 
 def _ragged_line(text):
@@ -321,12 +292,7 @@ def _ragged_line(text):
     # fail this check as they should
     if type(label) is not int:
         raise ParseError(f"label must be an integer, got {label!r}")
-    if type(t) is not list:
-        raise ParseError("field 't' must be a numeric array")
-    if type(y) is not list:
-        # t's own fault comes first on its line
-        raise _field_fault("t", t) or ParseError("field 'y' must be a numeric array")
-    return label, t, y
+    return label, _float_list("t", t), _float_list("y", y)
 
 
 def parse_ragged(path) -> Records:
@@ -381,6 +347,7 @@ def _flat(records) -> Records:
     if isinstance(records, Records):
         return records
     labels, ts, ys = [], [], []
+    fault = None  # as in _read_records, only the records before it are kept
     for r in records:
         t, y = np.asarray(r.t, dtype=float), np.asarray(r.y, dtype=float)
         if t.ndim != 1 or y.ndim != 1:
@@ -390,15 +357,16 @@ def _flat(records) -> Records:
         if r.label != int(r.label):
             raise ValidationError(
                 f"record label must be a non-negative integer, got {r.label}")
-        labels.append(int(r.label))
-        ts.append(t)
-        ys.append(y)
-    t, y = _joined(ts), _joined(ys)
-    t_offsets = _offsets([a.size for a in ts])
-    fault = _record_fault(labels, t, y, t_offsets, _offsets([a.size for a in ys]))
+        fault = fault or _shape_fault(len(ts), t, y)
+        if not fault:
+            labels.append(int(r.label))
+            ts.append(t)
+            ys.append(y)
+    t, y, offsets = _joined(ts), _joined(ys), _offsets([a.size for a in ts])
+    fault = _record_fault(labels, t, y, offsets) or fault
     if fault:
         raise fault[1]
-    return Records(tuple(labels), t, y, t_offsets)
+    return Records(tuple(labels), t, y, offsets)
 
 
 def to_model_coordinates(scales, t, y, horizon: float = 1.0, offsets=None):
@@ -566,23 +534,29 @@ def inject_noise(dataset: Dataset, level: float, seed: int,
         raise ValidationError(f"noise level must be >= 0, got {level}")
     if level == 0:
         return dataset
-    rng = np.random.default_rng(seed)
-    if not per_series:
-        peak = max(
-            float(np.max(np.abs(ts.values)))
-            for col in dataset.collections
-            for ts in col.series
-        )
-        global_std = level * peak
-    collections = []
-    for col in dataset.collections:
-        series = []
-        for ts in col.series:
-            std = level * float(np.max(np.abs(ts.values))) if per_series else global_std
-            noisy = ts.values + rng.normal(0.0, std, ts.values.size) if std > 0 else ts.values
-            series.append(TimeSeries(ts.timestamps, noisy))
-        collections.append(Collection(col.label, tuple(series)))
-    return replace(dataset, collections=tuple(collections))
+    series = [ts for col in dataset.collections for ts in col.series]
+    lengths = [len(ts) for ts in series]
+    offsets = _offsets(lengths)
+    values = np.concatenate([ts.values for ts in series])
+    peaks = np.abs(values)
+    if per_series:
+        scale = np.repeat(level * np.maximum.reduceat(peaks, offsets[:-1]), lengths)
+    else:
+        scale = np.full(values.size, level * float(peaks.max()))
+    # one draw for every value of a series with std > 0, in series order: the
+    # same numbers as one draw per series, and a series with std 0 keeps its
+    # values untouched
+    drawn = scale > 0
+    values[drawn] += np.random.default_rng(seed).normal(0.0, scale[drawn])
+    if not np.isfinite(values).all():
+        raise ValidationError("timestamps and values must be finite")
+    values.setflags(write=False)
+    bounds = offsets.tolist()
+    views = iter([TimeSeries.view(ts.timestamps, values[a:b])
+                  for ts, a, b in zip(series, bounds, bounds[1:])])
+    collections = tuple(Collection(col.label, tuple(next(views) for _ in col.series))
+                        for col in dataset.collections)
+    return replace(dataset, collections=collections)
 
 
 def forecast_split(dataset: Dataset, fraction: float):

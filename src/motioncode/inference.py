@@ -73,23 +73,21 @@ VARIANCE_SLACK = -1e-8
 class VariationalPosterior:
     """Best Gaussian over class k's process values at its inducing timestamps.
 
+    inducing   : (m,) the inducing timestamps
     mean       : (m,)
     covariance : (m, m) symmetric, eigenvalues >= -1e-8
-    kernel_factor and precision_factor cache the Cholesky factors of K_SS
-    and Lam for reuse in prediction.
+    kernel_factor caches the Cholesky factor of K_SS for reuse in
+    prediction.
     """
 
-    class_id: int
     inducing: np.ndarray
     mean: np.ndarray
     covariance: np.ndarray
     kernel_factor: CholeskyFactor
-    precision_factor: CholeskyFactor
 
 
 def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
-                  sigma: float, jitter: float = 1e-6,
-                  class_id: int = 0) -> VariationalPosterior:
+                  sigma: float, jitter: float = 1e-6) -> VariationalPosterior:
     """Compute the optimal posterior for one collection.
 
     inducing timestamps must lie strictly inside (0, 1). All solves go
@@ -129,12 +127,10 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     cov.setflags(write=False)
     s.setflags(write=False)
     return VariationalPosterior(
-        class_id=class_id,
         inducing=s,
         mean=mean,
         covariance=cov,
         kernel_factor=kernel_factor,
-        precision_factor=precision_factor,
     )
 
 
@@ -194,7 +190,7 @@ def class_posteriors(model: ModelParams, dataset: Dataset):
     return tuple(
         fit_posterior(
             dataset.collections[k], _class_kernel(model, k),
-            model.inducing_timestamps(k), h.sigma, h.jitter, class_id=k,
+            model.inducing_timestamps(k), h.sigma, h.jitter,
         )
         for k in range(model.n_classes)
     )

@@ -118,10 +118,6 @@ class CholeskyFactor:
     lower: np.ndarray
     jitter_used: float
 
-    @property
-    def size(self) -> int:
-        return self.lower.shape[0]
-
     def solve(self, b) -> np.ndarray:
         """(A + jI)^{-1} b via two triangular solves."""
         y = scipy.linalg.solve_triangular(self.lower, b, lower=True)

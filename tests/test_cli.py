@@ -147,6 +147,22 @@ def test_bad_flag_exits_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--model", "m.json", "--train-data", "a.jsonl", "--data", "b.jsonl"],
+    ["forecast", "--model", "m.json", "--data", "b.jsonl", "--split-fraction", "0.8"],
+    ["timestamps", "--model", "m.json", "--data", "b.jsonl"],
+], ids=["classify", "forecast", "timestamps"])
+def test_only_train_takes_seed_and_threads(capsys, argv, flag):
+    """The serving commands draw no random numbers and run on one thread."""
+    code, report, err = run(capsys, argv + [flag, "0"])
+    assert code == 1
+    assert report is None
+    usage, message = err.splitlines()
+    assert usage.startswith("usage: motioncode ")
+    assert message == f"motioncode: error: unrecognized arguments: {flag} 0"
+
+
 def test_classify_constants_accuracy(tmp_path, two_constants, capsys):
     model_path = tmp_path / "model.json"
     assert main(["train", "--data", str(two_constants), "--max-iters", "2",

@@ -240,6 +240,45 @@ def test_inject_noise_per_series():
     assert abs(d_small - 0.03) < 0.004
 
 
+def reference_noise(dataset, level, seed, per_series):
+    """One draw and one validating TimeSeries per series, in series order."""
+    rng = np.random.default_rng(seed)
+    peak = max(float(np.max(np.abs(s.values))) for c in dataset.collections for s in c.series)
+    out = []
+    for col in dataset.collections:
+        for s in col.series:
+            std = level * (float(np.max(np.abs(s.values))) if per_series else peak)
+            noisy = s.values + rng.normal(0.0, std, s.values.size) if std > 0 else s.values
+            out.append(TimeSeries(s.timestamps, noisy))
+    return out
+
+
+@pytest.mark.parametrize("per_series", [False, True])
+def test_inject_noise_matches_per_series_draws(per_series):
+    rng = np.random.default_rng(11)
+    series = [TimeSeries(np.linspace(0.0, 1.0, n), rng.normal(0.0, 2.0, n))
+              for n in (7, 2, 30, 5, 12, 3)]
+    zero = TimeSeries(np.linspace(0.0, 1.0, 9), np.zeros(9))
+    ds = Dataset((Collection(0, (series[0], zero, series[1])), Collection(1, (series[2],)),
+                  Collection(2, tuple(series[3:]))), (0.0, 1.0))
+    noisy = inject_noise(ds, 0.2, seed=3, per_series=per_series)
+    assert [c.size for c in noisy.collections] == [c.size for c in ds.collections]
+    got = [s for c in noisy.collections for s in c.series]
+    for g, w in zip(got, reference_noise(ds, 0.2, 3, per_series), strict=True):
+        assert g.timestamps.tobytes() == w.timestamps.tobytes()
+        assert g.values.tobytes() == w.values.tobytes()
+        assert not g.values.flags.writeable
+
+
+def test_inject_noise_rejects_values_it_overflows():
+    t = np.linspace(0.0, 1.0, 100)
+    ds = Dataset((Collection(0, (TimeSeries(t, np.full(100, 1e308)),)),
+                  Collection(1, (TimeSeries(t, np.zeros(100)),))), (0.0, 1.0))
+    with pytest.raises(ValidationError) as err:
+        inject_noise(ds, 1.0, seed=0)
+    assert str(err.value) == "timestamps and values must be finite"
+
+
 def test_forecast_split_counts():
     t = np.linspace(0, 1, 10)
     ds = Dataset(

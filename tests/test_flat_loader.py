@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from motioncode import dataio
 from motioncode.core import (Hyperparams, InputError, ParseError, SplitError,
                              TimeSeries, ValidationError)
-from motioncode.dataio import forecast_split, load_dataset, load_queries
+from motioncode.dataio import (RaggedRecord, dataset_from_records, forecast_split,
+                               load_dataset, load_queries)
 from motioncode.optimizer import init_params
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,18 @@ MALFORMED = [
      "ValidationError", 2, "record values must be finite"),
     ("decrease-negative", "ragged", [GOOD, ragged(label=-1, t=[0, 2, 1], y=[1, 2, 3])],
      "ValidationError", 2, "record timestamps must be strictly increasing"),
+    # a line's shape is checked after its elements, and a numeric fault on an
+    # earlier line still wins over a badly shaped line
+    ("t-overflow-one-point", "ragged", [GOOD, '{"label": 1, "t": [0, %d], "y": [1]}' % BIG],
+     "ParseError", 2, "field 't' must be a numeric array of floats"),
+    ("y-bool-one-point", "ragged", [GOOD, '{"label": 1, "t": [0], "y": [true]}'],
+     "ParseError", 2, "field 'y' must be a numeric array"),
+    ("nan-then-lengths", "ragged", [GOOD, '{"label": 1, "t": [0, NaN], "y": [1, 2]}',
+                                    ragged(label=1, t=[0, 1, 2], y=[1, 2])],
+     "ValidationError", 2, "record values must be finite"),
+    ("lengths-then-nan", "ragged", [GOOD, ragged(label=1, t=[0, 1, 2], y=[1, 2]),
+                                    '{"label": 1, "t": [0, NaN], "y": [1, 2]}'],
+     "ValidationError", 2, "record arrays must be equal-length 1-d, got (3,) and (2,)"),
     # one fault of every kind, UCR
     ("ucr-few", "ucr", ["1,0.0,0.5", "1,0.5"], "ParseError", 2,
      "row needs a label plus at least two values"),
@@ -295,6 +308,34 @@ def test_malformed_file_errors(tmp_path, monkeypatch, chunk, name, fmt, lines, k
     assert type(err.value).__name__ == kind
     where = f"{path}:{line}" if line else f"{path}"
     assert str(err.value) == f"{where}: {message}"
+
+
+def test_int_fields_load_to_the_floats_numpy_makes(tmp_path):
+    """Ints near and past 2**53 and 2**63 round as np.array(..., dtype=float)
+    rounds them."""
+    y = [2**53 + 1, 0.5, 2**63 + 1, 3, -(2**63) - 1, 10**300, -7, 1.25, 2**53 + 3]
+    t = list(range(len(y)))
+    path = tmp_path / "ints.jsonl"
+    path.write_text(ragged(label=0, t=t, y=y) + "\n" + ragged(label=1, t=t, y=y[::-1]) + "\n",
+                    encoding="utf-8")
+    records = dataio.parse_ragged(path)
+    assert same_bytes(records.t, np.array(t + t, dtype=float))
+    assert same_bytes(records.y, np.array(y + y[::-1], dtype=float))
+
+
+NAN_RECORD = RaggedRecord(1, np.array([0.0, np.nan]), np.array([1.0, 2.0]))
+UNEVEN_RECORD = RaggedRecord(1, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("records, message", [
+    ([NAN_RECORD, UNEVEN_RECORD], "record values must be finite"),
+    ([UNEVEN_RECORD, NAN_RECORD], "record arrays must be equal-length 1-d, got (3,) and (2,)"),
+], ids=["nan-then-lengths", "lengths-then-nan"])
+def test_hand_built_records_report_the_first_bad_record(records, message):
+    good = RaggedRecord(0, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError) as err:
+        dataset_from_records([good, *records])
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
