@@ -490,11 +490,11 @@ def class_forecast_errors(model, posteriors, k, train_series, queries):
     """Original-unit forecast rows for class k, predicted from the class
     posteriors of class_posteriors.
 
-    queries is a list of (times, values) pairs in model coordinates, paired
-    by position with class k's training series train_series. Returns one
-    dict per query with its timestamps, actual values, model predictions
-    and the last-seen baseline, all de-centered back to the data's units;
-    [] when there are no queries.
+    queries is a sequence of TimeSeries in model coordinates, whose times
+    may reach FORECAST_HORIZON, paired by position with class k's training
+    series train_series. Returns one dict per query with its timestamps,
+    actual values, model predictions and the last-seen baseline, all
+    de-centered back to the data's units; [] when there are no queries.
     """
     if not queries:
         return []
@@ -505,13 +505,13 @@ def class_forecast_errors(model, posteriors, k, train_series, queries):
         )
     # one prediction and one map back over every query's points, split
     # back by length
-    query_times = np.concatenate([t for t, _ in queries])
+    query_times = np.concatenate([q.timestamps for q in queries])
     pred = forecast(model, posteriors, k, query_times)
     times, actual, _ = to_original_units(
-        model, query_times, np.concatenate([y for _, y in queries]))
+        model, query_times, np.concatenate([q.values for q in queries]))
     _, predicted, _ = to_original_units(model, y=pred.mean)
     _, last_seen, _ = to_original_units(model, y=[tr.values[-1] for tr in train_series])
-    splits = np.cumsum([t.size for t, _ in queries[:-1]])
+    splits = np.cumsum([len(q) for q in queries[:-1]])
     per_query = zip(*(np.split(a, splits) for a in (times, actual, predicted)), last_seen)
     return [
         {
@@ -548,9 +548,8 @@ def check_forecasting(seed=0):
         train, test = forecasting_instance(seed + i)
         model, _ = train_model(train, hyper)
         posteriors = class_posteriors(model, train)
-        queries = [(ts.timestamps, ts.values) for ts in test.collections[0].series]
-        rows = class_forecast_errors(model, posteriors, 0,
-                                     train.collections[0].series, queries)
+        rows = class_forecast_errors(model, posteriors, 0, train.collections[0].series,
+                                     test.collections[0].series)
         rm, rl = summarize_rmse(rows)
         model_rmse.append(rm)
         last_rmse.append(rl)

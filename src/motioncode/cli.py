@@ -21,14 +21,7 @@ import time
 import numpy as np
 
 from . import bench
-from .core import (
-    Hyperparams,
-    InputError,
-    ModelParams,
-    MotionCodeError,
-    NumericalError,
-    TimeSeries,
-)
+from .core import Hyperparams, InputError, ModelParams, MotionCodeError, NumericalError
 from .dataio import (
     dataset_from_records,
     file_digest,
@@ -235,16 +228,14 @@ def cmd_classify(args):
     started = time.perf_counter()
     model = load_model(args.model)
     train_ds = _load_in_model_coordinates(args.train_data, args.format, model)
-    queries = load_queries(args.data, model, args.format, horizon=1.0)
-    # the queries' arrays are read-only views the loader already checked
-    results = classify_many(model, train_ds,
-                            [TimeSeries.view(q.times, q.values) for q in queries])
+    classes, series = load_queries(args.data, model, args.format, horizon=1.0)
+    results = classify_many(model, train_ds, series)
     rows = []
     hits = 0
-    for q, (pred, dists) in zip(queries, results):
-        hits += int(pred == q.class_index)
+    for k, (pred, dists) in zip(classes, results):
+        hits += int(pred == k)
         rows.append({
-            "true_label": int(model.class_labels[q.class_index]),
+            "true_label": int(model.class_labels[k]),
             "predicted_label": int(model.class_labels[pred]),
             "distances": [float(x) for x in dists],
         })
@@ -268,13 +259,12 @@ def cmd_forecast(args):
     if args.split_fraction is not None:
         full = _load_in_model_coordinates(args.data, args.format, model)
         train_ds, test_ds = forecast_split(full, args.split_fraction)
-        queries = [[(ts.timestamps, ts.values) for ts in col.series]
-                   for col in test_ds.collections]
+        queries = [col.series for col in test_ds.collections]
     else:
         train_ds = _load_in_model_coordinates(args.train_data, args.format, model)
-        records = load_queries(args.data, model, args.format,
-                               horizon=FORECAST_HORIZON)
-        queries = [[(q.times, q.values) for q in records if q.class_index == k]
+        query_classes, query_series = load_queries(args.data, model, args.format,
+                                                   horizon=FORECAST_HORIZON)
+        queries = [[ts for c, ts in zip(query_classes, query_series) if c == k]
                    for k in range(model.n_classes)]
     posteriors = class_posteriors(model, train_ds)
     classes = []

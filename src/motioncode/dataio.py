@@ -65,7 +65,6 @@ from .core import (
 __all__ = [
     "RaggedRecord",
     "Records",
-    "QueryRecord",
     "MODEL_FORMAT_VERSION",
     "parse_ragged",
     "parse_ucr_style",
@@ -118,19 +117,6 @@ class Records:
         bounds = self.offsets.tolist()
         for label, a, b in zip(self.labels, bounds, bounds[1:]):
             yield RaggedRecord(label, self.t[a:b], self.y[a:b])
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """One test series mapped into a model's coordinate system.
-
-    class_index is the model-internal class id; times are normalized (and
-    may exceed 1 for forecast queries); values are centered.
-    """
-
-    class_index: int
-    times: np.ndarray
-    values: np.ndarray
 
 
 @contextlib.contextmanager
@@ -490,9 +476,11 @@ def load_dataset(path, fmt: str = "ragged") -> Dataset:
 
 
 def load_queries(path, model: ModelParams, fmt: str = "ragged",
-                 horizon: float = 1.0) -> list[QueryRecord]:
+                 horizon: float = 1.0) -> tuple[list[int], list[TimeSeries]]:
     """Load test records into a trained model's coordinate system with
-    to_model_coordinates, and map their labels to model class indices.
+    to_model_coordinates. Returns (classes, series) in file order: each
+    record's model class index, and its read-only TimeSeries view, whose
+    normalized times may reach horizon.
     The first record with a timestamp out of range or a label the model
     does not know is reported; a record with both, for its timestamp."""
     records = parse_records(path, fmt)
@@ -507,8 +495,8 @@ def load_queries(path, model: ModelParams, fmt: str = "ragged",
                                  records.offsets[:unknown + 2])
             model.class_index(records.labels[unknown])
         mapped = _mapped(model, records, horizon)
-    return [QueryRecord(index[label], t, y)
-            for label, (t, y) in zip(records.labels, mapped)]
+    return ([index[label] for label in records.labels],
+            [TimeSeries.view(t, y) for t, y in mapped])
 
 
 def write_ragged(dataset: Dataset, path):
@@ -527,9 +515,11 @@ def inject_noise(dataset: Dataset, level: float, seed: int,
     """Add Gaussian noise with std = level * max |value| to every value.
 
     The maximum is taken over the whole dataset (pre-noise); per_series
-    scopes it to each series instead. level 0 returns the dataset as is.
-    Deterministic for a fixed seed.
+    scopes it to each series instead. level must be finite and >= 0; level
+    0 returns the dataset as is. Deterministic for a fixed seed.
     """
+    if not math.isfinite(level):
+        raise ValidationError(f"noise level must be finite, got {level}")
     if level < 0:
         raise ValidationError(f"noise level must be >= 0, got {level}")
     if level == 0:

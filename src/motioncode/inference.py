@@ -10,7 +10,7 @@ best Gaussian over the process values at the m inducing timestamps has
     cov  = K_SS Lam^{-1} K_SS
 
 The sums over series run over the same zero-padded blocks the objective
-uses (core.series_blocks): one cross-covariance build per block, with the
+uses (Collection.blocks): one cross-covariance build per block, with the
 padded points masked out.
 
 Predictions at query timestamps T marginalize the signal through the
@@ -43,7 +43,6 @@ from .core import (
     NumericalError,
     Prediction,
     ValidationError,
-    series_blocks,
 )
 from .kernel import (
     CholeskyFactor,
@@ -108,10 +107,7 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     k_ss = kernel_matrix(kparams, s)
     lam = k_ss.copy()
     rhs = np.zeros(s.size)
-    # packed on the fly, not through the Collection.blocks cache: a posterior
-    # is fitted once per class and command, and cached blocks would stay on
-    # the collection for the rest of the command
-    for block in series_blocks(collection.series):
+    for block in collection.blocks:
         cross = kernel_matrix(kparams, s, block.times.ravel())
         cross *= block.mask.ravel()  # padded columns must not enter the sums
         lam += (cross @ cross.T) / c

@@ -127,10 +127,6 @@ class CholeskyFactor:
         """L^{-1} b, the whitening half of the solve."""
         return scipy.linalg.solve_triangular(self.lower, b, lower=True)
 
-    def logdet(self) -> float:
-        """log det(A + jI)."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
-
 
 def chol_jittered(a: np.ndarray, base_jitter: float) -> CholeskyFactor:
     """Cholesky of (a + j*I), escalating j from base_jitter by powers of ten.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .objective import loss_gradient, total_loss
 
 __all__ = [
     "HISTORY_CAPACITY",
-    "OptState",
     "MinimizeResult",
-    "TrainInfo",
     "minimize",
     "init_params",
     "pack_params",
@@ -49,21 +47,6 @@ STOP_SMALL_GRADIENT = "small-gradient"
 STOP_LINE_SEARCH = "line-search-failure"
 
 
-@dataclass
-class OptState:
-    """Mutable state of one minimization run.
-
-    history holds (step, gradient-difference) pairs, newest last, capacity
-    HISTORY_CAPACITY; every stored pair satisfies step @ grad_diff > CURVATURE_MIN.
-    """
-
-    x: np.ndarray
-    loss: float
-    grad: np.ndarray
-    iteration: int = 0
-    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_CAPACITY))
-
-
 @dataclass(frozen=True)
 class MinimizeResult:
     x: np.ndarray
@@ -72,18 +55,18 @@ class MinimizeResult:
     stop_reason: str
 
 
-def _direction(state: OptState) -> np.ndarray:
+def _direction(grad: np.ndarray, history) -> np.ndarray:
     """Two-loop recursion; with empty history this is exactly -grad."""
-    q = -state.grad
-    if not state.history:
+    q = -grad
+    if not history:
         return q
     alphas = []
-    for s, y in reversed(state.history):
+    for s, y in reversed(history):
         rho = 1.0 / float(s @ y)
         a = rho * float(s @ q)
         alphas.append((a, rho, s, y))
         q = q - a * y
-    s_last, y_last = state.history[-1]
+    s_last, y_last = history[-1]
     gamma = float(s_last @ y_last) / float(y_last @ y_last)
     q = gamma * q
     for a, rho, s, y in reversed(alphas):
@@ -101,72 +84,67 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
     point after MAX_HALVINGS halvings stops at the current point with
     stop_reason "line-search-failure" instead of raising. Loss never
     increases across accepted iterations.
+
+    loss_fn runs once at x0 and once per line-search trial; grad_fn runs
+    once at x0 and once per accepted iteration, and never when max_iters
+    is 0.
     """
-    x0 = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).copy()
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    f0 = float(loss_fn(x0))
-    if not np.isfinite(f0):
-        raise NumericalError(f"loss at the starting point is not finite ({f0})")
+    loss = float(loss_fn(x))
+    if not np.isfinite(loss):
+        raise NumericalError(f"loss at the starting point is not finite ({loss})")
     if max_iters == 0:
-        return MinimizeResult(x=x0, loss=f0, iterations=0, stop_reason=STOP_MAX_ITERS)
+        return MinimizeResult(x=x, loss=loss, iterations=0, stop_reason=STOP_MAX_ITERS)
 
-    state = OptState(x=x0, loss=f0, grad=np.asarray(grad_fn(x0), dtype=float))
-    while state.iteration < max_iters:
-        p = _direction(state)
-        slope = float(state.grad @ p)
+    grad = np.asarray(grad_fn(x), dtype=float)
+    # (step, gradient-difference) pairs, newest last; every stored pair
+    # satisfies step @ grad_diff > CURVATURE_MIN
+    history = deque(maxlen=HISTORY_CAPACITY)
+    iteration = 0
+    stop_reason = STOP_MAX_ITERS
+    while iteration < max_iters:
+        p = _direction(grad, history)
+        slope = float(grad @ p)
         if slope > 0.0:  # not a descent direction; fall back to steepest descent
-            p = -state.grad
-            slope = float(state.grad @ p)
+            p = -grad
+            slope = float(grad @ p)
 
         step = INITIAL_STEP
-        accepted = None
         for _ in range(MAX_HALVINGS + 1):
-            trial = state.x + step * p
+            trial = x + step * p
             f_trial = float(loss_fn(trial))
-            if np.isfinite(f_trial) and f_trial <= state.loss + ARMIJO_C1 * step * slope:
-                accepted = (trial, f_trial)
+            if np.isfinite(f_trial) and f_trial <= loss + ARMIJO_C1 * step * slope:
                 break
             step *= BACKTRACK
-        if accepted is None:
-            return MinimizeResult(
-                x=state.x,
-                loss=state.loss,
-                iterations=state.iteration,
-                stop_reason=STOP_LINE_SEARCH,
-            )
+        else:
+            stop_reason = STOP_LINE_SEARCH
+            break
 
-        x_new, f_new = accepted
-        g_new = np.asarray(grad_fn(x_new), dtype=float)
-        decrease = state.loss - f_new
-        s = x_new - state.x
-        y = g_new - state.grad
-        state.x, state.loss, state.grad = x_new, f_new, g_new
-        state.iteration += 1
+        g_new = np.asarray(grad_fn(trial), dtype=float)
+        decrease = loss - f_trial
+        s = trial - x
+        y = g_new - grad
+        x, loss, grad = trial, f_trial, g_new
+        iteration += 1
         if decrease < epsilon:
-            return MinimizeResult(
-                x=state.x, loss=state.loss, iterations=state.iteration,
-                stop_reason=STOP_SMALL_DECREASE,
-            )
-        if float(np.max(np.abs(state.grad))) < GRAD_TOL:
-            return MinimizeResult(
-                x=state.x, loss=state.loss, iterations=state.iteration,
-                stop_reason=STOP_SMALL_GRADIENT,
-            )
+            stop_reason = STOP_SMALL_DECREASE
+            break
+        if float(np.max(np.abs(grad))) < GRAD_TOL:
+            stop_reason = STOP_SMALL_GRADIENT
+            break
         if float(s @ y) > CURVATURE_MIN:
-            state.history.append((s, y))
+            history.append((s, y))
         else:
             # the pair would break positive definiteness; besides skipping
             # it, drop the stale memory so the next direction restarts from
             # steepest descent instead of looping on a frozen approximation
-            state.history.clear()
+            history.clear()
 
-    return MinimizeResult(
-        x=state.x, loss=state.loss, iterations=state.iteration,
-        stop_reason=STOP_MAX_ITERS,
-    )
+    return MinimizeResult(x=x, loss=loss, iterations=iteration, stop_reason=stop_reason)
 
 
 def init_params(n_classes: int, hyper: Hyperparams) -> ModelParams:
@@ -227,19 +205,14 @@ def unpack_params(x: np.ndarray, params: ModelParams) -> ModelParams:
     )
 
 
-@dataclass(frozen=True)
-class TrainInfo:
-    loss: float
-    iterations: int
-    stop_reason: str
-
-
 def train_model(dataset: Dataset, hyper: Hyperparams):
     """Fit one model to the dataset: init_params, then minimize the loss.
 
-    Returns (ModelParams, TrainInfo). Evaluation failures at wild trial
-    points surface as an infinite loss so the line search backtracks past
-    them; a failure at the starting point still raises.
+    Returns (ModelParams, MinimizeResult): the fitted model, and the
+    minimizer's final flat vector, loss, iteration count and stop reason.
+    Evaluation failures at wild trial points surface as an infinite loss so
+    the line search backtracks past them; a failure at the starting point
+    still raises.
     """
     # the model keeps the dataset's scales and labels to map later inputs
     start = dataclasses.replace(
@@ -259,7 +232,4 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
         return pack_grads(grads)
 
     result = minimize(loss_fn, grad_fn, x0, hyper.max_iters, hyper.epsilon)
-    fitted = unpack_params(result.x, start)
-    info = TrainInfo(loss=result.loss, iterations=result.iterations,
-                     stop_reason=result.stop_reason)
-    return fitted, info
+    return unpack_params(result.x, start), result

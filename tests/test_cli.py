@@ -114,6 +114,16 @@ def test_train_rejects_non_finite_scales(tmp_path, capsys):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_train_rejects_non_finite_noise(tmp_path, two_constants, capsys, level):
+    model_path = tmp_path / "model.json"
+    code, report, err = run(capsys, ["train", "--data", str(two_constants),
+                                     "--noise", level, "--out", str(model_path)])
+    assert code == 1 and report is None
+    assert err == f"error: noise level must be finite, got {level}\n"
+    assert not model_path.exists()
+
+
 def test_out_of_range_timestamps_exit_1(tmp_path, two_constants, capsys):
     # test files go through the model's time scale, 0..10 here: classify
     # allows normalized times up to 1 and forecast up to 1.25

@@ -16,7 +16,6 @@ from motioncode.core import (
     VersionError,
 )
 from motioncode.dataio import (
-    QueryRecord,
     RaggedRecord,
     dataset_from_records,
     file_digest,
@@ -279,6 +278,21 @@ def test_inject_noise_rejects_values_it_overflows():
     assert str(err.value) == "timestamps and values must be finite"
 
 
+@pytest.mark.parametrize("level, message", [
+    (float("nan"), "noise level must be finite, got nan"),
+    (float("inf"), "noise level must be finite, got inf"),
+    (float("-inf"), "noise level must be finite, got -inf"),
+    (-0.5, "noise level must be >= 0, got -0.5"),
+])
+def test_inject_noise_rejects_bad_levels(level, message):
+    t = np.linspace(0.0, 1.0, 5)
+    ds = Dataset((Collection(0, (TimeSeries(t, np.arange(5.0)),)),
+                  Collection(1, (TimeSeries(t, np.ones(5)),))), (0.0, 1.0))
+    with pytest.raises(ValidationError) as err:
+        inject_noise(ds, level, seed=0)
+    assert str(err.value) == message
+
+
 def test_forecast_split_counts():
     t = np.linspace(0, 1, 10)
     ds = Dataset(
@@ -454,12 +468,11 @@ def test_load_queries_maps_into_model_coordinates(tmp_path):
         json.dumps({"label": 8, "t": [0.0, 50.0, 100.0], "y": [5.0, 7.0, 9.0]}),
         json.dumps({"label": 3, "t": [110.0, 120.0], "y": [5.0, 5.0]}),
     ])
-    qs = load_queries(p, params, horizon=1.25)
-    assert qs[0].class_index == 1
-    assert np.allclose(qs[0].times, [0.0, 0.5, 1.0])
+    classes, qs = load_queries(p, params, horizon=1.25)
+    assert classes == [1, 0]
+    assert np.allclose(qs[0].timestamps, [0.0, 0.5, 1.0])
     assert np.allclose(qs[0].values, [0.0, 1.0, 2.0])
-    assert qs[1].class_index == 0
-    assert np.allclose(qs[1].times, [1.1, 1.2])
+    assert np.allclose(qs[1].timestamps, [1.1, 1.2])
     # the same file fails under the classification horizon, as a dataset
     # load through the model's scales does
     with pytest.raises(ValidationError) as err:

@@ -155,11 +155,12 @@ def test_flat_loader_matches_per_series_reference(drawn, stretch, drop_label):
                     load_queries(path, model, horizon=horizon)
                 assert str(err.value) == want
                 continue
-            got = load_queries(path, model, horizon=horizon)
-            assert len(got) == len(want)
-            for q, (k, t, y) in zip(got, want):
-                assert q.class_index == k
-                assert same_bytes(q.times, t) and same_bytes(q.values, y)
+            classes, series = load_queries(path, model, horizon=horizon)
+            assert len(classes) == len(series) == len(want)
+            for got_k, q, (k, t, y) in zip(classes, series, want):
+                assert got_k == k
+                assert same_bytes(q.timestamps, t) and same_bytes(q.values, y)
+                assert not q.timestamps.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,7 @@ def test_flat_load_cost_does_not_grow_per_series(tmp_path, monkeypatch):
         ds = load_dataset(path)
         forecast_split(ds, 0.8)
         model = dataclasses.replace(init_params(2, Hyperparams()), time_scale=ds.time_scale)
-        assert len(load_queries(path, model)) == n_series
+        assert len(load_queries(path, model)[1]) == n_series
         assert sum(len(c.series) for c in ds.collections) == n_series
         seen[n_series] = dict(counts)
     assert seen[10] == seen[2000]

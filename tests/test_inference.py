@@ -14,7 +14,7 @@ from motioncode.core import (
     TimeSeries,
     ValidationError,
 )
-from motioncode.dataio import QueryRecord, forecast_split
+from motioncode.dataio import forecast_split
 from motioncode.inference import (
     classify_many,
     class_posteriors,
@@ -418,10 +418,10 @@ def forecast_row_case(seed):
 def assert_rows_match_per_series(model, posteriors, k, rows, queries, train_series):
     center, scale = model.value_center, model.value_scale
     assert len(rows) == len(queries)
-    for idx, (row, (times, values), tr) in enumerate(zip(rows, queries, train_series)):
-        mean = forecast(model, posteriors, k, times).mean
+    for idx, (row, q, tr) in enumerate(zip(rows, queries, train_series)):
+        mean = forecast(model, posteriors, k, q.timestamps).mean
         assert row["series"] == idx
-        assert np.array_equal(row["actual"], center + scale * values)
+        assert np.array_equal(row["actual"], center + scale * q.values)
         assert np.allclose(row["predicted"], center + scale * mean,
                            rtol=1e-12, atol=1e-12)
         assert row["last_seen"] == float(center + scale * tr.values[-1])
@@ -430,7 +430,7 @@ def assert_rows_match_per_series(model, posteriors, k, rows, queries, train_seri
 def test_bench_forecast_rows_match_per_series_forecast():
     model, train, test, posteriors = forecast_row_case(43)
     for k in range(2):
-        queries = [(te.timestamps, te.values) for te in test.collections[k].series]
+        queries = test.collections[k].series
         rows = bench.class_forecast_errors(model, posteriors, k,
                                            train.collections[k].series, queries)
         assert_rows_match_per_series(model, posteriors, k, rows, queries,
@@ -442,11 +442,11 @@ def test_cli_forecast_rows_match_per_series_forecast():
     rng = np.random.default_rng(45)
     # queries run past the training range, up to the forecast horizon
     records = [
-        QueryRecord(k, np.sort(rng.uniform(0.0, 1.25, n)), rng.normal(size=n))
+        (k, TimeSeries.view(np.sort(rng.uniform(0.0, 1.25, n)), rng.normal(size=n)))
         for k in range(2) for n in (4, 1, BLOCK_COLUMNS + 10, 7, 30)
     ]
     for k in range(2):
-        queries = [(q.times, q.values) for q in records if q.class_index == k]
+        queries = [q for c, q in records if c == k]
         rows = bench.class_forecast_errors(model, posteriors, k,
                                            train.collections[k].series, queries)
         assert_rows_match_per_series(model, posteriors, k, rows, queries,

@@ -173,9 +173,6 @@ def test_cholesky_factor_solver():
     # half solve whitens: L^{-1} A L^{-T} = I when jitter is negligible
     half = f.half_solve(np.eye(5))
     assert np.allclose(half @ (a + f.jitter_used * np.eye(5)) @ half.T, np.eye(5), atol=1e-9)
-    sign, absdet = np.linalg.slogdet(a + f.jitter_used * np.eye(5))
-    assert sign > 0
-    assert f.logdet() == pytest.approx(absdet)
 
 
 def test_cholesky_factor_matrix_rhs():

@@ -4,6 +4,8 @@ import pytest
 from motioncode.core import Dataset, Collection, Hyperparams, NumericalError, TimeSeries
 from motioncode.objective import total_loss, loss_gradient
 from motioncode.optimizer import (
+    BACKTRACK,
+    MAX_HALVINGS,
     MinimizeResult,
     init_params,
     minimize,
@@ -233,3 +235,80 @@ def test_train_model_deterministic():
     assert np.array_equal(f1.codes, f2.codes)
     assert np.array_equal(f1.code_map, f2.code_map)
     assert i1.loss == i2.loss
+
+
+
+def rosenbrock(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+def rosenbrock_grad(x):
+    return np.array([
+        -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+        200.0 * (x[1] - x[0] ** 2),
+    ])
+
+
+COUNT_PROBLEMS = {
+    "quadratic": (lambda x: float((x - 3.0) @ (x - 3.0)), lambda x: 2.0 * (x - 3.0),
+                  np.zeros(2), 1e-14),
+    "rosenbrock": (rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), 1e-14),
+    # the gradient claims descent where |x| grows, so every trial fails
+    "line-search-failure": (lambda x: float(np.abs(x[0])), lambda x: np.array([-2.0]),
+                            np.zeros(1), 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_PROBLEMS))
+@pytest.mark.parametrize("max_iters", [0, 1, 3, 200])
+def test_evaluation_counts(name, max_iters):
+    f, g, x0, epsilon = COUNT_PROBLEMS[name]
+    calls = []  # ("l" for loss or "g" for gradient, point), in call order
+
+    def loss_fn(x):
+        calls.append(("l", x.copy()))
+        return f(x)
+
+    def grad_fn(x):
+        calls.append(("g", x.copy()))
+        return g(x)
+
+    res = minimize(loss_fn, grad_fn, x0, max_iters, epsilon)
+    kinds = [kind for kind, _ in calls]
+    if max_iters == 0:
+        assert kinds == ["l"]
+        return
+    # a loss and a gradient at the start, both at x0; then each line search
+    # makes its trials, one loss each, and one gradient follows at the
+    # accepted trial; a failed search makes MAX_HALVINGS + 1 trials
+    assert kinds[:2] == ["l", "g"]
+    assert np.array_equal(calls[0][1], x0) and np.array_equal(calls[1][1], x0)
+    searches, point, trials = [], x0, []
+    for kind, x in calls[2:]:
+        if kind == "l":
+            trials.append(x)
+            continue
+        assert trials and np.array_equal(x, trials[-1])
+        searches.append((point, trials))
+        point, trials = x, []
+    assert len(searches) == res.iterations
+    if res.stop_reason == "line-search-failure":
+        assert len(trials) == MAX_HALVINGS + 1
+        searches.append((point, trials))
+    else:
+        assert trials == []
+    # the k-th trial of a search sits BACKTRACK**k of the first step away
+    # from the search's starting point, so no loss call is a repeat
+    for start, trials in searches:
+        assert 1 <= len(trials) <= MAX_HALVINGS + 1
+        first = trials[0] - start
+        assert np.any(first != 0)
+        for k, trial in enumerate(trials):
+            assert np.allclose(trial - start, BACKTRACK ** k * first, rtol=1e-9,
+                               atol=1e-14 * (1.0 + np.max(np.abs(start))))
+    assert kinds.count("g") == res.iterations + 1
+    assert kinds.count("l") == 1 + sum(len(trials) for _, trials in searches)
+    if name == "line-search-failure":
+        assert res.iterations == 0 and len(kinds) == 2 + MAX_HALVINGS + 1
+    elif name == "rosenbrock" and max_iters == 200:
+        assert any(len(trials) > 1 for _, trials in searches)
