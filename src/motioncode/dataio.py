@@ -537,7 +537,8 @@ def inject_noise(dataset: Dataset, level: float, seed: int,
     # same numbers as one draw per series, and a series with std 0 keeps its
     # values untouched
     drawn = scale > 0
-    values[drawn] += np.random.default_rng(seed).normal(0.0, scale[drawn])
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        values[drawn] += np.random.default_rng(seed).normal(0.0, scale[drawn])
     if not np.isfinite(values).all():
         raise ValidationError("timestamps and values must be finite")
     values.setflags(write=False)

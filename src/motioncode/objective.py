@@ -18,10 +18,17 @@ costs O(m^2 * N) time for N total points, never O(N^2).
 Series are not visited one at a time. Each collection is packed once into
 blocks of similar-length series, zero-padded to a common width of about
 BLOCK_COLUMNS points (core.series_blocks). A block costs one kernel build,
-one whitening product with the inverse of the K_SS Cholesky factor, one
-stacked Cholesky of the per-series inner systems c*I + V_i V_i^T and
-batched contractions for the gradients. Padded points are zeroed after
-whitening, so they add nothing.
+one whitening product with the inverse of the K_SS Cholesky factor and one
+stacked Cholesky of the per-series bordered systems
+
+    A_i = [[E_i, V_i y_i], [y_i^T V_i^T, y_i^T y_i + c]],   E_i = c*I + V_i V_i^T.
+
+Each A_i is the Gram matrix of [V_i^T, y_i] plus c*I, so positive definite;
+its pivots give log|E_i| and the series' quadratic form, and the value forms
+no inverse. The gradients add one stacked Cholesky of
+[[E_i, I], [I, (2/c) I]], positive definite because E_i >= c*I, which
+yields E_i^{-1} (see _block_terms), and batched contractions. Padded points
+are zeroed after whitening, so they add nothing.
 
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
@@ -68,6 +75,17 @@ class ModelGrads:
     d_code_map: np.ndarray  # (m, d)
 
 
+def _cholesky(a):
+    """Stacked lower Cholesky factors of a, whose every matrix is positive
+    definite by construction; a LAPACK failure means rounding broke that."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "inner inducing-point system lost positive definiteness"
+        ) from exc
+
+
 def _block_terms(kp: KernelParams, s, whiten, block, c, want_grads):
     """One series block's share of the bound, and of its gradients when
     asked: (value, None) or (value, (p_dot, d_log_amp, d_log_bw, d_timestamps)),
@@ -78,31 +96,42 @@ def _block_terms(kp: KernelParams, s, whiten, block, c, want_grads):
     series, which keeps its inner loops long; after whitening the work runs
     on rows, so series i's V_i^T is one contiguous (width, m) slab. Padded
     points are zeroed after whitening, so they drop out of every sum.
+
+    The value needs log|E_i| and w_i E_i^{-1} w_i^T, with E_i = c*I + V_i V_i^T
+    and w_i = (V_i y_i)^T. Both come from one stacked Cholesky of
+
+        A_i = [[E_i, w_i^T], [w_i, y_i^T y_i + c]] = X_i^T X_i + c*I,
+        X_i = [V_i^T, y_i],
+
+    positive definite because X_i^T X_i is positive semidefinite. Its first
+    m pivots are those of E_i, and its last, delta_i, has
+    delta_i^2 - c = y_i^T y_i - w_i E_i^{-1} w_i^T, the series' quadratic
+    form times c. The border's "+ c" keeps delta_i^2 >= c > 0 even for an
+    all-zero series. Both modes run this same code, so the value does not
+    depend on want_grads.
+
+    The gradients need E_i^{-1} = L_e^{-T} L_e^{-1}, where E_i = L_e L_e^T.
+    L_e^{-T} is the lower-left block of the Cholesky factor of
+    [[E_i, I], [I, (2/c) I]], which is positive definite: its Schur
+    complement (2/c) I - E_i^{-1} is at least I/c, because E_i >= c*I.
     """
     m = s.size
     g, width = block.times.shape
     n_b = block.n_points
     t_flat = block.times.ravel()
     y = block.values[:, :, None]  # (G, width, 1)
-    diag = np.arange(m)
     c_comps, d_b = kernel_matrix_components(kp, s, t_flat)  # (J, m, G*width)
     v_rows = c_comps.sum(axis=0).T @ whiten.T  # V^T, one row per point
     if n_b < g * width:
         v_rows *= block.mask.reshape(-1, 1)
     vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
-    e = vt.transpose(0, 2, 1) @ vt
-    e[:, diag, diag] += c  # min eigenvalue >= c, no jitter needed
-    try:
-        l_e = np.linalg.cholesky(e)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "inner inducing-point system lost positive definiteness"
-        ) from exc
-    l_inv = np.linalg.inv(l_e)
-    w = y.transpose(0, 2, 1) @ vt  # (V_i y_i)^T, (G, 1, m)
-    half = w @ l_inv.transpose(0, 2, 1)
-    quad = (float(np.vdot(y, y)) - float(np.vdot(half, half))) / c
-    logdet = (n_b - g * m) * np.log(c) + 2.0 * float(np.sum(np.log(l_e[:, diag, diag])))
+    xt = np.concatenate((vt, y), axis=2)  # X_i = [V_i^T, y_i]
+    a = xt.transpose(0, 2, 1) @ xt + c * np.eye(m + 1)  # min eigenvalue >= c
+    w = a[:, m:, :m]  # (V_i y_i)^T, (G, 1, m)
+    l_a = _cholesky(a)
+    pivots = np.diagonal(l_a, axis1=1, axis2=2)
+    quad = float(np.sum(pivots[:, m] * pivots[:, m] - c)) / c
+    logdet = (n_b - g * m) * np.log(c) + 2.0 * float(np.sum(np.log(pivots[:, :m])))
     log_lik = -0.5 * (n_b * LOG_2PI + logdet + quad)
     trace_gap = n_b * float(np.sum(kp.amplitudes)) - float(np.vdot(v_rows, v_rows))
     value = log_lik - trace_gap / (2.0 * c)
@@ -114,7 +143,13 @@ def _block_terms(kp: KernelParams, s, whiten, block, c, want_grads):
     # cross-covariance adjoint is
     #   V_i^T E_i^{-1} (V_i W_i^T) / c + r_i (r_i^T W_i^T)
     # with W_i = L^{-T} V_i and r_i = (y_i - V_i^T E_i^{-1} V_i y_i) / c
-    e_inv = l_inv.transpose(0, 2, 1) @ l_inv
+    eye = np.eye(m)
+    paired = np.empty((g, 2 * m, 2 * m))
+    paired[:, :m, :m] = a[:, :m, :m]
+    paired[:, m:, :m] = paired[:, :m, m:] = eye
+    paired[:, m:, m:] = (2.0 / c) * eye
+    l_inv_t = _cholesky(paired)[:, m:, :m]  # L_e^{-T}
+    e_inv = l_inv_t @ l_inv_t.transpose(0, 2, 1)
     resid = (y - vt @ (w @ e_inv).transpose(0, 2, 1)) / c
     w_rows = v_rows @ whiten  # W^T
     wt = w_rows.reshape(g, width, m)
@@ -125,7 +160,7 @@ def _block_terms(kp: KernelParams, s, whiten, block, c, want_grads):
     p_dot = -0.5 * (cdot.T @ w_rows)
     # release the whitened rows before the cross differences are allocated,
     # which keeps the block's peak working set at six row arrays
-    del v_rows, vt, w_rows, wt
+    del v_rows, vt, xt, w_rows, wt
     amps = kp.amplitudes
     bws = kp.bandwidths
     cdot = np.ascontiguousarray(cdot.T)  # back to columns, like c_comps

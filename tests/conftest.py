@@ -1,5 +1,22 @@
 import sys
 
+import pytest
+
+from motioncode import objective
+
+
+@pytest.fixture
+def forbid_inverse(monkeypatch):
+    """A switch that makes np.linalg.inv, as objective looks it up, raise.
+
+    Tests compute their references first (the dense oracles do call inv),
+    then flip it.
+    """
+    def inv(*_args, **_kwargs):
+        raise AssertionError("the objective must not form an explicit inverse")
+
+    return lambda: monkeypatch.setattr(objective.np.linalg, "inv", inv)
+
 
 def pytest_terminal_summary(terminalreporter):
     """Replay the acceptance criterion lines after the test listing.

@@ -113,3 +113,63 @@ def test_blocked_posterior_matches_dense_oracle(name, lengths, m, j):
     mean, cov = dense_posterior(kp, s, col, SIGMA, JITTER)
     assert np.max(np.abs(post.mean - mean)) <= ORACLE_TOL
     assert np.max(np.abs(post.covariance - cov)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("name,lengths,m,j", CASES, ids=[c[0] for c in CASES])
+def test_blocked_bound_forms_no_inverse(forbid_inverse, name, lengths, m, j):
+    kp, s, col = make_case(lengths, m, j, seed=2)
+    value = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
+    with_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    forbid_inverse()
+    assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER) == value
+    got_value, got_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    assert got_value == with_grads[0]
+    for got, want in zip(got_grads, with_grads[1]):
+        assert np.array_equal(got, want)
+
+
+def zero_series_case():
+    kp, s, col = make_case([9] * 20 + [5, 1], 4, 1, seed=5)
+    series = list(col.series)
+    for i in (3, 20, 21):  # one of many, one shorter, one single point
+        series[i] = TimeSeries(series[i].timestamps, np.zeros(len(series[i])))
+    return kp, s, Collection(0, tuple(series))
+
+
+def collapsed_case(coincident):
+    # the state short-many training reaches after its first step: kernel
+    # entries near 1e-100, and with coincident=True every inducing
+    # timestamp at 0.5
+    _, s, col = make_case(list(range(12, 2, -1)) * 8, 5, 1, seed=6)
+    kp = KernelParams(np.array([-231.5]), np.array([np.log(60.0)]))
+    if coincident:
+        s = np.full(s.size, 0.5)
+    return kp, s, col
+
+
+EDGE_CASES = {
+    "zero-valued-series": zero_series_case,
+    "collapsed-amplitude": lambda: collapsed_case(False),
+    "collapsed-coincident-inducing": lambda: collapsed_case(True),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_bordered_system_edge_cases(name):
+    kp, s, col = EDGE_CASES[name]()
+    value, grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    assert np.isfinite(value)
+    assert all(np.all(np.isfinite(g)) for g in grads)
+    assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER) == value
+    assert abs(value - dense_bound(kp, s, col, SIGMA, JITTER)) <= ORACLE_TOL
+    j = kp.n_components
+    x0 = np.concatenate([kp.log_amplitudes, kp.log_bandwidths, s])
+    for idx, analytic in enumerate(np.concatenate(grads)):
+        bounds = []
+        for step in (FD_STEP, -FD_STEP):
+            x = x0.copy()
+            x[idx] += step
+            bounds.append(lmax_bound(KernelParams(x[:j], x[j:2 * j]), x[2 * j:], col,
+                                     SIGMA, jitter=JITTER))
+        fd = (bounds[0] - bounds[1]) / (2.0 * FD_STEP)
+        assert abs(analytic - fd) / max(abs(fd), FD_DENOM_FLOOR) <= FD_REL_TOL, (idx, fd)

@@ -232,3 +232,15 @@ def test_informative_timestamps_shape():
     s = code_to_timestamps(cm, np.ones(2))
     assert s.shape == (5,)
     assert np.all((s > 0) & (s < 1))
+
+
+def test_training_loss_forms_no_inverse(forbid_inverse):
+    params, ds = small_model_and_data(seed=5)
+    loss = total_loss(params, ds)
+    grad_loss, grads = loss_gradient(params, ds)
+    forbid_inverse()
+    assert total_loss(params, ds) == loss
+    got_loss, got_grads = loss_gradient(params, ds)
+    assert got_loss == grad_loss
+    for field in dataclasses.fields(grads):
+        assert np.array_equal(getattr(got_grads, field.name), getattr(grads, field.name))
