@@ -188,6 +188,24 @@ def _load_in_model_coordinates(path, fmt, model: ModelParams):
     return ds
 
 
+def _class_fit(model: ModelParams, dataset):
+    """Per class: its summed kernel amplitude over the effective noise
+    c = B * sigma**2 (B series in its training collection), and the smallest
+    gap between its sorted normalized inducing timestamps (None when m = 1).
+    A collapsed fit shows as a tiny ratio or coincident timestamps."""
+    sigma = model.hyper.sigma
+    rows = []
+    for k, collection in enumerate(dataset.collections):
+        s = np.sort(model.inducing_timestamps(k))
+        rows.append({
+            "label": int(model.class_labels[k]),
+            "amplitude_over_noise": float(np.sum(np.exp(model.log_amplitudes[k])))
+            / (collection.size * sigma * sigma),
+            "min_inducing_gap": float(np.diff(s).min()) if s.size > 1 else None,
+        })
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -219,6 +237,7 @@ def cmd_train(args):
         "model_path": str(args.out),
         "classes": [int(label) for label in model.class_labels],
         "data_digest": model.data_digest,
+        "class_fit": _class_fit(model, dataset),
     }
     _emit("train", _hyper_dict(hyper, args.threads), payload, started, None)
     return 0

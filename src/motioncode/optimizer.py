@@ -15,6 +15,7 @@ Hessian approximation are skipped rather than repaired.
 from __future__ import annotations
 
 import dataclasses
+import logging
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ BACKTRACK = 0.5
 MAX_HALVINGS = 30
 CURVATURE_MIN = 1e-12
 GRAD_TOL = 1e-10
+
+log = logging.getLogger("motioncode.optimizer")
 
 STOP_MAX_ITERS = "max-iters"
 STOP_SMALL_DECREASE = "small-decrease"
@@ -87,7 +90,12 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
 
     loss_fn runs once at x0 and once per line-search trial; grad_fn runs
     once at x0 and once per accepted iteration, and never when max_iters
-    is 0.
+    is 0. Each grad_fn call is at the point of the loss_fn call just before
+    it, so a caller may reuse work that loss_fn did there.
+
+    Each accepted iteration logs one DEBUG line on motioncode.optimizer:
+    the loss and its decrease, the gradient max-norm, the step, the
+    line-search halvings, and the loss and gradient evaluations so far.
     """
     x = np.asarray(x0, dtype=float).copy()
     if max_iters < 0:
@@ -101,6 +109,7 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
         return MinimizeResult(x=x, loss=loss, iterations=0, stop_reason=STOP_MAX_ITERS)
 
     grad = np.asarray(grad_fn(x), dtype=float)
+    loss_calls, grad_calls = 1, 1
     # (step, gradient-difference) pairs, newest last; every stored pair
     # satisfies step @ grad_diff > CURVATURE_MIN
     history = deque(maxlen=HISTORY_CAPACITY)
@@ -114,9 +123,10 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
             slope = float(grad @ p)
 
         step = INITIAL_STEP
-        for _ in range(MAX_HALVINGS + 1):
+        for halvings in range(MAX_HALVINGS + 1):
             trial = x + step * p
             f_trial = float(loss_fn(trial))
+            loss_calls += 1
             if np.isfinite(f_trial) and f_trial <= loss + ARMIJO_C1 * step * slope:
                 break
             step *= BACKTRACK
@@ -125,15 +135,21 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
             break
 
         g_new = np.asarray(grad_fn(trial), dtype=float)
+        grad_calls += 1
         decrease = loss - f_trial
         s = trial - x
         y = g_new - grad
         x, loss, grad = trial, f_trial, g_new
         iteration += 1
+        grad_norm = float(np.max(np.abs(grad)))
+        log.debug("iteration %d: loss %.17g decrease %.6g grad max-norm %.6g "
+                  "step %.6g halvings %d evaluations %d loss, %d gradient",
+                  iteration, loss, decrease, grad_norm, step, halvings,
+                  loss_calls, grad_calls)
         if decrease < epsilon:
             stop_reason = STOP_SMALL_DECREASE
             break
-        if float(np.max(np.abs(grad))) < GRAD_TOL:
+        if grad_norm < GRAD_TOL:
             stop_reason = STOP_SMALL_GRADIENT
             break
         if float(s @ y) > CURVATURE_MIN:
@@ -213,6 +229,11 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     Evaluation failures at wild trial points surface as an infinite loss so
     the line search backtracks past them; a failure at the starting point
     still raises.
+
+    Each loss evaluation keeps its value passes until the next one, and a
+    gradient at that same point is taken from them (minimize asks for the
+    gradient only at the trial it just accepted). A gradient anywhere else
+    builds its own passes.
     """
     # the model keeps the dataset's scales and labels to map later inputs
     start = dataclasses.replace(
@@ -221,14 +242,21 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
         class_labels=dataset.class_labels)
     x0 = pack_params(start)
 
+    last = []  # (x, value passes) of the latest loss evaluation, if it succeeded
+
     def loss_fn(x):
+        last.clear()  # one evaluation's block arrays alive at a time
         try:
-            return total_loss(unpack_params(x, start), dataset)
+            loss, passes = total_loss(unpack_params(x, start), dataset, keep=True)
         except MotionCodeError:
             return np.inf
+        last.append((np.array(x), passes))
+        return loss
 
     def grad_fn(x):
-        _, grads = loss_gradient(unpack_params(x, start), dataset)
+        passes = last[0][1] if last and np.array_equal(last[0][0], x) else None
+        last.clear()
+        _, grads = loss_gradient(unpack_params(x, start), dataset, passes)
         return pack_grads(grads)
 
     result = minimize(loss_fn, grad_fn, x0, hyper.max_iters, hyper.epsilon)

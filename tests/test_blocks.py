@@ -15,7 +15,7 @@ from motioncode.bench import (
 from motioncode.core import BLOCK_COLUMNS, Collection, TimeSeries, series_blocks
 from motioncode.inference import fit_posterior
 from motioncode.kernel import KernelParams, kernel_matrix
-from motioncode.objective import lmax_bound
+from motioncode.objective import _bound_gradient, _bound_pass, lmax_bound
 
 SIGMA = 0.5
 JITTER = 1e-10
@@ -173,3 +173,33 @@ def test_bordered_system_edge_cases(name):
                                      SIGMA, jitter=JITTER))
         fd = (bounds[0] - bounds[1]) / (2.0 * FD_STEP)
         assert abs(analytic - fd) / max(abs(fd), FD_DENOM_FLOOR) <= FD_REL_TOL, (idx, fd)
+
+
+def all_cases():
+    """Every CASES and EDGE_CASES input, by name: (kp, s, collection)."""
+    cases = {name: (lambda c=(lengths, m, j): make_case(*c, seed=2))
+             for name, lengths, m, j in CASES}
+    return {**cases, **EDGE_CASES}
+
+
+@pytest.mark.parametrize("forbid", [False, True], ids=["inv-allowed", "inv-forbidden"])
+@pytest.mark.parametrize("name", list(all_cases()))
+def test_kept_pass_gives_the_same_gradients(forbid_inverse, name, forbid):
+    kp, s, col = all_cases()[name]()
+    value = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
+    want_value, want_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    if forbid:
+        forbid_inverse()
+    kept = _bound_pass(kp, s, col, SIGMA, JITTER, keep=True)
+    # an evaluation elsewhere between the pass and its gradient must not
+    # touch the kept arrays
+    lmax_bound(KernelParams(kp.log_amplitudes + 0.25, kp.log_bandwidths), s, col,
+               SIGMA, jitter=JITTER, grads=True)
+    assert kept.value == value == want_value
+    for got, want in zip(_bound_gradient(kept), want_grads):
+        assert np.array_equal(got, want)
+    assert kept.blocks == []  # consumed: no block array is held any more
+    with pytest.raises(ValueError):
+        _bound_gradient(kept)
+    with pytest.raises(ValueError):
+        _bound_gradient(_bound_pass(kp, s, col, SIGMA, JITTER, keep=False))

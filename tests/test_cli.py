@@ -79,12 +79,34 @@ def test_train_report_schema(tmp_path, two_constants, capsys):
     payload = report["payload"]
     assert set(payload) == {
         "loss", "iterations", "stop_reason", "model_path", "classes",
-        "data_digest",
+        "data_digest", "class_fit",
     }
     assert math.isfinite(payload["loss"])
     assert payload["classes"] == [0, 1]
     assert model_path.exists()
-    assert load_model(model_path).data_digest == payload["data_digest"]
+    model = load_model(model_path)
+    assert model.data_digest == payload["data_digest"]
+    # 3 series per class at the default sigma 0.1, so c = 0.03
+    assert [set(row) for row in payload["class_fit"]] == [
+        {"label", "amplitude_over_noise", "min_inducing_gap"}] * 2
+    for k, row in enumerate(payload["class_fit"]):
+        s = np.sort(model.inducing_timestamps(k))
+        assert row["label"] == k
+        assert row["amplitude_over_noise"] == pytest.approx(
+            np.exp(model.log_amplitudes[k, 0]) / 0.03, rel=1e-12)
+        assert row["min_inducing_gap"] == np.diff(s).min() > 0.0
+
+
+def test_train_class_fit_single_inducing_timestamp(tmp_path, two_constants, capsys):
+    code, report, _ = run(capsys, [
+        "train", "--data", str(two_constants), "--max-iters", "0", "-m", "1",
+        "-J", "2", "--sigma", "0.5", "--out", str(tmp_path / "model.json"),
+    ])
+    assert code == 0
+    # unit amplitudes at the start point: (1 + 1) / (3 * 0.5**2)
+    assert report["payload"]["class_fit"] == [
+        {"label": label, "amplitude_over_noise": 2.0 / 0.75, "min_inducing_gap": None}
+        for label in (0, 1)]
 
 
 def test_train_zero_iterations(tmp_path, two_constants, capsys):

@@ -244,3 +244,43 @@ def test_training_loss_forms_no_inverse(forbid_inverse):
     assert got_loss == grad_loss
     for field in dataclasses.fields(grads):
         assert np.array_equal(getattr(got_grads, field.name), getattr(grads, field.name))
+
+
+@pytest.mark.parametrize("forbid", [False, True], ids=["inv-allowed", "inv-forbidden"])
+def test_gradient_from_kept_passes_is_bit_identical(forbid_inverse, forbid):
+    params, ds = small_model_and_data(seed=5)
+    want_loss, want = loss_gradient(params, ds)
+    value = total_loss(params, ds)
+    if forbid:
+        forbid_inverse()
+    loss, passes = total_loss(params, ds, keep=True)
+    assert loss == value
+    got_loss, got = loss_gradient(params, ds, passes)
+    assert got_loss == want_loss
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_kept_pass_row_arrays_are_bounded_and_freed():
+    params, ds = small_model_and_data(seed=6, L=2, m=4, d=2, j=3)
+    _, passes = total_loss(params, ds, keep=True)
+    j, m = 3, 4
+    for bp, col in zip(passes, ds.collections):
+        padded = sum(b.times.size for b in col.blocks)
+        # kernel components (J, m, cols) and whitened rows (cols, m); the
+        # bordered stacks are (series, m + 1, m + 1), independent of length
+        rows = sum(c_comps.nbytes + v_rows.nbytes for c_comps, v_rows, _ in bp.blocks)
+        assert rows <= (j + 1) * m * padded * 8
+        assert sum(a.shape[0] for _, _, a in bp.blocks) == col.size
+    loss_gradient(params, ds, passes)
+    assert all(bp.blocks == [] for bp in passes)
+
+
+def test_passes_from_other_params_are_refused():
+    params, ds = small_model_and_data(seed=8)
+    _, passes = total_loss(params, ds, keep=True)
+    moved = dataclasses.replace(params, codes=params.codes + 0.125)
+    with pytest.raises(ValueError):
+        loss_gradient(moved, ds, passes)
+    with pytest.raises(ValueError):
+        loss_gradient(params, ds, passes[:1])

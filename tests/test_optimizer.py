@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from motioncode import objective, optimizer
 from motioncode.core import Dataset, Collection, Hyperparams, NumericalError, TimeSeries
 from motioncode.objective import total_loss, loss_gradient
 from motioncode.optimizer import (
@@ -9,6 +12,7 @@ from motioncode.optimizer import (
     MinimizeResult,
     init_params,
     minimize,
+    pack_grads,
     pack_params,
     train_model,
     unpack_params,
@@ -312,3 +316,105 @@ def test_evaluation_counts(name, max_iters):
         assert res.iterations == 0 and len(kinds) == 2 + MAX_HALVINGS + 1
     elif name == "rosenbrock" and max_iters == 200:
         assert any(len(trials) > 1 for _, trials in searches)
+
+
+def fresh_gradient(x, template, ds):
+    return pack_grads(loss_gradient(unpack_params(x, template), ds)[1])
+
+
+def test_train_model_takes_gradients_from_the_accepted_pass(monkeypatch):
+    ds = tiny_dataset(3)
+    h = Hyperparams(m=4, d=2, j=1, max_iters=8, sigma=0.3)
+    template = init_params(2, h)
+    ref_calls = {"loss": 0, "grad": 0}
+
+    def ref_loss(x):
+        ref_calls["loss"] += 1
+        return total_loss(unpack_params(x, template), ds)
+
+    def ref_grad(x):
+        ref_calls["grad"] += 1
+        return fresh_gradient(x, template, ds)
+
+    ref = minimize(ref_loss, ref_grad, pack_params(template), h.max_iters, h.epsilon)
+    assert ref.iterations >= 2
+
+    events = []  # call names in order, from the optimizer's and objective's view
+
+    def counted(module, name, tag):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(tag)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(optimizer, "total_loss", "loss")
+    counted(optimizer, "loss_gradient", "grad")
+    counted(objective, "kernel_matrix_components", "kernel")
+    counted(objective, "chol_jittered", "chol")
+
+    probes = []
+    real_minimize = optimizer.minimize
+
+    def probing_minimize(loss_fn, grad_fn, x0, max_iters, epsilon):
+        # a gradient away from the last trial, then one with no trial since:
+        # both must build their own passes and still give the fresh gradient
+        loss_fn(x0)
+        for x in (x0 + 0.01, x0):
+            start = len(events)
+            probes.append((x, grad_fn(x), events[start:].count("kernel")))
+        del events[:]
+        return real_minimize(loss_fn, grad_fn, x0, max_iters, epsilon)
+
+    monkeypatch.setattr(optimizer, "minimize", probing_minimize)
+    _, res = train_model(ds, h)
+
+    assert np.array_equal(res.x, ref.x)
+    assert res.loss == ref.loss
+    assert (res.iterations, res.stop_reason) == (ref.iterations, ref.stop_reason)
+    assert events.count("loss") == ref_calls["loss"]
+    assert events.count("grad") == ref_calls["grad"]
+    # every gradient minimize asked for was taken from the pass its loss
+    # call had just built: it builds no kernel matrix and factors no K_SS,
+    # so only the loss calls do, each one per class and per block
+    for segment in " ".join(events).split("loss")[1:]:
+        _, _, after = segment.partition("grad")
+        assert "grad" not in after and "kernel" not in after and "chol" not in after
+    per_loss = sum(1 + len(col.blocks) for col in ds.collections)
+    assert events.count("kernel") == per_loss * ref_calls["loss"]
+    assert events.count("chol") == ds.n_classes * ref_calls["loss"]
+    for x, got, kernels in probes:
+        assert kernels > 0
+        assert np.array_equal(got, fresh_gradient(x, template, ds))
+
+
+def test_minimize_logs_each_iteration(caplog):
+    calls = {"loss": 0, "grad": 0}
+
+    def f(x):
+        calls["loss"] += 1
+        return rosenbrock(x)
+
+    def g(x):
+        calls["grad"] += 1
+        return rosenbrock_grad(x)
+
+    with caplog.at_level(logging.DEBUG, logger="motioncode.optimizer"):
+        res = minimize(f, g, np.array([-1.2, 1.0]), 40, 1e-14)
+    records = [r for r in caplog.records if r.name == "motioncode.optimizer"]
+    assert len(records) == res.iterations == 40
+    assert all(r.levelno == logging.DEBUG for r in records)
+    previous = None
+    for n, record in enumerate(records, start=1):
+        iteration, loss, decrease, grad_norm, step, halvings, n_loss, n_grad = record.args
+        assert iteration == n and n_grad == n + 1
+        assert step == BACKTRACK ** halvings
+        assert grad_norm > 0.0 and decrease > 0.0
+        if previous is not None:
+            assert decrease == previous - loss
+        previous = loss
+        assert record.getMessage().startswith(f"iteration {n}: loss ")
+    assert loss == res.loss
+    assert (n_loss, n_grad) == (calls["loss"], calls["grad"])
+    assert any(r.args[5] > 0 for r in records)
