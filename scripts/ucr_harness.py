@@ -106,7 +106,7 @@ def main(argv=None):
     parser.add_argument("--noise", type=float, default=0.3,
                         help="injected noise level (fraction of peak value)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iters", type=int, default=10)
+    parser.add_argument("--max-iters", type=int, default=Hyperparams().max_iters)
     parser.add_argument("--reference", default=None,
                         help="CSV of name,expected_percent rows to compare against")
     parser.add_argument("--tolerance", type=float, default=5.0,
@@ -120,8 +120,7 @@ def main(argv=None):
               file=sys.stderr)
         return 1
     expected = load_reference(args.reference) if args.reference else {}
-    hyper = Hyperparams(m=10, d=2, j=1, lam=1.0, sigma=0.1,
-                        max_iters=args.max_iters, epsilon=1e-5, jitter=1e-6)
+    hyper = Hyperparams(max_iters=args.max_iters)
 
     rows = []
     any_out_of_band = any_failed = False

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (Collection, Dataset, Hyperparams, InputError, TimeSeries,
-                   code_to_timestamps)
+                   code_to_timestamps, effective_noise)
 from .dataio import (RaggedRecord, dataset_from_records, forecast_split, model_series,
                      to_original_units, write_ragged)
 from .inference import class_posteriors, classify_many, fit_posterior, forecast, predict
@@ -36,7 +36,6 @@ from .optimizer import init_params
 
 __all__ = [
     "ORACLE_TOL",
-    "benchmark_hyperparams",
     "check_bound_collapse",
     "check_woodbury_bound",
     "check_posterior_oracle",
@@ -74,13 +73,6 @@ SCALING_RATIO_LIMIT = 2.6
 
 # the monotone-refinement instances are pinned, independent of --seed
 MONOTONE_SEED = 20240817
-
-
-def benchmark_hyperparams() -> Hyperparams:
-    """Defaults used by the synthetic benchmarks: m=10, d=2, J=1, lam=1,
-    sigma=0.1, 10 optimizer iterations."""
-    return Hyperparams(m=10, d=2, j=1, lam=1.0, sigma=0.1, max_iters=10,
-                       epsilon=1e-5, jitter=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +135,7 @@ def _random_collection(rng, label, n_series, max_points, min_points=4):
 def dense_bound(kp, inducing, collection, sigma, jitter):
     """Collection bound via full matrices and explicit inverses."""
     s = np.asarray(inducing, dtype=float)
-    c = collection.size * sigma * sigma
+    c = effective_noise(collection.size, sigma)
     k_ss = kernel_matrix(kp, s) + jitter * np.eye(s.size)
     k_ss_inv = np.linalg.inv(k_ss)
     total = 0.0
@@ -162,7 +154,7 @@ def dense_bound(kp, inducing, collection, sigma, jitter):
 
 def _dense_trace_term(kp, inducing, collection, sigma, jitter):
     s = np.asarray(inducing, dtype=float)
-    c = collection.size * sigma * sigma
+    c = effective_noise(collection.size, sigma)
     k_ss = kernel_matrix(kp, s) + jitter * np.eye(s.size)
     k_ss_inv = np.linalg.inv(k_ss)
     gap = 0.0
@@ -185,7 +177,7 @@ def _exact_log_marginal(kp, ts, sigma):
 def dense_posterior(kp, inducing, collection, sigma, jitter):
     """Posterior mean and covariance over the inducing values, dense path."""
     s = np.asarray(inducing, dtype=float)
-    c = collection.size * sigma * sigma
+    c = effective_noise(collection.size, sigma)
     k_ss = kernel_matrix(kp, s)
     lam = k_ss.copy()
     rhs = np.zeros(s.size)
@@ -305,8 +297,7 @@ def check_posterior_oracle(seed=0):
 def _gradient_instance(rng, n_classes, j, m, d):
     """A small model/dataset pair whose induced timestamps are spread out
     enough that the loss stays smooth around the evaluation point."""
-    h = Hyperparams(m=m, d=d, j=j, lam=1.0, sigma=float(rng.uniform(0.4, 0.6)),
-                    max_iters=1, epsilon=1e-5, jitter=1e-6)
+    h = Hyperparams(m=m, d=d, j=j, sigma=float(rng.uniform(0.4, 0.6)), max_iters=1)
     template = init_params(n_classes, h)
     for _ in range(500):
         codes = rng.normal(0.0, 1.0, (n_classes, d))
@@ -456,7 +447,7 @@ def classification_instance(seed):
 
 def check_classification(seed=0):
     accuracies = []
-    hyper = benchmark_hyperparams()
+    hyper = Hyperparams()
     for i in range(BENCH_SEEDS):
         train, test_series, truth = classification_instance(seed + i)
         model, _ = train_model(train, hyper)
@@ -542,7 +533,7 @@ def summarize_rmse(rows):
 def check_forecasting(seed=0):
     """Sine-class forecast RMSE against the last-seen baseline across
     BENCH_SEEDS draws; the model must win on most of them."""
-    hyper = benchmark_hyperparams()
+    hyper = Hyperparams()
     model_rmse, last_rmse = [], []
     for i in range(BENCH_SEEDS):
         train, test = forecasting_instance(seed + i)
@@ -583,10 +574,9 @@ def measure_scaling(seed=0):
     """Training time at ~2000 versus ~4000 total points, fixed m and
     iteration budget. Reports the wall-clock ratio; the bound computation
     is linear in the point count so the ratio should sit near 2."""
-    hyper = Hyperparams(m=10, d=2, j=1, lam=1.0, sigma=0.1, max_iters=10,
-                        epsilon=1e-15, jitter=1e-6)
+    hyper = Hyperparams(epsilon=1e-15)
     # warm up allocators and caches on a small problem first
-    train_model(_scaling_dataset(seed, 20), benchmark_hyperparams())
+    train_model(_scaling_dataset(seed, 20), Hyperparams())
 
     def best_of_two(points):
         ds = _scaling_dataset(seed, points)

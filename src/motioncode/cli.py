@@ -21,7 +21,8 @@ import time
 import numpy as np
 
 from . import bench
-from .core import Hyperparams, InputError, ModelParams, MotionCodeError, NumericalError
+from .core import (Hyperparams, InputError, ModelParams, MotionCodeError, NumericalError,
+                   effective_noise)
 from .dataio import (
     dataset_from_records,
     file_digest,
@@ -36,6 +37,7 @@ from .dataio import (
     to_original_units,
 )
 from .inference import FORECAST_HORIZON, class_posteriors, classify_many, forecast
+from .kernel import class_kernel
 from .optimizer import train_model
 
 __all__ = ["main"]
@@ -83,25 +85,26 @@ def _build_parser():
                                  "for labeled time series")
     subs = parser.add_subparsers(dest="command", required=True)
 
+    defaults = Hyperparams()  # each field is the train flag of the same dest
     tr = subs.add_parser("train", help="fit a model")
     _add_io_flags(tr)
-    tr.add_argument("--seed", type=int, default=0, help="seed of --noise")
+    tr.add_argument("--seed", type=int, default=defaults.seed, help="seed of --noise")
     tr.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    tr.add_argument("-m", "--m", type=int, default=10, dest="m",
+    tr.add_argument("-m", "--m", type=int, default=defaults.m, dest="m",
                     help="number of informative timestamps per class")
-    tr.add_argument("-d", "--d", type=int, default=2, dest="d",
+    tr.add_argument("-d", "--d", type=int, default=defaults.d, dest="d",
                     help="code vector dimension")
-    tr.add_argument("-J", "--J", type=int, default=1, dest="j",
+    tr.add_argument("-J", "--J", type=int, default=defaults.j, dest="j",
                     help="kernel mixture components")
-    tr.add_argument("--lambda", type=float, default=1.0, dest="lam",
+    tr.add_argument("--lambda", type=float, default=defaults.lam, dest="lam",
                     help="code norm penalty weight")
-    tr.add_argument("--sigma", type=float, default=0.1,
+    tr.add_argument("--sigma", type=float, default=defaults.sigma,
                     help="observation noise standard deviation")
-    tr.add_argument("--max-iters", type=int, default=10,
+    tr.add_argument("--max-iters", type=int, default=defaults.max_iters,
                     help="optimizer iteration budget")
-    tr.add_argument("--epsilon", type=float, default=1e-5,
+    tr.add_argument("--epsilon", type=float, default=defaults.epsilon,
                     help="stop once the loss decrease falls below this")
-    tr.add_argument("--jitter", type=float, default=1e-6,
+    tr.add_argument("--jitter", type=float, default=defaults.jitter,
                     help="base diagonal stabilizer for factorizations")
     tr.add_argument("--noise", type=float, default=0.0,
                     help="inject noise at this level before training")
@@ -189,18 +192,18 @@ def _load_in_model_coordinates(path, fmt, model: ModelParams):
 
 
 def _class_fit(model: ModelParams, dataset):
-    """Per class: its summed kernel amplitude over the effective noise
-    c = B * sigma**2 (B series in its training collection), and the smallest
-    gap between its sorted normalized inducing timestamps (None when m = 1).
-    A collapsed fit shows as a tiny ratio or coincident timestamps."""
+    """Per class: its summed kernel amplitude over the effective noise c of
+    its training collection, and the smallest gap between its sorted
+    normalized inducing timestamps (None when m = 1). A collapsed fit shows
+    as a tiny ratio or coincident timestamps."""
     sigma = model.hyper.sigma
     rows = []
     for k, collection in enumerate(dataset.collections):
         s = np.sort(model.inducing_timestamps(k))
         rows.append({
             "label": int(model.class_labels[k]),
-            "amplitude_over_noise": float(np.sum(np.exp(model.log_amplitudes[k])))
-            / (collection.size * sigma * sigma),
+            "amplitude_over_noise": float(np.sum(class_kernel(model, k).amplitudes))
+            / effective_noise(collection.size, sigma),
             "min_inducing_gap": float(np.diff(s).min()) if s.size > 1 else None,
         })
     return rows
@@ -212,10 +215,8 @@ def _class_fit(model: ModelParams, dataset):
 
 def cmd_train(args):
     started = time.perf_counter()
-    hyper = Hyperparams(m=args.m, d=args.d, j=args.j, lam=args.lam,
-                        sigma=args.sigma, max_iters=args.max_iters,
-                        epsilon=args.epsilon, jitter=args.jitter,
-                        seed=args.seed)
+    hyper = Hyperparams(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(Hyperparams)})
     dataset = load_dataset(args.data, args.format)
     log.info("loaded %d classes, %d series from %s", dataset.n_classes,
              sum(len(c.series) for c in dataset.collections), args.data)
@@ -352,7 +353,7 @@ def cmd_bench(args):
         ] + [{"name": scaling["name"], "passed": scaling["passed"]}],
         "all_passed": bool(ok),
     }
-    hyper = _hyper_dict(bench.benchmark_hyperparams())
+    hyper = _hyper_dict(Hyperparams())
     _emit("bench", hyper, payload, started, None)
     return 0 if ok else 1
 

@@ -45,6 +45,7 @@ __all__ = [
     "ModelParams",
     "Prediction",
     "code_to_timestamps",
+    "effective_noise",
 ]
 
 
@@ -336,6 +337,14 @@ class Hyperparams:
             raise ValidationError("max-iters must be >= 0")
 
 
+def effective_noise(n_series: int, sigma: float) -> float:
+    """c, the per-point noise variance of a collection of n_series series at
+    noise scale sigma, which must be positive. Every module reads c here."""
+    if not sigma > 0:
+        raise ValidationError(f"sigma must be positive, got {sigma}")
+    return n_series * sigma * sigma
+
+
 def code_to_timestamps(code_map, code) -> np.ndarray:
     """Map one code vector to its m timestamps: sigmoid(code_map @ code).
 
@@ -413,6 +422,13 @@ class ModelParams:
     @property
     def n_classes(self) -> int:
         return self.log_amplitudes.shape[0]
+
+    def check_classes(self, dataset: Dataset):
+        """Raise ValidationError unless dataset has one collection per class."""
+        if self.n_classes != dataset.n_classes:
+            raise ValidationError(
+                f"model has {self.n_classes} classes but dataset has {dataset.n_classes}"
+            )
 
     def inducing_timestamps(self, k: int) -> np.ndarray:
         """The m informative timestamps of class k, entries strictly in (0, 1)."""

@@ -43,7 +43,7 @@ import contextlib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -516,12 +516,14 @@ def inject_noise(dataset: Dataset, level: float, seed: int,
 
     The maximum is taken over the whole dataset (pre-noise); per_series
     scopes it to each series instead. level must be finite and >= 0; level
-    0 returns the dataset as is. Deterministic for a fixed seed.
+    0 returns the dataset as is. Deterministic for a fixed seed >= 0.
     """
     if not math.isfinite(level):
         raise ValidationError(f"noise level must be finite, got {level}")
     if level < 0:
         raise ValidationError(f"noise level must be >= 0, got {level}")
+    if seed < 0:
+        raise ValidationError(f"noise seed must be a non-negative integer, got {seed}")
     if level == 0:
         return dataset
     series = [ts for col in dataset.collections for ts in col.series]
@@ -584,15 +586,10 @@ def _matrix(a) -> list:
 
 def save_model(params: ModelParams, path):
     """Persist a model as a single JSON object; floats round-trip bit-exactly."""
-    h = params.hyper
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "hyper": {
-            "m": int(h.m), "d": int(h.d), "j": int(h.j), "lam": float(h.lam),
-            "sigma": float(h.sigma), "max_iters": int(h.max_iters),
-            "epsilon": float(h.epsilon), "jitter": float(h.jitter),
-            "seed": int(h.seed),
-        },
+        "hyper": {f.name: type(f.default)(getattr(params.hyper, f.name))
+                  for f in fields(Hyperparams)},
         "time_scale": [float(params.time_scale[0]), float(params.time_scale[1])],
         "value_center": float(params.value_center),
         "value_scale": float(params.value_scale),
@@ -671,17 +668,10 @@ def load_model(path) -> ModelParams:
             f"(this build reads version {MODEL_FORMAT_VERSION})"
         )
     with in_file(path):
-        hyper = Hyperparams(
-            m=_field(doc, ["hyper", "m"], "int"),
-            d=_field(doc, ["hyper", "d"], "int"),
-            j=_field(doc, ["hyper", "j"], "int"),
-            lam=_field(doc, ["hyper", "lam"], "float"),
-            sigma=_field(doc, ["hyper", "sigma"], "float"),
-            max_iters=_field(doc, ["hyper", "max_iters"], "int"),
-            epsilon=_field(doc, ["hyper", "epsilon"], "float"),
-            jitter=_field(doc, ["hyper", "jitter"], "float"),
-            seed=_field(doc, ["hyper", "seed"], "int"),
-        )
+        hyper = Hyperparams(**{
+            f.name: _field(doc, ["hyper", f.name], type(f.default).__name__)
+            for f in fields(Hyperparams)
+        })
     digest = doc.get("data_digest")
     if digest is not None and not isinstance(digest, str):
         raise ParseError("model file field data_digest must be a string or null")

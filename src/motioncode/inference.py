@@ -2,8 +2,9 @@
 inference.py - posterior over the inducing values, prediction, forecasting,
 and nearest-prototype classification.
 
-For one collection with B series and effective noise c = B * sigma**2, the
-best Gaussian over the process values at the m inducing timestamps has
+For one collection with B series and effective noise c = B * sigma**2
+(core.effective_noise), the best Gaussian over the process values at the m
+inducing timestamps has
 
     Lam  = K_SS + (1/c) * sum_i C_i C_i^T        (C_i = K(S, T_i))
     mean = (1/c) * K_SS Lam^{-1} sum_i C_i y_i
@@ -38,16 +39,19 @@ from .core import (
     BLOCK_COLUMNS,
     Collection,
     Dataset,
+    Hyperparams,
     InputError,
     ModelParams,
     NumericalError,
     Prediction,
     ValidationError,
+    effective_noise,
 )
 from .kernel import (
     CholeskyFactor,
     KernelParams,
     chol_jittered,
+    class_kernel,
     kernel_matrix,
 )
 
@@ -86,7 +90,7 @@ class VariationalPosterior:
 
 
 def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
-                  sigma: float, jitter: float = 1e-6) -> VariationalPosterior:
+                  sigma: float, jitter: float = Hyperparams.jitter) -> VariationalPosterior:
     """Compute the optimal posterior for one collection.
 
     inducing timestamps must lie strictly inside (0, 1). All solves go
@@ -100,10 +104,8 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
             f"inducing timestamps must lie strictly inside (0, 1), got range "
             f"[{s.min()}, {s.max()}]"
         )
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
 
-    c = collection.size * sigma * sigma
+    c = effective_noise(collection.size, sigma)
     k_ss = kernel_matrix(kparams, s)
     lam = k_ss.copy()
     rhs = np.zeros(s.size)
@@ -164,10 +166,6 @@ def predict(posterior: VariationalPosterior, kparams: KernelParams,
     return Prediction(timestamps=t, mean=mean, variance=var)
 
 
-def _class_kernel(model: ModelParams, k: int) -> KernelParams:
-    return KernelParams(model.log_amplitudes[k], model.log_bandwidths[k])
-
-
 def _check_class(model: ModelParams, k: int):
     if not (isinstance(k, (int, np.integer)) and 0 <= k < model.n_classes):
         raise InputError(
@@ -178,14 +176,11 @@ def _check_class(model: ModelParams, k: int):
 
 def class_posteriors(model: ModelParams, dataset: Dataset):
     """Fit every class's posterior from its training collection."""
-    if model.n_classes != dataset.n_classes:
-        raise ValidationError(
-            f"model has {model.n_classes} classes but dataset has {dataset.n_classes}"
-        )
+    model.check_classes(dataset)
     h = model.hyper
     return tuple(
         fit_posterior(
-            dataset.collections[k], _class_kernel(model, k),
+            dataset.collections[k], class_kernel(model, k),
             model.inducing_timestamps(k), h.sigma, h.jitter,
         )
         for k in range(model.n_classes)
@@ -207,7 +202,7 @@ def forecast(model: ModelParams, posteriors, k: int, query) -> Prediction:
             f"forecast queries are limited to normalized time {FORECAST_HORIZON}, "
             f"got {float(t.max())}"
         )
-    return predict(posteriors[k], _class_kernel(model, k), t)
+    return predict(posteriors[k], class_kernel(model, k), t)
 
 
 def classify_many(model: ModelParams, dataset: Dataset, series_list):
@@ -227,7 +222,7 @@ def classify_many(model: ModelParams, dataset: Dataset, series_list):
     starts = np.cumsum([0] + [len(s) for s in series_list[:-1]])
     dists = np.empty((len(series_list), len(posteriors)))
     for k, post in enumerate(posteriors):
-        pred = predict(post, _class_kernel(model, k), times)
+        pred = predict(post, class_kernel(model, k), times)
         dists[:, k] = np.add.reduceat((values - pred.mean) ** 2, starts)
     np.sqrt(dists, out=dists)
     return [(int(np.argmin(d)), d) for d in dists]

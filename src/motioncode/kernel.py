@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import NumericalError, SingularMatrixError, ValidationError
+from .core import ModelParams, NumericalError, SingularMatrixError, ValidationError
 
 __all__ = [
     "KernelParams",
+    "class_kernel",
     "kernel_matrix",
     "kernel_matrix_components",
     "CholeskyFactor",
@@ -72,6 +73,11 @@ class KernelParams:
     @property
     def bandwidths(self) -> np.ndarray:
         return np.exp(self.log_bandwidths)
+
+
+def class_kernel(model: ModelParams, k: int) -> KernelParams:
+    """Class k's covariance, read from a model's (L, J) parameter rows."""
+    return KernelParams(model.log_amplitudes[k], model.log_bandwidths[k])
 
 
 def _sqdist(t, s) -> np.ndarray:

@@ -6,8 +6,8 @@ Each labeled collection gets a sparse process model anchored at m inducing
 tightest lower bound on the collection log-likelihood over all variational
 distributions at those timestamps; the variational distribution is maximized
 out analytically, leaving a closed form. With B series in the collection and
-noise scale sigma, the effective noise variance is c = B * sigma**2 and the
-bound decomposes over series:
+noise scale sigma, the effective noise variance is c = B * sigma**2, from
+core.effective_noise, and the bound decomposes over series:
 
     bound = sum_i [ log N(y_i | 0, c*I + Q_i) - (tr K_i - tr Q_i) / (2c) ]
     Q_i   = C_i^T K_SS^{-1} C_i,   C_i = K(S, T_i)
@@ -54,12 +54,13 @@ import numpy as np
 from .core import (
     Collection,
     Dataset,
+    Hyperparams,
     ModelParams,
     NumericalError,
     ValidationError,
-    code_to_timestamps,
+    effective_noise,
 )
-from .kernel import KernelParams, chol_jittered, kernel_matrix_components
+from .kernel import KernelParams, chol_jittered, class_kernel, kernel_matrix_components
 
 __all__ = [
     "ModelGrads",
@@ -223,9 +224,7 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
         raise ValidationError(
             f"inducing timestamps must lie in [0, 1], got range [{s.min()}, {s.max()}]"
         )
-    if not sigma > 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    c = collection.size * sigma * sigma
+    c = effective_noise(collection.size, sigma)
     m = s.size
     p_comps, d_ss = kernel_matrix_components(kp, s)
     factor = chol_jittered(p_comps.sum(axis=0), jitter)
@@ -273,11 +272,11 @@ def _bound_gradient(bp: _BoundPass):
 
 
 def lmax_bound(kp: KernelParams, inducing, collection: Collection,
-               sigma: float, jitter: float = 1e-6, grads: bool = False):
+               sigma: float, jitter: float = Hyperparams.jitter, grads: bool = False):
     """Evidence lower bound of one collection at the given inducing timestamps.
 
-    c = (number of series) * sigma**2 is the effective per-point noise
-    variance. Cost is O(m^2 * N) for N total observations, with or without
+    c = effective_noise(number of series, sigma) is the effective per-point
+    noise variance. Cost is O(m^2 * N) for N total observations, with or without
     gradients. Returns the value, or with grads=True the pair
     (value, (d_log_amplitudes, d_log_bandwidths, d_timestamps)): analytic
     gradients w.r.t. the log-kernel parameters, each (J,), and the inducing
@@ -292,16 +291,8 @@ def lmax_bound(kp: KernelParams, inducing, collection: Collection,
 
 def _class_pass(params: ModelParams, dataset: Dataset, k: int, keep: bool) -> _BoundPass:
     h = params.hyper
-    kp = KernelParams(params.log_amplitudes[k], params.log_bandwidths[k])
-    s_k = code_to_timestamps(params.code_map, params.codes[k])
-    return _bound_pass(kp, s_k, dataset.collections[k], h.sigma, h.jitter, keep)
-
-
-def _check_classes(params: ModelParams, dataset: Dataset):
-    if params.n_classes != dataset.n_classes:
-        raise ValidationError(
-            f"model has {params.n_classes} classes but dataset has {dataset.n_classes}"
-        )
+    return _bound_pass(class_kernel(params, k), params.inducing_timestamps(k),
+                       dataset.collections[k], h.sigma, h.jitter, keep)
 
 
 def _penalty(params: ModelParams, k: int) -> float:
@@ -316,7 +307,7 @@ def total_loss(params: ModelParams, dataset: Dataset, keep: bool = False):
     order, holding what loss_gradient needs to take the gradient at these
     same params without building any kernel matrix again.
     """
-    _check_classes(params, dataset)
+    params.check_classes(dataset)
     passes = [_class_pass(params, dataset, k, keep) for k in range(dataset.n_classes)]
     loss = float(sum(-bp.value + _penalty(params, k) for k, bp in enumerate(passes)))
     return (loss, passes) if keep else loss
@@ -331,7 +322,7 @@ def loss_gradient(params: ModelParams, dataset: Dataset, passes=None):
     from them, and consumes them. Without them each class's pass is built
     here, just before its gradient.
     """
-    _check_classes(params, dataset)
+    params.check_classes(dataset)
     if passes is not None and len(passes) != dataset.n_classes:
         raise ValueError(f"need one value pass per class, got {len(passes)}")
     L, J = params.log_amplitudes.shape
@@ -347,7 +338,7 @@ def loss_gradient(params: ModelParams, dataset: Dataset, passes=None):
             bp = _class_pass(params, dataset, k, keep=True)
         else:
             bp = passes[k]
-            s_k = code_to_timestamps(params.code_map, params.codes[k])
+            s_k = params.inducing_timestamps(k)
             if not (bp.collection is dataset.collections[k] and np.array_equal(bp.s, s_k)
                     and np.array_equal(bp.kp.log_amplitudes, params.log_amplitudes[k])
                     and np.array_equal(bp.kp.log_bandwidths, params.log_bandwidths[k])):

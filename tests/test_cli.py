@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from motioncode import bench
-from motioncode.cli import main
-from motioncode.core import TimeSeries, code_to_timestamps
+from motioncode.cli import _build_parser, main
+from motioncode.core import Hyperparams, TimeSeries, code_to_timestamps
 from motioncode.dataio import load_dataset, load_model
 from motioncode.inference import class_posteriors, classify_many, forecast
 
@@ -144,6 +145,27 @@ def test_train_rejects_non_finite_noise(tmp_path, two_constants, capsys, level):
     assert code == 1 and report is None
     assert err == f"error: noise level must be finite, got {level}\n"
     assert not model_path.exists()
+
+
+def test_train_rejects_a_negative_noise_seed(tmp_path, two_constants, capsys):
+    model_path = tmp_path / "model.json"
+    code, report, err = run(capsys, ["train", "--data", str(two_constants), "--noise", "0.1",
+                                     "--seed", "-1", "--out", str(model_path)])
+    assert code == 1 and report is None
+    assert err == "error: noise seed must be a non-negative integer, got -1\n"
+    assert not model_path.exists()
+    # without --noise the seed draws nothing
+    code, _, _ = run(capsys, ["train", "--data", str(two_constants), "--seed", "-1",
+                              "--max-iters", "0", "--out", str(model_path)])
+    assert code == 0 and model_path.exists()
+
+
+def test_train_flag_defaults_are_the_hyperparams_defaults():
+    args = _build_parser().parse_args(["train", "--data", "x"])
+    defaults = Hyperparams()
+    for f in dataclasses.fields(Hyperparams):
+        value = getattr(args, f.name)
+        assert value == getattr(defaults, f.name) and type(value) is type(f.default), f.name
 
 
 def test_out_of_range_timestamps_exit_1(tmp_path, two_constants, capsys):

@@ -293,6 +293,16 @@ def test_inject_noise_rejects_bad_levels(level, message):
     assert str(err.value) == message
 
 
+def test_inject_noise_rejects_a_negative_seed():
+    # numpy would raise its own ValueError from inside the draw
+    t = np.linspace(0.0, 1.0, 5)
+    ds = Dataset((Collection(0, (TimeSeries(t, np.arange(5.0)),)),
+                  Collection(1, (TimeSeries(t, np.ones(5)),))), (0.0, 1.0))
+    with pytest.raises(ValidationError) as err:
+        inject_noise(ds, 0.1, seed=-1)
+    assert str(err.value) == "noise seed must be a non-negative integer, got -1"
+
+
 def test_forecast_split_counts():
     t = np.linspace(0, 1, 10)
     ds = Dataset(
@@ -444,6 +454,33 @@ def test_model_corrupt_field_names_path(tmp_path):
     p.write_text("{broken")
     with pytest.raises(ParseError):
         load_model(p)
+
+
+# a missing entry and a string for every Hyperparams field, and a float for
+# every integer field
+HYPER_CORRUPTIONS = [
+    (f.name, bad)
+    for f in dataclasses.fields(Hyperparams)
+    for bad in (None, "oops") + ((2.5,) if type(f.default) is int else ())
+]
+
+
+@pytest.mark.parametrize("name, bad", HYPER_CORRUPTIONS)
+def test_model_hyper_field_checked(tmp_path, name, bad):
+    p = tmp_path / "m.json"
+    save_model(init_params(2, Hyperparams()), p)
+    doc = json.loads(p.read_text())
+    if bad is None:
+        del doc["hyper"][name]
+        message = f"model file missing field hyper.{name}"
+    else:
+        doc["hyper"][name] = bad
+        kind = "an integer" if type(getattr(Hyperparams(), name)) is int else "a number"
+        message = f"model file field hyper.{name} must be {kind}, got {bad!r}"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        load_model(p)
+    assert str(err.value) == message
 
 
 def test_model_with_non_finite_hyperparams_fails_to_load(tmp_path):
