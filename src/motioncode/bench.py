@@ -70,6 +70,7 @@ ACCURACY_TARGET = 0.90
 FORECAST_WINS_NEEDED = 4
 BENCH_SEEDS = 5
 SCALING_RATIO_LIMIT = 2.6
+MIN_GAP = 1e-4
 
 # the monotone-refinement instances are pinned, independent of --seed
 MONOTONE_SEED = 20240817
@@ -390,13 +391,17 @@ def check_monotone_refinement(seed=0):
 
 
 def _uneven_times(rng, n):
-    """n strictly increasing timestamps on [0, 1], endpoints pinned so every
-    series spans the full window."""
-    while True:
-        inner = np.sort(rng.uniform(0.0, 1.0, n - 2))
-        t = np.concatenate(([0.0], inner, [1.0]))
-        if float(np.min(np.diff(t))) > 1e-4:
-            return t
+    """n sorted uniforms on [0, 1], endpoints pinned so every series spans
+    the full window, conditioned on every gap being at least MIN_GAP. Those
+    gaps are MIN_GAP plus the gaps of plain sorted uniforms times the slack,
+    so no draw is rejected."""
+    slack = 1.0 - (n - 1) * MIN_GAP
+    if slack <= 0.0:
+        raise ValueError(f"{n} timestamps on [0, 1] cannot keep gaps of {MIN_GAP}")
+    u = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+    t = np.arange(n) * MIN_GAP + slack * u
+    t[-1] = 1.0
+    return t
 
 
 def _two_class_records(rng, per_class, noise_level):
