@@ -32,7 +32,7 @@ import numpy as np
 
 from motioncode.core import Hyperparams, MotionCodeError
 from motioncode.dataio import RaggedRecord, dataset_from_records, model_series, parse_records
-from motioncode.inference import classify_many
+from motioncode.inference import class_posteriors, classify_many
 from motioncode.optimizer import train_model
 
 
@@ -78,7 +78,7 @@ def run_dataset(name, train_path, test_path, noise, seed, hyper):
 
     series = model_series(model, test_recs)
     truth = [model.class_index(r.label) for r in test_recs]
-    results = classify_many(model, train_ds, series)
+    results = classify_many(model, class_posteriors(model, train_ds), series)
     hits = sum(1 for (pred, _), want in zip(results, truth) if pred == want)
     return {
         "name": name,

@@ -456,7 +456,7 @@ def check_classification(seed=0):
     for i in range(BENCH_SEEDS):
         train, test_series, truth = classification_instance(seed + i)
         model, _ = train_model(train, hyper)
-        results = classify_many(model, train, test_series)
+        results = classify_many(model, class_posteriors(model, train), test_series)
         hits = sum(1 for (pred, _), want in zip(results, truth) if pred == want)
         accuracies.append(hits / len(truth))
     mean_acc = float(np.mean(accuracies))

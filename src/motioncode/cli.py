@@ -24,6 +24,7 @@ from . import bench
 from .core import (Hyperparams, InputError, ModelParams, MotionCodeError, NumericalError,
                    effective_noise)
 from .dataio import (
+    DATA_FORMATS,
     dataset_from_records,
     file_digest,
     forecast_split,
@@ -71,11 +72,13 @@ class _Parser(argparse.ArgumentParser):
 # evaluated in turn on the calling thread whatever its value
 THREADS_HELP = "ignored; kept for compatibility"
 REPORT_OUT_HELP = "also write the JSON report to this path"
+TRAINING_FILE_HELP = ("the collections the model was trained on; omit to use the "
+                      "class posteriors stored in the model file")
 
 
-def _add_io_flags(sub):
-    sub.add_argument("--data", required=True, help="input dataset path")
-    sub.add_argument("--format", choices=("ragged", "ucr"), default="ragged",
+def _add_io_flags(sub, required=True, data_help="input dataset path"):
+    sub.add_argument("--data", required=required, help=data_help)
+    sub.add_argument("--format", choices=DATA_FORMATS, default="ragged",
                      help="input file format")
 
 
@@ -117,8 +120,7 @@ def _build_parser():
 
     cl = subs.add_parser("classify", help="label series with a trained model")
     cl.add_argument("--model", required=True, help="trained model path")
-    cl.add_argument("--train-data", required=True,
-                    help="the collections the model was trained on")
+    cl.add_argument("--train-data", default=None, help=TRAINING_FILE_HELP)
     _add_io_flags(cl)
     cl.add_argument("--out", default=None, help=REPORT_OUT_HELP)
     cl.set_defaults(handler=cmd_classify)
@@ -137,7 +139,7 @@ def _build_parser():
                          help="per-class informative timestamps and the "
                               "predicted signal there")
     ts.add_argument("--model", required=True)
-    _add_io_flags(ts)
+    _add_io_flags(ts, required=False, data_help=TRAINING_FILE_HELP)
     ts.add_argument("--out", default=None, help=REPORT_OUT_HELP)
     ts.set_defaults(handler=cmd_timestamps)
 
@@ -191,6 +193,29 @@ def _load_in_model_coordinates(path, fmt, model: ModelParams):
     return ds
 
 
+def _serving_posteriors(args, model: ModelParams, path, flag):
+    """The class posteriors classify and timestamps serve from: the ones
+    stored in the model file when path is omitted, or when path holds the
+    bytes they were fitted on, read in the same format; otherwise refitted
+    from path. Logs which, and why."""
+    reason = None
+    if path is None:
+        if not model.posteriors:
+            raise InputError(f"{args.model} stores no class posteriors; pass {flag} "
+                             "with the data the model was trained on")
+    elif not model.posteriors:
+        reason = "the model file stores none"
+    elif args.format != model.data_format:
+        reason = f"they were fitted on {model.data_format} data, not {args.format}"
+    elif file_digest(path) != model.data_digest:
+        reason = f"{path} is not the file they were fitted on (its digest differs)"
+    if reason is None:
+        log.info("serving the class posteriors stored in %s", args.model)
+        return model.posteriors
+    log.info("refitting the class posteriors from %s: %s", path, reason)
+    return class_posteriors(model, _load_in_model_coordinates(path, args.format, model))
+
+
 def _class_fit(model: ModelParams, dataset):
     """Per class: its summed kernel amplitude over the effective noise c of
     its training collection, and the smallest gap between its sorted
@@ -217,7 +242,7 @@ def cmd_train(args):
     started = time.perf_counter()
     hyper = Hyperparams(**{f.name: getattr(args, f.name)
                            for f in dataclasses.fields(Hyperparams)})
-    dataset = load_dataset(args.data, args.format)
+    loaded = dataset = load_dataset(args.data, args.format)
     log.info("loaded %d classes, %d series from %s", dataset.n_classes,
              sum(len(c.series) for c in dataset.collections), args.data)
     if args.noise:
@@ -228,7 +253,11 @@ def cmd_train(args):
         dataset, _ = forecast_split(dataset, args.split_fraction)
         log.info("kept the first %.0f%% of every series", 100 * args.split_fraction)
     model, info = train_model(dataset, hyper)
-    model = dataclasses.replace(model, data_digest=file_digest(args.data))
+    # the posteriors classify and timestamps serve: fitted on the file as
+    # loaded, which is what they would refit from that file
+    model = dataclasses.replace(model, data_digest=file_digest(args.data),
+                                data_format=args.format,
+                                posteriors=class_posteriors(model, loaded))
     save_model(model, args.out)
     log.info("model written to %s", args.out)
     payload = {
@@ -239,6 +268,12 @@ def cmd_train(args):
         "classes": [int(label) for label in model.class_labels],
         "data_digest": model.data_digest,
         "class_fit": _class_fit(model, dataset),
+        "data": {
+            "noise": float(args.noise),
+            "noise_seed": int(args.seed) if args.noise else None,
+            "per_series_noise": bool(args.per_series_noise),
+            "split_fraction": args.split_fraction,
+        },
     }
     _emit("train", _hyper_dict(hyper, args.threads), payload, started, None)
     return 0
@@ -247,9 +282,9 @@ def cmd_train(args):
 def cmd_classify(args):
     started = time.perf_counter()
     model = load_model(args.model)
-    train_ds = _load_in_model_coordinates(args.train_data, args.format, model)
+    posteriors = _serving_posteriors(args, model, args.train_data, "--train-data")
     classes, series = load_queries(args.data, model, args.format, horizon=1.0)
-    results = classify_many(model, train_ds, series)
+    results = classify_many(model, posteriors, series)
     rows = []
     hits = 0
     for k, (pred, dists) in zip(classes, results):
@@ -310,8 +345,7 @@ def cmd_forecast(args):
 def cmd_timestamps(args):
     started = time.perf_counter()
     model = load_model(args.model)
-    train_ds = _load_in_model_coordinates(args.data, args.format, model)
-    posteriors = class_posteriors(model, train_ds)
+    posteriors = _serving_posteriors(args, model, args.data, "--data")
     classes = []
     for k in range(model.n_classes):
         s = np.sort(model.inducing_timestamps(k))

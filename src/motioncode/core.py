@@ -374,6 +374,13 @@ class ModelParams:
 
     Kernel parameters are stored in log space so that amplitudes and
     bandwidths stay positive by construction.
+
+    data_digest : SHA-256 hex digest of the training file (dataio.file_digest;
+                  version 1 model files may hold its first 16 digits)
+    data_format : that file's format, 'ragged' or 'ucr'
+    posteriors  : one inference.VariationalPosterior per class, fitted at
+                  these parameters on the training file as loaded, before
+                  any injected noise or split; () when none were stored
     """
 
     log_amplitudes: np.ndarray
@@ -386,6 +393,8 @@ class ModelParams:
     value_scale: float = 1.0
     class_labels: tuple[int, ...] = ()
     data_digest: str | None = None
+    data_format: str | None = None
+    posteriors: tuple = ()
 
     def __post_init__(self):
         la = _readonly(self.log_amplitudes)
@@ -418,6 +427,11 @@ class ModelParams:
         scales = Scales(self.time_scale, self.value_center, self.value_scale)
         object.__setattr__(self, "time_scale", scales.time_scale)
         object.__setattr__(self, "class_labels", _class_labels(self.class_labels, L))
+        object.__setattr__(self, "posteriors", tuple(self.posteriors))
+        if self.posteriors and len(self.posteriors) != L:
+            raise ValidationError(
+                f"model has {L} classes but {len(self.posteriors)} stored posteriors"
+            )
 
     @property
     def n_classes(self) -> int:

@@ -33,8 +33,20 @@ UCR-style format: one series per line, delimiter-separated (tab or comma),
 first field the integer label, remaining fields equal-length values on the
 implicit grid i/(N-1).
 
-Model files are a single JSON object with format_version 1; floats use
-Python repr, which round-trips bit-exactly.
+Model files are a single JSON object; floats use Python repr, which
+round-trips bit-exactly. format_version 1 holds the hyperparameters, the
+scales, the class labels, the learned arrays and an optional data_digest.
+format_version 2, which train writes, adds what classify and timestamps
+serve from:
+
+    data_digest : the training file's SHA-256, 64 hex digits (file_digest)
+    data_format : the format it was read in, 'ragged' or 'ucr'
+    posteriors  : per class {"mean": m numbers, "covariance": m rows of m},
+                  the class posterior fitted on that file as loaded
+
+A model without stored posteriors is written as version 1, and both
+versions load; a version 2 load rebuilds each posterior's K_SS factor with
+inference.stored_posterior.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ import contextlib
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -61,11 +74,13 @@ from .core import (
     ValidationError,
     VersionError,
 )
+from .inference import stored_posterior
 
 __all__ = [
     "RaggedRecord",
     "Records",
     "MODEL_FORMAT_VERSION",
+    "DATA_FORMATS",
     "parse_ragged",
     "parse_ucr_style",
     "parse_records",
@@ -84,7 +99,10 @@ __all__ = [
     "file_digest",
 ]
 
-MODEL_FORMAT_VERSION = 1
+# the newest model file version, the one written when posteriors are stored
+MODEL_FORMAT_VERSION = 2
+DATA_FORMATS = ("ragged", "ucr")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 # parsed numbers are turned from Python lists into float arrays this many
 # at a time, so the lists held at once stay small whatever the file size
@@ -324,7 +342,7 @@ def parse_records(path, fmt: str) -> Records:
         return parse_ragged(path)
     if fmt == "ucr":
         return parse_ucr_style(path)
-    raise InputError(f"unknown data format {fmt!r} (expected 'ragged' or 'ucr')")
+    raise InputError(f"unknown data format {fmt!r} (expected one of {DATA_FORMATS})")
 
 
 def _flat(records) -> Records:
@@ -585,9 +603,11 @@ def _matrix(a) -> list:
 
 
 def save_model(params: ModelParams, path):
-    """Persist a model as a single JSON object; floats round-trip bit-exactly."""
+    """Persist a model as a single JSON object; floats round-trip bit-exactly.
+    A model with stored posteriors is written as format_version 2, one
+    without as version 1."""
     doc = {
-        "format_version": MODEL_FORMAT_VERSION,
+        "format_version": MODEL_FORMAT_VERSION if params.posteriors else 1,
         "hyper": {f.name: type(f.default)(getattr(params.hyper, f.name))
                   for f in fields(Hyperparams)},
         "time_scale": [float(params.time_scale[0]), float(params.time_scale[1])],
@@ -600,6 +620,11 @@ def save_model(params: ModelParams, path):
         "code_map": _matrix(params.code_map),
         "data_digest": params.data_digest,
     }
+    if params.posteriors:
+        doc["data_format"] = params.data_format
+        doc["posteriors"] = [{"mean": [float(v) for v in post.mean],
+                              "covariance": _matrix(post.covariance)}
+                             for post in params.posteriors]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, allow_nan=False, indent=1)
         handle.write("\n")
@@ -641,6 +666,17 @@ def _field(doc, path_parts, kind):
                         f"model file field {where}[{i}][{jj}] must be a number, got {v!r}"
                     )
         return np.array(node, dtype=float)
+    if kind == "vector":
+        if not isinstance(node, list):
+            raise ParseError(f"model file field {where} must be a list of numbers")
+        for i, v in enumerate(node):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ParseError(f"model file field {where}[{i}] must be a number, got {v!r}")
+        return np.array(node, dtype=float)
+    if kind == "str":
+        if not isinstance(node, str):
+            raise ParseError(f"model file field {where} must be a string, got {node!r}")
+        return node
     if kind == "intlist":
         if not isinstance(node, list) or any(
             isinstance(v, bool) or not isinstance(v, int) for v in node
@@ -650,8 +686,30 @@ def _field(doc, path_parts, kind):
     raise AssertionError(kind)
 
 
+def _stored_moments(doc, n_classes, m):
+    """Each class's stored (mean, covariance), checked like every field."""
+    entries = doc.get("posteriors")
+    if not isinstance(entries, list) or len(entries) != n_classes:
+        raise ParseError(f"model file field posteriors must be a list of {n_classes} "
+                         "entries, one per class")
+    out = []
+    for k in range(n_classes):
+        moments = []
+        for name, kind, shape in (("mean", "vector", (m,)),
+                                  ("covariance", "matrix", (m, m))):
+            a = _field(doc, ["posteriors", k, name], kind)
+            if a.shape != shape:
+                raise ParseError(f"model file field posteriors.{k}.{name} has shape "
+                                 f"{a.shape}, expected {shape}")
+            if not np.isfinite(a).all():
+                raise ParseError(f"model file field posteriors.{k}.{name} must be finite")
+            moments.append(a)
+        out.append(moments)
+    return out
+
+
 def load_model(path) -> ModelParams:
-    """Load a model file, checking the format version and every field."""
+    """Load a model file of either version, checking every field."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -662,21 +720,32 @@ def load_model(path) -> ModelParams:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: model file must hold a JSON object")
     version = _field(doc, ["format_version"], "int")
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise VersionError(
             f"{path}: format_version {version} is not supported "
-            f"(this build reads version {MODEL_FORMAT_VERSION})"
+            f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})"
         )
     with in_file(path):
         hyper = Hyperparams(**{
             f.name: _field(doc, ["hyper", f.name], type(f.default).__name__)
             for f in fields(Hyperparams)
         })
-    digest = doc.get("data_digest")
-    if digest is not None and not isinstance(digest, str):
-        raise ParseError("model file field data_digest must be a string or null")
+    data_format = None
+    if version == 1:
+        digest = doc.get("data_digest")
+        if digest is not None and not isinstance(digest, str):
+            raise ParseError("model file field data_digest must be a string or null")
+    else:
+        digest = _field(doc, ["data_digest"], "str")
+        if not _SHA256.fullmatch(digest):
+            raise ParseError("model file field data_digest must be 64 lowercase hex "
+                             f"digits, got {digest!r}")
+        data_format = _field(doc, ["data_format"], "str")
+        if data_format not in DATA_FORMATS:
+            raise ParseError(f"model file field data_format must be one of "
+                             f"{DATA_FORMATS}, got {data_format!r}")
     with in_file(path):
-        return ModelParams(
+        model = ModelParams(
             log_amplitudes=_field(doc, ["log_amplitudes"], "matrix"),
             log_bandwidths=_field(doc, ["log_bandwidths"], "matrix"),
             codes=_field(doc, ["codes"], "matrix"),
@@ -687,13 +756,24 @@ def load_model(path) -> ModelParams:
             value_scale=_field(doc, ["value_scale"], "float"),
             class_labels=tuple(_field(doc, ["class_labels"], "intlist")),
             data_digest=digest,
+            data_format=data_format,
         )
+    if version == 1:
+        return model
+    moments = _stored_moments(doc, model.n_classes, hyper.m)
+    return replace(model, posteriors=[stored_posterior(model, k, mean, cov)
+                                      for k, (mean, cov) in enumerate(moments)])
 
 
 def file_digest(path) -> str:
-    """Short content digest used to tie a model file to its training data."""
+    """SHA-256 hex digest of a file's bytes, which ties a model file to its
+    training data."""
     h = hashlib.sha256()
-    with open(path, "rb") as handle:
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot read data file {path}: {exc}") from None
+    with handle:
         for chunk in iter(lambda: handle.read(65536), b""):
             h.update(chunk)
-    return h.hexdigest()[:16]
+    return h.hexdigest()

@@ -20,10 +20,23 @@ inducing values:
     p      = K_TS K_SS^{-1} mean
     var[t] = k(t,t) - q(t,t) + [K_TS K_SS^{-1} cov K_SS^{-1} K_ST](t,t)
 
+A predict call first whitens once: with L the lower Cholesky factor of
+K_SS and W = L^{-1}, formed explicitly as in the objective, it takes
+mean_w = W mean and cov_w = W cov W^T. With V = K_TS W^T,
+
+    p      = V mean_w
+    var[t] = k(t,t) - [V V^T](t,t) + [V cov_w V^T](t,t)
+
 Queries are evaluated in chunks of BLOCK_COLUMNS points, the same size as
-the blocks above: one cross-covariance build and one solve per chunk, so a
-query of any length costs a bounded working set. Serving concatenates every
-series it predicts for one class and makes a single predict call.
+the blocks above: one cross-covariance build and one product with the
+(m, 2m) matrix [W^T, W^T cov_w] per chunk, then row sums, with no
+triangular solve, so a query of any length costs a bounded working set.
+Serving concatenates every series it predicts for one class and makes a
+single predict call.
+
+A trained model file stores each class's mean and cov (dataio), and
+stored_posterior rebuilds the posterior from them exactly as fit_posterior
+built it.
 
 Classification assigns a series to the class whose predicted mean curve is
 closest in Euclidean distance (ties go to the smallest class index).
@@ -59,6 +72,7 @@ __all__ = [
     "VariationalPosterior",
     "fit_posterior",
     "predict",
+    "stored_posterior",
     "forecast",
     "class_posteriors",
     "classify_many",
@@ -121,15 +135,26 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     mean = (k_ss @ precision_factor.solve(rhs)) / c
     cov = k_ss @ precision_factor.solve(k_ss)
     cov = 0.5 * (cov + cov.T)
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    s.setflags(write=False)
-    return VariationalPosterior(
-        inducing=s,
-        mean=mean,
-        covariance=cov,
-        kernel_factor=kernel_factor,
-    )
+    return _posterior(s, mean, cov, kernel_factor)
+
+
+def _posterior(s, mean, cov, kernel_factor) -> VariationalPosterior:
+    for a in (s, mean, cov):
+        a.setflags(write=False)
+    return VariationalPosterior(inducing=s, mean=mean, covariance=cov,
+                                kernel_factor=kernel_factor)
+
+
+def stored_posterior(model: ModelParams, k: int, mean, covariance) -> VariationalPosterior:
+    """Class k's posterior from the mean and covariance that fit_posterior
+    computed for it, as a model file stores them. K_SS's factor is rebuilt
+    the way fit_posterior builds it, so predictions are bit-identical to
+    those of the original fit."""
+    s = model.inducing_timestamps(k)
+    kernel_factor = chol_jittered(kernel_matrix(class_kernel(model, k), s),
+                                  model.hyper.jitter)
+    return _posterior(s, np.array(mean, dtype=float), np.array(covariance, dtype=float),
+                      kernel_factor)
 
 
 def predict(posterior: VariationalPosterior, kparams: KernelParams,
@@ -139,24 +164,30 @@ def predict(posterior: VariationalPosterior, kparams: KernelParams,
     Queries may exceed 1 (forecasting); far from all data the mean reverts
     to 0 and the variance to the kernel's diagonal. Variances are clipped
     to 0 from below once they clear the VARIANCE_SLACK roundoff check.
-    The query is evaluated in chunks of BLOCK_COLUMNS points.
+    The query is evaluated in chunks of BLOCK_COLUMNS points, each one
+    kernel build and one product with [W^T, W^T cov_w] (module docstring).
     """
     t = np.asarray(query, dtype=float).ravel()
     if t.size < 1 or not np.all(np.isfinite(t)):
         raise ValidationError("query timestamps must be a non-empty finite array")
-    factor = posterior.kernel_factor
-    weights = factor.solve(posterior.mean)  # K_SS^{-1} mean
+    m = posterior.inducing.size
+    # whiten once per call through the explicit inverse factor, as the
+    # objective does: each chunk is then one product and no solve
+    whiten = posterior.kernel_factor.half_solve(np.eye(m))
+    mean_w = whiten @ posterior.mean
+    cov_w = whiten @ posterior.covariance @ whiten.T
+    proj = np.hstack((whiten.T, whiten.T @ cov_w))  # [W^T, W^T cov_w], (m, 2m)
     prior_diag = float(np.sum(kparams.amplitudes))
     mean = np.empty(t.size)
     var = np.empty(t.size)
     for start in range(0, t.size, BLOCK_COLUMNS):
         chunk = slice(start, start + BLOCK_COLUMNS)
         k_ts = kernel_matrix(kparams, t[chunk], posterior.inducing)  # (n_c, m)
-        u = factor.solve(k_ts.T)  # K_SS^{-1} K_ST, (m, n_c)
-        mean[chunk] = k_ts @ weights
-        q_diag = np.sum(k_ts.T * u, axis=0)
-        post_diag = np.sum(u * (posterior.covariance @ u), axis=0)
-        var[chunk] = prior_diag - q_diag + post_diag
+        rows = k_ts @ proj
+        v = rows[:, :m]  # V = K_TS W^T
+        mean[chunk] = v @ mean_w
+        var[chunk] = (prior_diag - np.einsum("ij,ij->i", v, v)
+                      + np.einsum("ij,ij->i", rows[:, m:], v))
     low = float(var.min())
     if low < VARIANCE_SLACK:
         raise NumericalError(
@@ -205,15 +236,19 @@ def forecast(model: ModelParams, posteriors, k: int, query) -> Prediction:
     return predict(posteriors[k], class_kernel(model, k), t)
 
 
-def classify_many(model: ModelParams, dataset: Dataset, series_list):
-    """Classify a batch of series, fitting each class posterior only once.
+def classify_many(model: ModelParams, posteriors, series_list):
+    """Classify a batch of series against the class posteriors, one per
+    class, from class_posteriors or a model file.
 
     Every class predicts the whole batch in one call, over the series'
     concatenated timestamps. Returns a list of (class index, distance
     vector) pairs in input order; each class index is the argmin of its
     distances, ties going to the smallest index.
     """
-    posteriors = class_posteriors(model, dataset)
+    if len(posteriors) != model.n_classes:
+        raise ValidationError(
+            f"model has {model.n_classes} classes but {len(posteriors)} posteriors were given"
+        )
     series_list = list(series_list)
     if not series_list:
         return []

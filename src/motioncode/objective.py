@@ -136,7 +136,14 @@ def _block_value(kp: KernelParams, s, whiten, block, c):
     return log_lik - trace_gap / (2.0 * c), [c_comps, v_rows, a]
 
 
-def _block_grads(kp: KernelParams, s, whiten, block, c, kept):
+def _paired_template(m, c):
+    """[[0, I], [I, (2/c) I]], the constant blocks of every (2m, 2m) system
+    _block_grads factors."""
+    eye = np.eye(m)
+    return np.block([[np.zeros((m, m)), eye], [eye, (2.0 / c) * eye]])
+
+
+def _block_grads(kp: KernelParams, s, whiten, block, c, kept, template):
     """One block's share of the gradients, from the arrays its value pass
     kept: (p_dot, d_log_amp, d_log_bw, d_timestamps), where p_dot is the
     block's unsymmetrized adjoint of K_SS. kept is emptied on entry, so each
@@ -146,7 +153,9 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, kept):
     L_e^{-T} is the lower-left block of the Cholesky factor of
     [[E_i, I], [I, (2/c) I]], which is positive definite: its Schur
     complement (2/c) I - E_i^{-1} is at least I/c, because E_i >= c*I.
-    This 2m system is the only factorization the gradient adds.
+    This 2m system is the only factorization the gradient adds; template is
+    _paired_template(m, c), copied into every series' system before its E_i
+    is written.
     """
     c_comps, v_rows, a = kept
     kept.clear()
@@ -162,11 +171,9 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, kept):
     # cross-covariance adjoint is
     #   V_i^T E_i^{-1} (V_i W_i^T) / c + r_i (r_i^T W_i^T)
     # with W_i = L^{-T} V_i and r_i = (y_i - V_i^T E_i^{-1} V_i y_i) / c
-    eye = np.eye(m)
     paired = np.empty((g, 2 * m, 2 * m))
+    paired[:] = template
     paired[:, :m, :m] = a[:, :m, :m]
-    paired[:, m:, :m] = paired[:, :m, m:] = eye
-    paired[:, m:, m:] = (2.0 / c) * eye
     l_inv_t = _cholesky(paired)[:, m:, :m]  # L_e^{-T}
     e_inv = l_inv_t @ l_inv_t.transpose(0, 2, 1)
     resid = (y - vt @ (w @ e_inv).transpose(0, 2, 1)) / c
@@ -253,8 +260,10 @@ def _bound_gradient(bp: _BoundPass):
     m = s.size
     n_comp = kp.n_components
     sums = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))
+    template = _paired_template(m, bp.c)
     for block, kept in zip(bp.collection.blocks, bp.blocks):
-        for total, part in zip(sums, _block_grads(kp, s, bp.whiten, block, bp.c, kept)):
+        parts = _block_grads(kp, s, bp.whiten, block, bp.c, kept, template)
+        for total, part in zip(sums, parts):
             total += part
     bp.blocks.clear()
 

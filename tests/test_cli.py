@@ -80,8 +80,10 @@ def test_train_report_schema(tmp_path, two_constants, capsys):
     payload = report["payload"]
     assert set(payload) == {
         "loss", "iterations", "stop_reason", "model_path", "classes",
-        "data_digest", "class_fit",
+        "data_digest", "class_fit", "data",
     }
+    assert payload["data"] == {"noise": 0.0, "noise_seed": None,
+                               "per_series_noise": False, "split_fraction": None}
     assert math.isfinite(payload["loss"])
     assert payload["classes"] == [0, 1]
     assert model_path.exists()
@@ -96,6 +98,28 @@ def test_train_report_schema(tmp_path, two_constants, capsys):
         assert row["amplitude_over_noise"] == pytest.approx(
             np.exp(model.log_amplitudes[k, 0]) / 0.03, rel=1e-12)
         assert row["min_inducing_gap"] == np.diff(s).min() > 0.0
+
+
+def test_train_report_records_noise_and_split(tmp_path, two_constants, capsys):
+    reports = []
+    for flags in (["--seed", "3"], ["--seed", "4"],
+                  ["--seed", "3", "--per-series-noise", "--split-fraction", "0.5"]):
+        code, report, _ = run(capsys, [
+            "train", "--data", str(two_constants), "--max-iters", "2", "--noise", "0.2",
+            "--out", str(tmp_path / "model.json"), *flags,
+        ])
+        assert code == 0
+        reports.append(report)
+    a, b, split = (report["payload"] for report in reports)
+    assert a["data"] == {"noise": 0.2, "noise_seed": 3, "per_series_noise": False,
+                         "split_fraction": None}
+    assert b["data"] == dict(a["data"], noise_seed=4)
+    assert split["data"] == dict(a["data"], per_series_noise=True, split_fraction=0.5)
+    # two noise seeds differ in the seed and in what the noise changes, no more
+    assert reports[0]["hyperparams"] == reports[1]["hyperparams"]
+    differ = {key for key in a if a[key] != b[key]}
+    assert {"data", "loss", "class_fit"} <= differ
+    assert differ <= {"data", "loss", "iterations", "stop_reason", "class_fit"}
 
 
 def test_train_class_fit_single_inducing_timestamp(tmp_path, two_constants, capsys):
@@ -251,8 +275,9 @@ def test_classify_prototype_series(tmp_path, two_constants, capsys):
     model = load_model(model_path)
     train = load_dataset(two_constants)
     t = np.linspace(0.1, 0.9, 15)
-    proto = forecast(model, class_posteriors(model, train), 1, t)
-    label, dists = classify_many(model, train, [TimeSeries(t, proto.mean)])[0]
+    posteriors = class_posteriors(model, train)
+    proto = forecast(model, posteriors, 1, t)
+    label, dists = classify_many(model, posteriors, [TimeSeries(t, proto.mean)])[0]
     assert label == 1
     assert dists[1] == 0.0
     assert dists[0] > 1.0
@@ -536,3 +561,123 @@ def test_log_env_controls_verbosity(tmp_path, two_constants, capsys, monkeypatch
                  "--out", str(tmp_path / "m.json")]) == 0
     capsys.readouterr()
     assert logging.getLogger("motioncode").level == logging.WARNING
+
+
+# ---------------------------------------------------------------------------
+# serving from the posteriors stored in the model file
+
+
+@pytest.fixture(scope="module")
+def bench_fixtures(tmp_path_factory):
+    return bench.write_fixtures(tmp_path_factory.mktemp("fixtures"), 0)
+
+
+def write_v1(model_path, out_path):
+    """The model as a version 1 file, which stores no posteriors."""
+    doc = json.loads(model_path.read_text())
+    doc["format_version"] = 1
+    doc["data_digest"] = doc["data_digest"][:16]
+    del doc["data_format"], doc["posteriors"]
+    out_path.write_text(json.dumps(doc))
+    return out_path
+
+
+def serving_payloads(capsys, model_path, train_path, test_path):
+    """The classify and timestamps payloads as JSON text; the training file
+    is passed when train_path is not None."""
+    given = train_path is not None
+    out = {}
+    for argv in (["classify", "--data", str(test_path)]
+                 + (["--train-data", str(train_path)] if given else []),
+                 ["timestamps"] + (["--data", str(train_path)] if given else [])):
+        code, report, err = run(capsys, argv + ["--model", str(model_path)])
+        assert code == 0, err
+        out[argv[0]] = json.dumps(report["payload"])
+    return out
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--noise", "0.2", "--seed", "3", "--per-series-noise", "--split-fraction", "0.8"],
+], ids=["default", "noise-and-split"])
+def test_stored_posteriors_serve_the_refit_payloads(tmp_path, capsys, bench_fixtures, flags):
+    train = bench_fixtures["classification_train"]
+    test = bench_fixtures["classification_test"]
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(train), "--out", str(model_path), *flags]) == 0
+    capsys.readouterr()
+    stored = serving_payloads(capsys, model_path, None, test)
+    matched = serving_payloads(capsys, model_path, train, test)
+    refit = serving_payloads(capsys, write_v1(model_path, tmp_path / "v1.json"), train, test)
+    assert stored == matched == refit
+
+
+def test_v1_model_refits_and_needs_the_training_file(tmp_path, two_constants, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(two_constants), "--max-iters", "2",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    v1 = write_v1(model_path, tmp_path / "v1.json")
+    assert load_model(v1).posteriors == ()
+    assert (serving_payloads(capsys, v1, two_constants, two_constants)
+            == serving_payloads(capsys, model_path, None, two_constants))
+    for argv, flag in ((["classify", "--data", str(two_constants)], "--train-data"),
+                       (["timestamps"], "--data")):
+        code, report, err = run(capsys, argv + ["--model", str(v1)])
+        assert code == 1 and report is None
+        assert err == (f"error: {v1} stores no class posteriors; pass {flag} "
+                       "with the data the model was trained on\n")
+
+
+def test_serving_logs_which_posteriors_it_used(tmp_path, two_constants, capsys, caplog):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(two_constants), "--max-iters", "2",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    v1 = write_v1(model_path, tmp_path / "v1.json")
+    rows = [json.loads(line) for line in two_constants.read_text().splitlines()]
+    rows[3]["y"][0] = 5.5
+    edited = tmp_path / "edited.jsonl"
+    write_jsonl(edited, rows)
+    stored = f"serving the class posteriors stored in {model_path}"
+    refit = "refitting the class posteriors from {}: {}"
+    cases = [
+        (model_path, None, stored),
+        (model_path, two_constants, stored),
+        (v1, two_constants, refit.format(two_constants, "the model file stores none")),
+        (model_path, edited, refit.format(edited, f"{edited} is not the file they were "
+                                                  "fitted on (its digest differs)")),
+    ]
+    caplog.set_level(logging.INFO, logger="motioncode.cli")
+    payloads = []
+    for path, train_path, message in cases:
+        caplog.clear()
+        payloads.append(serving_payloads(capsys, path, train_path, two_constants))
+        assert [r.getMessage() for r in caplog.records if r.name == "motioncode.cli"] == [
+            message, message]
+    # the payload bytes do not depend on the path taken; a different
+    # training file gives different posteriors
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[3]["classify"] != payloads[0]["classify"]
+
+
+def test_serving_refits_when_the_format_differs(tmp_path, capsys, caplog):
+    lines = []
+    for _ in range(3):
+        lines.append("1\t" + "\t".join(str(v) for v in np.linspace(0, 1, 8)))
+        lines.append("2\t" + "\t".join(str(5 - v) for v in np.linspace(0, 1, 8)))
+    data = tmp_path / "data.tsv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--format", "ucr", "-m", "3",
+                 "--max-iters", "2", "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    caplog.set_level(logging.INFO, logger="motioncode.cli")
+    caplog.clear()
+    # the same bytes read as ragged records: the refit parses them, and fails
+    code, report, err = run(capsys, ["timestamps", "--model", str(model_path),
+                                     "--data", str(data), "--format", "ragged"])
+    assert code == 1 and report is None
+    assert err.startswith(f"error: {data}:1: invalid JSON")
+    assert [r.getMessage() for r in caplog.records if r.name == "motioncode.cli"] == [
+        f"refitting the class posteriors from {data}: they were fitted on ucr data, "
+        "not ragged"]

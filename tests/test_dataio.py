@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from motioncode.dataio import (
     to_original_units,
     write_ragged,
 )
+from motioncode.inference import class_posteriors
 from motioncode.optimizer import init_params
 
 
@@ -483,6 +485,100 @@ def test_model_hyper_field_checked(tmp_path, name, bad):
     assert str(err.value) == message
 
 
+def model_with_posteriors(m=4):
+    """An untrained two-class model carrying the posteriors fitted on a
+    small dataset, as train stores them."""
+    rng = np.random.default_rng(5)
+    records = [RaggedRecord(label, np.sort(rng.uniform(0.0, 10.0, 6)), rng.normal(size=6))
+               for label in (0, 1) for _ in range(3)]
+    ds = dataset_from_records(records)
+    params = dataclasses.replace(init_params(2, Hyperparams(m=m)), time_scale=ds.time_scale,
+                                 value_center=ds.value_center, value_scale=ds.value_scale,
+                                 codes=rng.normal(size=(2, 2)))
+    return dataclasses.replace(params, data_digest="0123abcd" * 8, data_format="ucr",
+                               posteriors=class_posteriors(params, ds))
+
+
+def test_model_round_trip_with_stored_posteriors(tmp_path):
+    params = model_with_posteriors()
+    p = tmp_path / "m.json"
+    save_model(params, p)
+    assert json.loads(p.read_text())["format_version"] == 2
+    back = load_model(p)
+    assert back.data_digest == "0123abcd" * 8 and back.data_format == "ucr"
+    assert len(back.posteriors) == 2
+    for post, stored in zip(params.posteriors, back.posteriors):
+        assert np.array_equal(stored.inducing, post.inducing)
+        assert np.array_equal(stored.mean, post.mean)
+        assert np.array_equal(stored.covariance, post.covariance)
+        assert np.array_equal(stored.kernel_factor.lower, post.kernel_factor.lower)
+        assert stored.kernel_factor.jitter_used == post.kernel_factor.jitter_used
+    # a model without posteriors is still written, and read, as version 1
+    save_model(dataclasses.replace(params, posteriors=()), p)
+    assert json.loads(p.read_text())["format_version"] == 1
+    assert load_model(p).posteriors == ()
+
+
+_DROP = object()
+
+
+def _set(doc, path, value):
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+# (path into the model file, bad value or _DROP, the exact ParseError message)
+STORED_CORRUPTIONS = [
+    (["posteriors"], _DROP,
+     "model file field posteriors must be a list of 2 entries, one per class"),
+    (["posteriors"], [{"mean": [0.0] * 4, "covariance": [[0.0] * 4] * 4}],
+     "model file field posteriors must be a list of 2 entries, one per class"),
+    (["posteriors", 1], 3.0, "model file field posteriors.1 has the wrong shape"),
+    (["posteriors", 0, "mean"], _DROP, "model file missing field posteriors.0.mean"),
+    (["posteriors", 0, "mean"], [0.0] * 3,
+     "model file field posteriors.0.mean has shape (3,), expected (4,)"),
+    (["posteriors", 0, "mean"], "oops", "model file field posteriors.0.mean must be a list "
+                                        "of numbers"),
+    (["posteriors", 0, "mean", 2], "x",
+     "model file field posteriors.0.mean[2] must be a number, got 'x'"),
+    (["posteriors", 0, "mean", 1], float("nan"),
+     "model file field posteriors.0.mean must be finite"),
+    (["posteriors", 1, "covariance"], [[0.0] * 4] * 3,
+     "model file field posteriors.1.covariance has shape (3, 4), expected (4, 4)"),
+    (["posteriors", 1, "covariance"], [0.0] * 4,
+     "model file field posteriors.1.covariance must be a list of rows"),
+    (["posteriors", 1, "covariance", 2, 0], None,
+     "model file field posteriors.1.covariance[2][0] must be a number, got None"),
+    (["posteriors", 1, "covariance", 3, 3], float("inf"),
+     "model file field posteriors.1.covariance must be finite"),
+    (["data_digest"], None, "model file field data_digest must be a string, got None"),
+    (["data_digest"], 12345, "model file field data_digest must be a string, got 12345"),
+    (["data_digest"], "0123ABCD" * 8, "model file field data_digest must be 64 lowercase "
+                                      f"hex digits, got {'0123ABCD' * 8!r}"),
+    (["data_digest"], "0123abcd", "model file field data_digest must be 64 lowercase "
+                                  "hex digits, got '0123abcd'"),
+    (["data_format"], _DROP, "model file missing field data_format"),
+    (["data_format"], "csv",
+     "model file field data_format must be one of ('ragged', 'ucr'), got 'csv'"),
+]
+
+
+@pytest.mark.parametrize("path, bad, message", STORED_CORRUPTIONS)
+def test_model_stored_field_checked(tmp_path, path, bad, message):
+    p = tmp_path / "m.json"
+    save_model(model_with_posteriors(), p)
+    doc = json.loads(p.read_text())
+    _set(doc, path, bad)
+    p.write_text(json.dumps(doc))  # json writes NaN and Infinity, and json.load accepts them
+    with pytest.raises(ParseError) as err:
+        load_model(p)
+    assert str(err.value) == message
+
+
 def test_model_with_non_finite_hyperparams_fails_to_load(tmp_path):
     p = tmp_path / "m.json"
     save_model(init_params(2, Hyperparams()), p)
@@ -533,4 +629,6 @@ def test_file_digest_stable(tmp_path):
     assert d1 == file_digest(p)
     p.write_bytes(b"hello world!")
     assert file_digest(p) != d1
-    assert len(d1) == 16
+    assert d1 == hashlib.sha256(b"hello world").hexdigest()
+    with pytest.raises(InputError, match="cannot read data file"):
+        file_digest(tmp_path / "missing.jsonl")

@@ -216,7 +216,8 @@ def test_classify_separated_constants():
     model, ds = constant_model_and_data()
     rng = np.random.default_rng(31)
     t = spaced(rng, 10)
-    label, dist = classify_many(model, ds, [TimeSeries(t, np.full(10, 0.2))])[0]
+    label, dist = classify_many(model, class_posteriors(model, ds),
+                                [TimeSeries(t, np.full(10, 0.2))])[0]
     assert label == 0
     assert dist[0] < dist[1]
     assert dist.shape == (2,)
@@ -236,7 +237,8 @@ def test_classify_tie_breaks_to_smallest_index():
 
     model = init_params(2, Hyperparams(m=5, d=2, j=1, sigma=0.1))
     t = spaced(rng, 8)
-    label, dist = classify_many(model, ds, [TimeSeries(t, np.full(8, 1.0))])[0]
+    label, dist = classify_many(model, class_posteriors(model, ds),
+                                [TimeSeries(t, np.full(8, 1.0))])[0]
     assert dist[0] == dist[1]
     assert label == 0
 
@@ -247,9 +249,10 @@ def test_classify_many_matches_single():
     tests = [
         TimeSeries(spaced(rng, 9), rng.normal(5.0, 1.0, 9)) for _ in range(4)
     ]
-    batch = classify_many(model, ds, tests)
+    posteriors = class_posteriors(model, ds)
+    batch = classify_many(model, posteriors, tests)
     for series, (label, dist) in zip(tests, batch):
-        l2, d2 = classify_many(model, ds, [series])[0]
+        l2, d2 = classify_many(model, posteriors, [series])[0]
         assert label == l2
         assert np.array_equal(dist, d2)
 
@@ -341,9 +344,10 @@ def test_classify_scale_mapping():
         log_amplitudes=model.log_amplitudes + 2.0 * np.log(rho),
         hyper=dataclasses.replace(h, sigma=h.sigma * rho, jitter=h.jitter * rho**2),
     )
-    label, dist = classify_many(model, ds, [series])[0]
+    label, dist = classify_many(model, class_posteriors(model, ds), [series])[0]
     label2, dist2 = classify_many(
-        model_scaled, ds_scaled, [TimeSeries(t, series.values * rho)]
+        model_scaled, class_posteriors(model_scaled, ds_scaled),
+        [TimeSeries(t, series.values * rho)]
     )[0]
     assert label == label2
     assert np.allclose(dist2, rho * dist, rtol=1e-6)
@@ -387,6 +391,19 @@ def test_predict_chunks_match_dense_oracle():
     assert np.allclose(pred.mean, p, atol=1e-8)
     assert np.allclose(pred.variance, np.clip(var, 0, None), atol=1e-8)
 
+    # the state training collapses to: ten inducing timestamps within a few
+    # ulps of 0.5 and a small amplitude, so K_SS + jitter*I has condition
+    # number ~1e9 and the whitening factor entries ~1e6
+    kp = KernelParams(np.array([np.log(1e-4)]), np.array([0.44]))
+    s = 0.5 + np.arange(-5, 5) * np.spacing(0.5)
+    col = rand_collection(rng, n_series=5, n_lo=8, n_hi=12)
+    post = fit_posterior(col, kp, s, sigma=0.1, jitter=1e-12)
+    assert post.kernel_factor.jitter_used == 1e-12
+    pred = predict(post, kp, q)
+    p, var = bench.dense_predict(kp, s, post.mean, post.covariance, q, jitter=1e-12)
+    assert np.allclose(pred.mean, p, atol=1e-8)
+    assert np.allclose(pred.variance, np.clip(var, 0, None), atol=1e-8)
+
 
 def test_classify_many_distances_over_mixed_lengths():
     model, ds = mixed_model_and_data([12, 30, 7], seed=41)
@@ -395,7 +412,7 @@ def test_classify_many_distances_over_mixed_lengths():
     tests = [TimeSeries(spaced(rng, n, grid=2000), rng.normal(size=n))
              for n in lengths]
     posteriors = class_posteriors(model, ds)
-    batch = classify_many(model, ds, tests)
+    batch = classify_many(model, posteriors, tests)
     assert len(batch) == len(tests)
     for series, (label, dist) in zip(tests, batch):
         want = np.array([
@@ -406,7 +423,7 @@ def test_classify_many_distances_over_mixed_lengths():
         ])
         assert np.allclose(dist, want, rtol=1e-12, atol=0.0)
         assert label == int(np.argmin(dist))
-    assert classify_many(model, ds, []) == []
+    assert classify_many(model, posteriors, []) == []
 
 
 def forecast_row_case(seed):
