@@ -3,11 +3,11 @@ bench.py - synthetic fixtures, dense reference computations, and the check
 suite behind the bench command.
 
 The oracle checks re-derive every quantity with plain dense linear algebra
-(explicit inverses, full covariance matrices) and compare against the
-low-rank production path. The benchmark checks train real models on
-generated two-class data (a unit-amplitude sine versus a linear ramp) and
-score classification accuracy and forecast error against a last-seen
-baseline. class_forecast_errors also builds the forecast command's rows.
+(full covariance matrices, explicit inverses or LU solves, no Cholesky
+factor) and compare against the low-rank production path. The benchmark
+checks train real models on generated two-class data (a unit-amplitude
+sine versus a linear ramp) and score classification accuracy and forecast
+error against a last-seen baseline. class_forecast_errors also builds the forecast command's rows.
 
 Every check returns a plain dict of JSON-safe values so reports serialize
 byte-identically for a fixed seed. Wall-clock measurements live in a
@@ -197,10 +197,10 @@ def dense_predict(kp, inducing, mean, cov, query, jitter):
     """Predictive mean/variance at query points from a dense posterior."""
     s = np.asarray(inducing, dtype=float)
     t = np.asarray(query, dtype=float)
-    k_ss_inv = np.linalg.inv(kernel_matrix(kp, s) + jitter * np.eye(s.size))
     k_ts = kernel_matrix(kp, t, s)
-    u = k_ss_inv @ k_ts.T
-    out_mean = k_ts @ k_ss_inv @ mean
+    # K_SS^{-1} K_ST by an LU solve, independent of production's Cholesky
+    u = np.linalg.solve(kernel_matrix(kp, s) + jitter * np.eye(s.size), k_ts.T)
+    out_mean = u.T @ mean
     prior = float(np.sum(kp.amplitudes))
     var = prior - np.sum(k_ts.T * u, axis=0) + np.sum(u * (cov @ u), axis=0)
     return out_mean, var

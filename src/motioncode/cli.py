@@ -91,7 +91,7 @@ def _build_parser():
     defaults = Hyperparams()  # each field is the train flag of the same dest
     tr = subs.add_parser("train", help="fit a model")
     _add_io_flags(tr)
-    tr.add_argument("--seed", type=int, default=defaults.seed, help="seed of --noise")
+    tr.add_argument("--seed", type=int, default=0, help="seed of --noise")
     tr.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     tr.add_argument("-m", "--m", type=int, default=defaults.m, dest="m",
                     help="number of informative timestamps per class")

@@ -44,6 +44,7 @@ __all__ = [
     "Hyperparams",
     "ModelParams",
     "Prediction",
+    "VariationalPosterior",
     "code_to_timestamps",
     "effective_noise",
 ]
@@ -299,7 +300,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Training knobs, mirroring the CLI flags one to one.
+    """The model's hyperparameters. train sets each field from the flag
+    whose dest it names, and a model file's hyper object stores them all.
 
     m         : number of informative timestamps per class
     d         : dimension of the per-class code vectors
@@ -309,7 +311,6 @@ class Hyperparams:
     max_iters : optimizer iteration cap (0 = keep the initialization)
     epsilon   : stop when the loss decrease over one iteration falls below this
     jitter    : base diagonal stabilizer for kernel matrix factorizations
-    seed      : root seed for every random choice downstream
     """
 
     m: int = 10
@@ -320,7 +321,6 @@ class Hyperparams:
     max_iters: int = 10
     epsilon: float = 1e-5
     jitter: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1 or self.j < 1:
@@ -378,7 +378,7 @@ class ModelParams:
     data_digest : SHA-256 hex digest of the training file (dataio.file_digest;
                   version 1 model files may hold its first 16 digits)
     data_format : that file's format, 'ragged' or 'ucr'
-    posteriors  : one inference.VariationalPosterior per class, fitted at
+    posteriors  : one VariationalPosterior per class, fitted at
                   these parameters on the training file as loaded, before
                   any injected noise or split; () when none were stored
     """
@@ -480,3 +480,25 @@ class Prediction:
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "variance", var)
 
+
+@dataclass(frozen=True)
+class VariationalPosterior:
+    """Best Gaussian over a class's process values at its inducing
+    timestamps. A model file stores its mean and covariance; the inducing
+    timestamps and the jitter follow from the model's codes and hyper.
+
+    inducing   : (m,) the inducing timestamps
+    mean       : (m,)
+    covariance : (m, m) symmetric, eigenvalues >= -1e-8
+    jitter     : base diagonal stabilizer of the fit's factorization, and
+                 of K_SS's in every prediction (inference.predict)
+    """
+
+    inducing: np.ndarray
+    mean: np.ndarray
+    covariance: np.ndarray
+    jitter: float
+
+    def __post_init__(self):
+        for name in ("inducing", "mean", "covariance"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))

@@ -45,8 +45,11 @@ serve from:
                   the class posterior fitted on that file as loaded
 
 A model without stored posteriors is written as version 1, and both
-versions load; a version 2 load rebuilds each posterior's K_SS factor with
-inference.stored_posterior.
+versions load. A version 2 load builds each core.VariationalPosterior
+from the class's inducing timestamps, the stored mean and covariance and
+the model's jitter, and factors nothing: predict factors K_SS itself.
+The hyper object holds one entry per Hyperparams field; entries it holds
+beyond those, such as the seed older files stored, are ignored.
 """
 
 from __future__ import annotations
@@ -72,9 +75,9 @@ from .core import (
     SplitError,
     TimeSeries,
     ValidationError,
+    VariationalPosterior,
     VersionError,
 )
-from .inference import stored_posterior
 
 __all__ = [
     "RaggedRecord",
@@ -761,8 +764,9 @@ def load_model(path) -> ModelParams:
     if version == 1:
         return model
     moments = _stored_moments(doc, model.n_classes, hyper.m)
-    return replace(model, posteriors=[stored_posterior(model, k, mean, cov)
-                                      for k, (mean, cov) in enumerate(moments)])
+    return replace(model, posteriors=[
+        VariationalPosterior(model.inducing_timestamps(k), mean, cov, hyper.jitter)
+        for k, (mean, cov) in enumerate(moments)])
 
 
 def file_digest(path) -> str:

@@ -20,8 +20,13 @@ inducing values:
     p      = K_TS K_SS^{-1} mean
     var[t] = k(t,t) - q(t,t) + [K_TS K_SS^{-1} cov K_SS^{-1} K_ST](t,t)
 
-A predict call first whitens once: with L the lower Cholesky factor of
-K_SS and W = L^{-1}, formed explicitly as in the objective, it takes
+A posterior holds just what a model file stores for a class
+(core.VariationalPosterior): the inducing timestamps, mean, cov and the
+jitter. Each predict call factors K_SS itself from those, so a load
+factors nothing, and a posterior loaded from a model file (dataio), whose
+four fields equal the saved ones bit for bit, predicts bit-identically to
+the fitted one. The call then whitens once: with L that lower Cholesky
+factor and W = L^{-1}, formed explicitly as in the objective, it takes
 mean_w = W mean and cov_w = W cov W^T. With V = K_TS W^T,
 
     p      = V mean_w
@@ -34,17 +39,11 @@ triangular solve, so a query of any length costs a bounded working set.
 Serving concatenates every series it predicts for one class and makes a
 single predict call.
 
-A trained model file stores each class's mean and cov (dataio), and
-stored_posterior rebuilds the posterior from them exactly as fit_posterior
-built it.
-
 Classification assigns a series to the class whose predicted mean curve is
 closest in Euclidean distance (ties go to the smallest class index).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,21 +57,14 @@ from .core import (
     NumericalError,
     Prediction,
     ValidationError,
+    VariationalPosterior,
     effective_noise,
 )
-from .kernel import (
-    CholeskyFactor,
-    KernelParams,
-    chol_jittered,
-    class_kernel,
-    kernel_matrix,
-)
+from .kernel import KernelParams, chol_jittered, class_kernel, kernel_matrix
 
 __all__ = [
-    "VariationalPosterior",
     "fit_posterior",
     "predict",
-    "stored_posterior",
     "forecast",
     "class_posteriors",
     "classify_many",
@@ -84,23 +76,6 @@ __all__ = [
 FORECAST_HORIZON = 1.25
 # predictive variances this far below zero are treated as roundoff
 VARIANCE_SLACK = -1e-8
-
-
-@dataclass(frozen=True)
-class VariationalPosterior:
-    """Best Gaussian over class k's process values at its inducing timestamps.
-
-    inducing   : (m,) the inducing timestamps
-    mean       : (m,)
-    covariance : (m, m) symmetric, eigenvalues >= -1e-8
-    kernel_factor caches the Cholesky factor of K_SS for reuse in
-    prediction.
-    """
-
-    inducing: np.ndarray
-    mean: np.ndarray
-    covariance: np.ndarray
-    kernel_factor: CholeskyFactor
 
 
 def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
@@ -130,31 +105,11 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
         rhs += cross @ block.values.ravel()
     lam = 0.5 * (lam + lam.T)
     precision_factor = chol_jittered(lam, jitter)
-    kernel_factor = chol_jittered(k_ss, jitter)
 
     mean = (k_ss @ precision_factor.solve(rhs)) / c
     cov = k_ss @ precision_factor.solve(k_ss)
     cov = 0.5 * (cov + cov.T)
-    return _posterior(s, mean, cov, kernel_factor)
-
-
-def _posterior(s, mean, cov, kernel_factor) -> VariationalPosterior:
-    for a in (s, mean, cov):
-        a.setflags(write=False)
-    return VariationalPosterior(inducing=s, mean=mean, covariance=cov,
-                                kernel_factor=kernel_factor)
-
-
-def stored_posterior(model: ModelParams, k: int, mean, covariance) -> VariationalPosterior:
-    """Class k's posterior from the mean and covariance that fit_posterior
-    computed for it, as a model file stores them. K_SS's factor is rebuilt
-    the way fit_posterior builds it, so predictions are bit-identical to
-    those of the original fit."""
-    s = model.inducing_timestamps(k)
-    kernel_factor = chol_jittered(kernel_matrix(class_kernel(model, k), s),
-                                  model.hyper.jitter)
-    return _posterior(s, np.array(mean, dtype=float), np.array(covariance, dtype=float),
-                      kernel_factor)
+    return VariationalPosterior(s, mean, cov, jitter)
 
 
 def predict(posterior: VariationalPosterior, kparams: KernelParams,
@@ -173,7 +128,8 @@ def predict(posterior: VariationalPosterior, kparams: KernelParams,
     m = posterior.inducing.size
     # whiten once per call through the explicit inverse factor, as the
     # objective does: each chunk is then one product and no solve
-    whiten = posterior.kernel_factor.half_solve(np.eye(m))
+    k_ss = kernel_matrix(kparams, posterior.inducing)
+    whiten = chol_jittered(k_ss, posterior.jitter).half_solve(np.eye(m))
     mean_w = whiten @ posterior.mean
     cov_w = whiten @ posterior.covariance @ whiten.T
     proj = np.hstack((whiten.T, whiten.T @ cov_w))  # [W^T, W^T cov_w], (m, 2m)

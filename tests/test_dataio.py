@@ -30,7 +30,8 @@ from motioncode.dataio import (
     to_original_units,
     write_ragged,
 )
-from motioncode.inference import class_posteriors
+from motioncode.inference import class_posteriors, predict
+from motioncode.kernel import class_kernel
 from motioncode.optimizer import init_params
 
 
@@ -353,7 +354,7 @@ def test_forecast_split_errors():
 
 def test_model_round_trip(tmp_path):
     h = Hyperparams(m=4, d=3, j=2, lam=0.25, sigma=0.17, max_iters=7,
-                    epsilon=3e-6, jitter=2e-7, seed=11)
+                    epsilon=3e-6, jitter=2e-7)
     rng = np.random.default_rng(3)
     params = init_params(2, h)
     params = dataclasses.replace(
@@ -511,12 +512,35 @@ def test_model_round_trip_with_stored_posteriors(tmp_path):
         assert np.array_equal(stored.inducing, post.inducing)
         assert np.array_equal(stored.mean, post.mean)
         assert np.array_equal(stored.covariance, post.covariance)
-        assert np.array_equal(stored.kernel_factor.lower, post.kernel_factor.lower)
-        assert stored.kernel_factor.jitter_used == post.kernel_factor.jitter_used
+        assert stored.jitter == post.jitter
+    # the loaded posteriors predict bit for bit what the fitted ones do
+    query = np.linspace(0.0, 1.25, 40)
+    for k, (post, stored) in enumerate(zip(params.posteriors, back.posteriors)):
+        fitted = predict(post, class_kernel(params, k), query)
+        loaded = predict(stored, class_kernel(back, k), query)
+        assert np.array_equal(loaded.mean, fitted.mean)
+        assert np.array_equal(loaded.variance, fitted.variance)
     # a model without posteriors is still written, and read, as version 1
     save_model(dataclasses.replace(params, posteriors=()), p)
     assert json.loads(p.read_text())["format_version"] == 1
     assert load_model(p).posteriors == ()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_model_file_with_a_hyper_seed_loads(tmp_path, version):
+    # files written while Hyperparams had a seed field store hyper.seed
+    params = model_with_posteriors()
+    if version == 1:
+        params = dataclasses.replace(params, posteriors=())
+    p = tmp_path / "m.json"
+    save_model(params, p)
+    doc = json.loads(p.read_text())
+    assert doc["format_version"] == version and "seed" not in doc["hyper"]
+    doc["hyper"]["seed"] = 11
+    p.write_text(json.dumps(doc))
+    back = load_model(p)
+    assert back.hyper == params.hyper
+    assert len(back.posteriors) == len(params.posteriors)
 
 
 _DROP = object()

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,15 @@ def test_package_reexports_resolve():
             name = alias.asname or alias.name
             assert getattr(motioncode, name) is getattr(source, alias.name)
             assert alias.name in source.__all__, f"{node.module}.{alias.name}"
+
+
+def test_dataio_imports_no_numerics():
+    # reading and writing files, model files included, needs no kernel,
+    # bound or posterior code
+    code = ("import sys, motioncode.dataio; print(sorted(m for m in "
+            "('motioncode.inference', 'motioncode.kernel', 'motioncode.objective') "
+            "if m in sys.modules))")
+    src = str(Path(motioncode.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

@@ -22,7 +22,7 @@ from motioncode.inference import (
     forecast,
     predict,
 )
-from motioncode.kernel import KernelParams, kernel_matrix
+from motioncode.kernel import KernelParams, chol_jittered, kernel_matrix
 from motioncode.optimizer import init_params, train_model
 
 
@@ -72,10 +72,9 @@ def dense_posterior(kp, s, collection, sigma):
 
 
 def dense_predict(kp, s, mean, cov, query):
-    k_inv = np.linalg.inv(kernel_matrix(kp, s))
     k_ts = kernel_matrix(kp, query, s)
-    p = k_ts @ k_inv @ mean
-    proj = k_ts @ k_inv
+    proj = np.linalg.solve(kernel_matrix(kp, s), k_ts.T).T  # K_TS K_SS^{-1}
+    p = proj @ mean
     var = (
         np.sum(kp.amplitudes)
         - np.sum(proj * k_ts, axis=1)
@@ -392,17 +391,18 @@ def test_predict_chunks_match_dense_oracle():
     assert np.allclose(pred.variance, np.clip(var, 0, None), atol=1e-8)
 
     # the state training collapses to: ten inducing timestamps within a few
-    # ulps of 0.5 and a small amplitude, so K_SS + jitter*I has condition
-    # number ~1e9 and the whitening factor entries ~1e6
-    kp = KernelParams(np.array([np.log(1e-4)]), np.array([0.44]))
+    # ulps of 0.5, so K_SS + jitter*I has condition number ~1e13 times the
+    # amplitude and the whitening factor entries ~1e6
     s = 0.5 + np.arange(-5, 5) * np.spacing(0.5)
     col = rand_collection(rng, n_series=5, n_lo=8, n_hi=12)
-    post = fit_posterior(col, kp, s, sigma=0.1, jitter=1e-12)
-    assert post.kernel_factor.jitter_used == 1e-12
-    pred = predict(post, kp, q)
-    p, var = bench.dense_predict(kp, s, post.mean, post.covariance, q, jitter=1e-12)
-    assert np.allclose(pred.mean, p, atol=1e-8)
-    assert np.allclose(pred.variance, np.clip(var, 0, None), atol=1e-8)
+    for amplitude in (1e-4, 1e-2, 1e-1, 1.0):
+        kp = KernelParams(np.array([np.log(amplitude)]), np.array([0.44]))
+        assert chol_jittered(kernel_matrix(kp, s), 1e-12).jitter_used == 1e-12
+        post = fit_posterior(col, kp, s, sigma=0.1, jitter=1e-12)
+        pred = predict(post, kp, q)
+        p, var = bench.dense_predict(kp, s, post.mean, post.covariance, q, jitter=1e-12)
+        assert np.allclose(pred.mean, p, atol=1e-8), amplitude
+        assert np.allclose(pred.variance, np.clip(var, 0, None), atol=1e-8), amplitude
 
 
 def test_classify_many_distances_over_mixed_lengths():
