@@ -31,8 +31,7 @@ from .dataio import (RaggedRecord, dataset_from_records, forecast_split, model_s
 from .inference import class_posteriors, classify_many, fit_posterior, forecast, predict
 from .kernel import KernelParams, kernel_matrix
 from .objective import lmax_bound, loss_gradient, total_loss
-from .optimizer import pack_grads, pack_params, train_model, unpack_params
-from .optimizer import init_params
+from .optimizer import init_params, pack_params, train_model, unpack_params
 
 __all__ = [
     "ORACLE_TOL",
@@ -336,8 +335,7 @@ def check_gradients(seed=0):
         n_classes, j, m = combos[i % len(combos)]
         d = 2 + (i % 2)
         params, dataset = _gradient_instance(rng, n_classes, j, m, d)
-        _, grads = loss_gradient(params, dataset)
-        analytic = pack_grads(grads)
+        _, analytic = loss_gradient(params, dataset)
         x0 = pack_params(params)
         for idx in range(x0.size):
             xp = x0.copy()

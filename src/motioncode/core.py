@@ -15,6 +15,9 @@ Shapes (single source of truth)
     log_bandwidths : (L, J)   per-class kernel log-bandwidths
     codes          : (L, d)   per-class signature vectors
     code_map       : (m, d)   shared map from codes to timestamp logits
+
+These are the LEARNED_FIELDS, in this order; learned_arrays lays them out in
+the one flat vector that parameters and gradients share.
 """
 
 from __future__ import annotations
@@ -43,9 +46,13 @@ __all__ = [
     "Dataset",
     "Hyperparams",
     "ModelParams",
+    "LEARNED_FIELDS",
+    "learned_size",
+    "learned_arrays",
     "Prediction",
     "VariationalPosterior",
     "code_to_timestamps",
+    "check_inducing",
     "effective_noise",
 ]
 
@@ -363,6 +370,46 @@ def code_to_timestamps(code_map, code) -> np.ndarray:
     return np.clip(out, tiny, 1.0 - np.finfo(float).epsneg)
 
 
+def check_inducing(inducing) -> np.ndarray:
+    """Inducing timestamps as a flat float array. Raises ValidationError
+    unless they are non-empty, finite and strictly inside (0, 1), where
+    code_to_timestamps puts them."""
+    s = np.asarray(inducing, dtype=float).ravel()
+    if s.size < 1 or not np.all(np.isfinite(s)):
+        raise ValidationError("inducing timestamps must be a non-empty finite array")
+    if s.min() <= 0.0 or s.max() >= 1.0:
+        raise ValidationError(
+            f"inducing timestamps must lie strictly inside (0, 1), got range "
+            f"[{s.min()}, {s.max()}]"
+        )
+    return s
+
+
+# the learned arrays of a ModelParams, in the order of the flat layout
+LEARNED_FIELDS = ("log_amplitudes", "log_bandwidths", "codes", "code_map")
+
+
+def learned_size(n_classes: int, hyper: Hyperparams) -> int:
+    """Length of the flat vector that learned_arrays lays out."""
+    return n_classes * (2 * hyper.j + hyper.d) + hyper.m * hyper.d
+
+
+def learned_arrays(flat, n_classes: int, hyper: Hyperparams):
+    """The four learned arrays, in LEARNED_FIELDS order, as views of a flat
+    vector of learned_size(n_classes, hyper) floats: per class
+    [log_amp_1..J, log_bw_1..J], then the codes class by class, then the
+    code map row by row. A float array is not copied, so writing into a
+    view writes into flat."""
+    flat = np.asarray(flat, dtype=float)
+    size = learned_size(n_classes, hyper)
+    if flat.shape != (size,):
+        raise ValueError(f"flat vector must have shape ({size},), got {flat.shape}")
+    j, d = hyper.j, hyper.d
+    logs, codes, code_map = np.split(flat, [n_classes * 2 * j, n_classes * (2 * j + d)])
+    logs = logs.reshape(n_classes, 2 * j)
+    return logs[:, :j], logs[:, j:], codes.reshape(n_classes, d), code_map.reshape(hyper.m, d)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Everything learned by training, plus the metadata needed at inference.
@@ -397,10 +444,9 @@ class ModelParams:
     posteriors: tuple = ()
 
     def __post_init__(self):
-        la = _readonly(self.log_amplitudes)
-        lb = _readonly(self.log_bandwidths)
-        z = _readonly(self.codes)
-        cm = _readonly(self.code_map)
+        for name in LEARNED_FIELDS:
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        la, lb, z, cm = (getattr(self, name) for name in LEARNED_FIELDS)
         h = self.hyper
         if la.ndim != 2 or la.shape != lb.shape:
             raise ValidationError(
@@ -420,10 +466,6 @@ class ModelParams:
                 raise ValidationError(f"{name} must exponentiate to finite positive values")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(cm))):
             raise ValidationError("codes and code_map must be finite")
-        object.__setattr__(self, "log_amplitudes", la)
-        object.__setattr__(self, "log_bandwidths", lb)
-        object.__setattr__(self, "codes", z)
-        object.__setattr__(self, "code_map", cm)
         scales = Scales(self.time_scale, self.value_center, self.value_scale)
         object.__setattr__(self, "time_scale", scales.time_scale)
         object.__setattr__(self, "class_labels", _class_labels(self.class_labels, L))

@@ -65,6 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    LEARNED_FIELDS,
     Collection,
     Dataset,
     Hyperparams,
@@ -608,7 +609,8 @@ def _matrix(a) -> list:
 def save_model(params: ModelParams, path):
     """Persist a model as a single JSON object; floats round-trip bit-exactly.
     A model with stored posteriors is written as format_version 2, one
-    without as version 1."""
+    without as version 1. A version 2 model that load_model would reject
+    raises ValidationError before the file is opened."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION if params.posteriors else 1,
         "hyper": {f.name: type(f.default)(getattr(params.hyper, f.name))
@@ -617,10 +619,7 @@ def save_model(params: ModelParams, path):
         "value_center": float(params.value_center),
         "value_scale": float(params.value_scale),
         "class_labels": list(params.class_labels),
-        "log_amplitudes": _matrix(params.log_amplitudes),
-        "log_bandwidths": _matrix(params.log_bandwidths),
-        "codes": _matrix(params.codes),
-        "code_map": _matrix(params.code_map),
+        **{name: _matrix(getattr(params, name)) for name in LEARNED_FIELDS},
         "data_digest": params.data_digest,
     }
     if params.posteriors:
@@ -628,6 +627,11 @@ def save_model(params: ModelParams, path):
         doc["posteriors"] = [{"mean": [float(v) for v in post.mean],
                               "covariance": _matrix(post.covariance)}
                              for post in params.posteriors]
+        try:
+            _stored_source(doc)
+            _stored_moments(doc, params.n_classes, params.hyper.m)
+        except ParseError as exc:
+            raise ValidationError(str(exc)) from None
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, allow_nan=False, indent=1)
         handle.write("\n")
@@ -689,6 +693,19 @@ def _field(doc, path_parts, kind):
     raise AssertionError(kind)
 
 
+def _stored_source(doc):
+    """A version 2 file's (data_digest, data_format), checked."""
+    digest = _field(doc, ["data_digest"], "str")
+    if not _SHA256.fullmatch(digest):
+        raise ParseError("model file field data_digest must be 64 lowercase hex "
+                         f"digits, got {digest!r}")
+    data_format = _field(doc, ["data_format"], "str")
+    if data_format not in DATA_FORMATS:
+        raise ParseError(f"model file field data_format must be one of "
+                         f"{DATA_FORMATS}, got {data_format!r}")
+    return digest, data_format
+
+
 def _stored_moments(doc, n_classes, m):
     """Each class's stored (mean, covariance), checked like every field."""
     entries = doc.get("posteriors")
@@ -739,20 +756,10 @@ def load_model(path) -> ModelParams:
         if digest is not None and not isinstance(digest, str):
             raise ParseError("model file field data_digest must be a string or null")
     else:
-        digest = _field(doc, ["data_digest"], "str")
-        if not _SHA256.fullmatch(digest):
-            raise ParseError("model file field data_digest must be 64 lowercase hex "
-                             f"digits, got {digest!r}")
-        data_format = _field(doc, ["data_format"], "str")
-        if data_format not in DATA_FORMATS:
-            raise ParseError(f"model file field data_format must be one of "
-                             f"{DATA_FORMATS}, got {data_format!r}")
+        digest, data_format = _stored_source(doc)
     with in_file(path):
         model = ModelParams(
-            log_amplitudes=_field(doc, ["log_amplitudes"], "matrix"),
-            log_bandwidths=_field(doc, ["log_bandwidths"], "matrix"),
-            codes=_field(doc, ["codes"], "matrix"),
-            code_map=_field(doc, ["code_map"], "matrix"),
+            **{name: _field(doc, [name], "matrix") for name in LEARNED_FIELDS},
             hyper=hyper,
             time_scale=[_field(doc, ["time_scale", i], "float") for i in (0, 1)],
             value_center=_field(doc, ["value_center"], "float"),

@@ -58,6 +58,7 @@ from .core import (
     Prediction,
     ValidationError,
     VariationalPosterior,
+    check_inducing,
     effective_noise,
 )
 from .kernel import KernelParams, chol_jittered, class_kernel, kernel_matrix
@@ -85,15 +86,7 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     inducing timestamps must lie strictly inside (0, 1). All solves go
     through Cholesky factors; nothing is ever inverted explicitly.
     """
-    s = np.asarray(inducing, dtype=float).ravel()
-    if s.size < 1 or not np.all(np.isfinite(s)):
-        raise ValidationError("inducing timestamps must be a non-empty finite array")
-    if s.min() <= 0.0 or s.max() >= 1.0:
-        raise ValidationError(
-            f"inducing timestamps must lie strictly inside (0, 1), got range "
-            f"[{s.min()}, {s.max()}]"
-        )
-
+    s = check_inducing(inducing)
     c = effective_noise(collection.size, sigma)
     k_ss = kernel_matrix(kparams, s)
     lam = k_ss.copy()

@@ -11,6 +11,7 @@ positivity never has to be enforced by the optimizer.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 
 JITTER_GROWTH = 10.0
 MAX_JITTER_STEPS = 7  # base * 10**p for p in 0..6
+
+log = logging.getLogger("motioncode.kernel")
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,9 @@ def chol_jittered(a: np.ndarray, base_jitter: float) -> CholeskyFactor:
     succeed, so results are reproducible regardless of conditioning. After
     MAX_JITTER_STEPS failures a SingularMatrixError reports the smallest
     eigenvalue estimate. A matrix with NaN or infinite entries raises
-    NumericalError; LAPACK would otherwise return a NaN factor.
+    NumericalError; LAPACK would otherwise return a NaN factor. A factor
+    that needed more than base_jitter logs one INFO line on
+    motioncode.kernel with the jitter used and the matrix size.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -156,6 +161,8 @@ def chol_jittered(a: np.ndarray, base_jitter: float) -> CholeskyFactor:
     for _ in range(MAX_JITTER_STEPS):
         try:
             lower = np.linalg.cholesky(a + jitter * eye)
+            if jitter > base_jitter:
+                log.info("jitter raised to %g to factor a matrix of size %d", jitter, n)
             return CholeskyFactor(lower=lower, jitter_used=jitter)
         except np.linalg.LinAlgError:
             jitter *= JITTER_GROWTH

@@ -57,29 +57,20 @@ from .core import (
     Hyperparams,
     ModelParams,
     NumericalError,
-    ValidationError,
+    check_inducing,
     effective_noise,
+    learned_arrays,
+    learned_size,
 )
 from .kernel import KernelParams, chol_jittered, class_kernel, kernel_matrix_components
 
 __all__ = [
-    "ModelGrads",
     "lmax_bound",
     "total_loss",
     "loss_gradient",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class ModelGrads:
-    """Training-loss gradients, shapes mirroring ModelParams."""
-
-    d_log_amplitudes: np.ndarray  # (L, J)
-    d_log_bandwidths: np.ndarray  # (L, J)
-    d_codes: np.ndarray  # (L, d)
-    d_code_map: np.ndarray  # (m, d)
 
 
 def _cholesky(a):
@@ -224,13 +215,7 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
                 jitter: float, keep: bool) -> _BoundPass:
     """The bound's value pass over one collection; with keep=True it keeps
     every block's arrays for _bound_gradient."""
-    s = np.asarray(inducing, dtype=float).ravel()
-    if s.size < 1 or not np.all(np.isfinite(s)):
-        raise ValidationError("inducing timestamps must be a non-empty finite array")
-    if s.min() < 0.0 or s.max() > 1.0:
-        raise ValidationError(
-            f"inducing timestamps must lie in [0, 1], got range [{s.min()}, {s.max()}]"
-        )
+    s = check_inducing(inducing)
     c = effective_noise(collection.size, sigma)
     m = s.size
     p_comps, d_ss = kernel_matrix_components(kp, s)
@@ -325,7 +310,8 @@ def total_loss(params: ModelParams, dataset: Dataset, keep: bool = False):
 def loss_gradient(params: ModelParams, dataset: Dataset, passes=None):
     """Training loss and its gradients w.r.t. every learnable parameter.
 
-    Returns (loss, ModelGrads). The reduction always runs in class order.
+    Returns (loss, gradient), the gradient one flat vector in the layout of
+    core.learned_arrays. The reduction always runs in class order.
     passes, when given, are the value passes that total_loss(params, dataset,
     keep=True) returned at these same params; the gradient is then taken
     from them, and consumes them. Without them each class's pass is built
@@ -334,13 +320,9 @@ def loss_gradient(params: ModelParams, dataset: Dataset, passes=None):
     params.check_classes(dataset)
     if passes is not None and len(passes) != dataset.n_classes:
         raise ValueError(f"need one value pass per class, got {len(passes)}")
-    L, J = params.log_amplitudes.shape
-    d = params.hyper.d
-    m = params.hyper.m
-    d_la = np.zeros((L, J))
-    d_lb = np.zeros((L, J))
-    d_codes = np.zeros((L, d))
-    d_map = np.zeros((m, d))
+    L = params.n_classes
+    grad = np.zeros(learned_size(L, params.hyper))
+    d_la, d_lb, d_codes, d_map = learned_arrays(grad, L, params.hyper)
     loss = 0.0
     for k in range(L):
         if passes is None:
@@ -359,9 +341,4 @@ def loss_gradient(params: ModelParams, dataset: Dataset, passes=None):
         d_la[k], d_lb[k] = -d_la_k, -d_lb_k
         d_codes[k] = -(params.code_map.T @ gate) + 2.0 * params.hyper.lam * z_k
         d_map += -np.outer(gate, z_k)
-    return float(loss), ModelGrads(
-        d_log_amplitudes=d_la,
-        d_log_bandwidths=d_lb,
-        d_codes=d_codes,
-        d_code_map=d_map,
-    )
+    return float(loss), grad

@@ -1,11 +1,9 @@
 """
 optimizer.py - limited-memory BFGS training loop.
 
-The training loss is minimized over one flat vector packing, in order:
-
-    1. per-class kernel logs, class-major: [log_amp_1..J, log_bw_1..J]
-    2. per-class codes, class-major
-    3. the shared code map, row-major
+The training loss is minimized over one flat vector of the learned arrays,
+in the layout of core.learned_arrays, which objective.loss_gradient returns
+gradients in too.
 
 Line search is backtracking with the sufficient-decrease (Armijo) test only;
 curvature pairs that would break positive definiteness of the implicit
@@ -21,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Hyperparams, ModelParams, MotionCodeError, NumericalError
+from .core import (LEARNED_FIELDS, Dataset, Hyperparams, ModelParams, MotionCodeError,
+                   NumericalError, learned_arrays, learned_size)
 from .objective import loss_gradient, total_loss
 
 __all__ = [
@@ -183,42 +182,18 @@ def init_params(n_classes: int, hyper: Hyperparams) -> ModelParams:
 
 
 def pack_params(params: ModelParams) -> np.ndarray:
-    """Flatten learnable parameters in the documented order."""
-    logs = np.concatenate(
-        [params.log_amplitudes, params.log_bandwidths], axis=1
-    )  # (L, 2J), class-major rows
-    return np.concatenate([logs.ravel(), params.codes.ravel(), params.code_map.ravel()])
-
-
-def pack_grads(grads) -> np.ndarray:
-    """Flatten a ModelGrads in the same order as pack_params."""
-    return np.concatenate([
-        np.concatenate([grads.d_log_amplitudes, grads.d_log_bandwidths], axis=1).ravel(),
-        grads.d_codes.ravel(),
-        grads.d_code_map.ravel(),
-    ])
+    """Flatten the learned arrays in the layout of core.learned_arrays."""
+    x = np.empty(learned_size(params.n_classes, params.hyper))
+    for view, name in zip(learned_arrays(x, params.n_classes, params.hyper), LEARNED_FIELDS):
+        view[...] = getattr(params, name)
+    return x
 
 
 def unpack_params(x: np.ndarray, params: ModelParams) -> ModelParams:
     """Rebuild a ModelParams from a flat vector, taking every non-learned
     field (hyper, scales, labels) from the template."""
-    h = params.hyper
-    L = params.n_classes
-    j, d, m = h.j, h.d, h.m
-    expected = L * 2 * j + L * d + m * d
-    x = np.asarray(x, dtype=float)
-    if x.shape != (expected,):
-        raise ValueError(f"flat vector must have shape ({expected},), got {x.shape}")
-    logs = x[: L * 2 * j].reshape(L, 2 * j)
-    codes = x[L * 2 * j: L * 2 * j + L * d].reshape(L, d)
-    code_map = x[L * 2 * j + L * d:].reshape(m, d)
-    return dataclasses.replace(
-        params,
-        log_amplitudes=logs[:, :j],
-        log_bandwidths=logs[:, j:],
-        codes=codes,
-        code_map=code_map,
-    )
+    arrays = learned_arrays(x, params.n_classes, params.hyper)
+    return dataclasses.replace(params, **dict(zip(LEARNED_FIELDS, arrays)))
 
 
 def train_model(dataset: Dataset, hyper: Hyperparams):
@@ -256,8 +231,7 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     def grad_fn(x):
         passes = last[0][1] if last and np.array_equal(last[0][0], x) else None
         last.clear()
-        _, grads = loss_gradient(unpack_params(x, start), dataset, passes)
-        return pack_grads(grads)
+        return loss_gradient(unpack_params(x, start), dataset, passes)[1]
 
     result = minimize(loss_fn, grad_fn, x0, hyper.max_iters, hyper.epsilon)
     return unpack_params(result.x, start), result

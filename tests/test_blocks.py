@@ -1,9 +1,12 @@
 """Blocked evaluation: series packed into zero-padded blocks must give the
 same bound, gradients and posterior as the dense per-series oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
+from motioncode import objective
 from motioncode.bench import (
     FD_DENOM_FLOOR,
     FD_REL_TOL,
@@ -203,3 +206,36 @@ def test_kept_pass_gives_the_same_gradients(forbid_inverse, name, forbid):
         _bound_gradient(kept)
     with pytest.raises(ValueError):
         _bound_gradient(_bound_pass(kp, s, col, SIGMA, JITTER, keep=False))
+
+
+# (name, series lengths): many short series, a few long ones (some a block
+# or more each), and a mix of both
+LINEAR_CASES = [
+    ("many-short", [8, 9, 10, 11, 12] * 200),
+    ("few-long", [1500, 700, 512, 300, 90]),
+    ("mixed", list(range(2, 60)) * 6 + [600, 520, 130, 47]),
+]
+
+
+@pytest.mark.parametrize("name,lengths", LINEAR_CASES, ids=[c[0] for c in LINEAR_CASES])
+def test_bound_cost_is_linear_in_points(monkeypatch, name, lengths):
+    """Counts, not seconds: one lmax_bound call builds m * m kernel entries
+    for K_SS and m per padded column, and the packing pads at most
+    BLOCK_COLUMNS * ln(longest / shortest) columns in all. (Block b pads
+    at most (G_b - 1)(w_b - w_{b+1}) < BLOCK_COLUMNS (1 - w_{b+1} / w_b)
+    columns, and the terms sum to below BLOCK_COLUMNS * ln(w_1 / w_last).)"""
+    kp, s, col = make_case(lengths, 4, 1, seed=3)
+    entries = []
+    build = objective.kernel_matrix_components
+
+    def counted(*args, **kwargs):
+        comps, r2 = build(*args, **kwargs)
+        entries.append(r2.size)
+        return comps, r2
+    monkeypatch.setattr(objective, "kernel_matrix_components", counted)
+    lmax_bound(kp, s, col, SIGMA, JITTER)
+    m = s.size
+    padded = sum(b.times.size for b in col.blocks)
+    assert sum(entries) == m * m + m * padded
+    n = col.n_points()
+    assert n <= padded <= n + BLOCK_COLUMNS * math.log(max(lengths) / min(lengths))

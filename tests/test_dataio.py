@@ -603,6 +603,33 @@ def test_model_stored_field_checked(tmp_path, path, bad, message):
     assert str(err.value) == message
 
 
+# (changes to the model, changes to its first posterior, the exact
+# ValidationError message: the ParseError load_model would raise)
+UNSAVABLE = [
+    ({"data_digest": None}, {}, "model file field data_digest must be a string, got None"),
+    ({"data_digest": "0123abcd"}, {}, "model file field data_digest must be 64 lowercase "
+                                      "hex digits, got '0123abcd'"),
+    ({"data_format": None}, {}, "model file field data_format must be a string, got None"),
+    ({"data_format": "csv"}, {},
+     "model file field data_format must be one of ('ragged', 'ucr'), got 'csv'"),
+    ({}, {"mean": np.full(4, np.nan)}, "model file field posteriors.0.mean must be finite"),
+    ({}, {"covariance": np.eye(3)},
+     "model file field posteriors.0.covariance has shape (3, 3), expected (4, 4)"),
+]
+
+
+@pytest.mark.parametrize("changes, post_changes, message", UNSAVABLE)
+def test_save_model_refuses_what_load_model_rejects(tmp_path, changes, post_changes, message):
+    params = model_with_posteriors()
+    first = dataclasses.replace(params.posteriors[0], **post_changes)
+    params = dataclasses.replace(params, posteriors=(first,) + params.posteriors[1:], **changes)
+    p = tmp_path / "m.json"
+    with pytest.raises(ValidationError) as err:
+        save_model(params, p)
+    assert str(err.value) == message
+    assert not p.exists()
+
+
 def test_model_with_non_finite_hyperparams_fails_to_load(tmp_path):
     p = tmp_path / "m.json"
     save_model(init_params(2, Hyperparams()), p)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,16 @@ def test_chol_jittered_escalates():
     target = a + f.jitter_used * np.eye(2)
     rel = np.linalg.norm(recon - target) / np.linalg.norm(target)
     assert rel <= 1e-10
+
+
+def test_chol_jittered_logs_only_escalations(caplog):
+    caplog.set_level(logging.INFO, logger="motioncode.kernel")
+    f = chol_jittered(np.array([[1.0, 1.0], [1.0, 1.0 - 1e-9]]), 1e-12)
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, f"jitter raised to {f.jitter_used:g} to factor a matrix of size 2")]
+    caplog.clear()
+    chol_jittered(np.eye(3), 1e-6)
+    assert caplog.records == []
 
 
 def test_chol_jittered_reconstruction_tolerance():

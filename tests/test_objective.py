@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motioncode.core import (
+    LEARNED_FIELDS,
     Collection,
     Dataset,
     Hyperparams,
@@ -11,6 +12,7 @@ from motioncode.core import (
     TimeSeries,
     ValidationError,
     code_to_timestamps,
+    learned_arrays,
 )
 from motioncode.kernel import KernelParams, kernel_matrix
 from motioncode.objective import lmax_bound, loss_gradient, total_loss
@@ -193,7 +195,7 @@ def test_loss_gradient_value_agrees_with_total_loss():
 
 def test_loss_gradient_matches_finite_differences():
     params, ds = small_model_and_data(seed=7, L=2, m=3, d=2, j=2)
-    _, grads = loss_gradient(params, ds)
+    _, grad = loss_gradient(params, ds)
     h = 1e-6
 
     def fd_field(field, analytic):
@@ -208,10 +210,9 @@ def test_loss_gradient_matches_finite_differences():
             fd = (up - dn) / (2 * h)
             assert flat_grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-6), (field, i)
 
-    fd_field("log_amplitudes", grads.d_log_amplitudes)
-    fd_field("log_bandwidths", grads.d_log_bandwidths)
-    fd_field("codes", grads.d_codes)
-    fd_field("code_map", grads.d_code_map)
+    for field, analytic in zip(LEARNED_FIELDS, learned_arrays(grad, params.n_classes,
+                                                              params.hyper)):
+        fd_field(field, analytic)
 
 
 def test_input_validation():
@@ -220,6 +221,9 @@ def test_input_validation():
     col = ds.collections[0]
     with pytest.raises(ValidationError):
         lmax_bound(kp, [0.2, 1.4], col, sigma=0.5)  # timestamp out of range
+    for endpoint in ([0.0, 0.5], [0.5, 1.0]):
+        with pytest.raises(ValidationError):
+            lmax_bound(kp, endpoint, col, sigma=0.5)  # (0, 1) is open, as in fit_posterior
     with pytest.raises(ValidationError):
         lmax_bound(kp, [0.2, 0.4], col, sigma=0.0)
     one_class = Dataset((ds.collections[0],), (0.0, 1.0))
@@ -242,8 +246,9 @@ def test_training_loss_forms_no_inverse(forbid_inverse):
     assert total_loss(params, ds) == loss
     got_loss, got_grads = loss_gradient(params, ds)
     assert got_loss == grad_loss
-    for field in dataclasses.fields(grads):
-        assert np.array_equal(getattr(got_grads, field.name), getattr(grads, field.name))
+    for got, want in zip(*(learned_arrays(g, params.n_classes, params.hyper)
+                           for g in (got_grads, grads))):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("forbid", [False, True], ids=["inv-allowed", "inv-forbidden"])
@@ -257,8 +262,9 @@ def test_gradient_from_kept_passes_is_bit_identical(forbid_inverse, forbid):
     assert loss == value
     got_loss, got = loss_gradient(params, ds, passes)
     assert got_loss == want_loss
-    for field in dataclasses.fields(want):
-        assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+    for got_field, want_field in zip(*(learned_arrays(g, params.n_classes, params.hyper)
+                                       for g in (got, want))):
+        assert np.array_equal(got_field, want_field)
 
 
 def test_kept_pass_row_arrays_are_bounded_and_freed():

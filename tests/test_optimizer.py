@@ -12,7 +12,6 @@ from motioncode.optimizer import (
     MinimizeResult,
     init_params,
     minimize,
-    pack_grads,
     pack_params,
     train_model,
     unpack_params,
@@ -319,7 +318,7 @@ def test_evaluation_counts(name, max_iters):
 
 
 def fresh_gradient(x, template, ds):
-    return pack_grads(loss_gradient(unpack_params(x, template), ds)[1])
+    return loss_gradient(unpack_params(x, template), ds)[1]
 
 
 def test_train_model_takes_gradients_from_the_accepted_pass(monkeypatch):
