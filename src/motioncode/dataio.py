@@ -143,12 +143,12 @@ class Records:
 
 @contextlib.contextmanager
 def in_file(path):
-    """Prefix the path of the file being read to any ValidationError raised
-    in the block."""
+    """Prefix the path of the file being read to any ValidationError or
+    VersionError raised in the block."""
     try:
         yield
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    except (ValidationError, VersionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -609,8 +609,8 @@ def _matrix(a) -> list:
 def save_model(params: ModelParams, path):
     """Persist a model as a single JSON object; floats round-trip bit-exactly.
     A model with stored posteriors is written as format_version 2, one
-    without as version 1. A version 2 model that load_model would reject
-    raises ValidationError before the file is opened."""
+    without as version 1. A model that load_model would reject raises
+    ValidationError before the file is opened."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION if params.posteriors else 1,
         "hyper": {f.name: type(f.default)(getattr(params.hyper, f.name))
@@ -627,11 +627,10 @@ def save_model(params: ModelParams, path):
         doc["posteriors"] = [{"mean": [float(v) for v in post.mean],
                               "covariance": _matrix(post.covariance)}
                              for post in params.posteriors]
-        try:
-            _stored_source(doc)
-            _stored_moments(doc, params.n_classes, params.hyper.m)
-        except ParseError as exc:
-            raise ValidationError(str(exc)) from None
+    try:
+        _model_from_doc(doc)
+    except ParseError as exc:
+        raise ValidationError(str(exc)) from None
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, allow_nan=False, indent=1)
         handle.write("\n")
@@ -739,17 +738,20 @@ def load_model(path) -> ModelParams:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: model file must hold a JSON object")
+    with in_file(path):
+        return _model_from_doc(doc)
+
+
+def _model_from_doc(doc) -> ModelParams:
+    """The model a model file's JSON object holds, every field checked."""
     version = _field(doc, ["format_version"], "int")
     if version not in (1, MODEL_FORMAT_VERSION):
-        raise VersionError(
-            f"{path}: format_version {version} is not supported "
-            f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})"
-        )
-    with in_file(path):
-        hyper = Hyperparams(**{
-            f.name: _field(doc, ["hyper", f.name], type(f.default).__name__)
-            for f in fields(Hyperparams)
-        })
+        raise VersionError(f"format_version {version} is not supported "
+                           f"(this build reads versions 1 and {MODEL_FORMAT_VERSION})")
+    hyper = Hyperparams(**{
+        f.name: _field(doc, ["hyper", f.name], type(f.default).__name__)
+        for f in fields(Hyperparams)
+    })
     data_format = None
     if version == 1:
         digest = doc.get("data_digest")
@@ -757,17 +759,16 @@ def load_model(path) -> ModelParams:
             raise ParseError("model file field data_digest must be a string or null")
     else:
         digest, data_format = _stored_source(doc)
-    with in_file(path):
-        model = ModelParams(
-            **{name: _field(doc, [name], "matrix") for name in LEARNED_FIELDS},
-            hyper=hyper,
-            time_scale=[_field(doc, ["time_scale", i], "float") for i in (0, 1)],
-            value_center=_field(doc, ["value_center"], "float"),
-            value_scale=_field(doc, ["value_scale"], "float"),
-            class_labels=tuple(_field(doc, ["class_labels"], "intlist")),
-            data_digest=digest,
-            data_format=data_format,
-        )
+    model = ModelParams(
+        **{name: _field(doc, [name], "matrix") for name in LEARNED_FIELDS},
+        hyper=hyper,
+        time_scale=[_field(doc, ["time_scale", i], "float") for i in (0, 1)],
+        value_center=_field(doc, ["value_center"], "float"),
+        value_scale=_field(doc, ["value_scale"], "float"),
+        class_labels=tuple(_field(doc, ["class_labels"], "intlist")),
+        data_digest=digest,
+        data_format=data_format,
+    )
     if version == 1:
         return model
     moments = _stored_moments(doc, model.n_classes, hyper.m)

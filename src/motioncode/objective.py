@@ -33,8 +33,8 @@ components and whitening factor, and the gradient reads them instead of
 building them again. It adds one stacked Cholesky of
 [[E_i, I], [I, (2/c) I]], positive definite because E_i >= c*I, which
 yields E_i^{-1} (see _block_grads), and batched contractions. Training keeps
-the pass of each trial point, so an accepted point's kernel, whitening and
-bordered factor are computed once.
+the pass of each trial point that runs to the end, so an accepted point's
+kernel, whitening and bordered factor are computed once.
 
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
@@ -43,10 +43,23 @@ penalty on the per-class codes:
 
 where class k's inducing timestamps are sigmoid(code_map @ z_k). Each class
 term is one value pass, the one lmax_bound makes for the dense oracles.
+
+A line search only asks whether a trial's loss clears its Armijo ceiling,
+and every block has a floor: its negated value is at least
+n_b * log(2*pi*c) / 2 for its n_b points, because log|c*I + Q_i| >= n_i log c,
+the quadratic form is >= 0 and so is the trace gap. Given a ceiling,
+total_loss keeps a lower bound on the loss while it evaluates: the
+penalties, the negated values of the blocks evaluated so far and the floors
+of the rest. Once that bound passes the ceiling by more than MARGIN_RTOL
+times the magnitude of its terms, the trial is proven to fail; the pass
+stops, keeps nothing and returns the bound. A pass that is not stopped
+sums the same values in the same order, so it returns the same float as
+one without a ceiling.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +84,22 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# A pass stops once its lower bound on the loss exceeds the ceiling by this
+# much times the magnitude of the bound's terms. The margin covers rounding.
+# A pass that runs to the end sums the same block values as the one that
+# stopped, so the bound differs from that loss only in the order of its
+# additions, which errs by a few eps (2.2e-16) per term times the terms'
+# magnitudes, and in a block not yet evaluated coming out below its floor.
+# A block value is formed from terms no larger than n_b (log 2*pi + |log c|)
+# / 2, n_b sum(amplitudes) / c and y^T y / c; the BLAS and LAPACK work that
+# forms it errs by a multiple of (m + 1) eps times those. 1e-6 is about 5e9
+# eps, which leaves a factor above 1e4 for the conditioning of K_SS's
+# whitening at m up to several hundred, while rejected trials overshoot
+# their ceilings by percents.
+MARGIN_RTOL = 1e-6
+
+log = logging.getLogger("motioncode.objective")
 
 
 def _cholesky(a):
@@ -211,10 +240,66 @@ class _BoundPass:
     blocks: list
 
 
+class _ProvenAbove(Exception):
+    """Raised with (bound, blocks evaluated) once a trial's loss is proven
+    above its ceiling."""
+
+
+class _Cap:
+    """A trial's Armijo ceiling and the running lower bound on its loss:
+    known sums the penalties and the negated values of the blocks evaluated
+    so far, unseen the floors of the other blocks, and scale the magnitude
+    of every term (see MARGIN_RTOL)."""
+
+    def __init__(self, ceiling: float, params: ModelParams, dataset: Dataset, penalties):
+        self.ceiling = ceiling
+        self.known = sum(penalties)
+        self.unseen = 0.0
+        self.scale = sum(abs(p) for p in penalties)
+        self.evaluated = 0
+        for k, col in enumerate(dataset.collections):
+            c = effective_noise(col.size, params.hyper.sigma)
+            n = sum(block.n_points for block in col.blocks)
+            y_sq = sum(float(np.vdot(block.values, block.values)) for block in col.blocks)
+            amp_sum = float(np.sum(np.exp(params.log_amplitudes[k])))
+            self.unseen += _floor(n, c)
+            self.scale += _scale(n, y_sq, amp_sum, c)
+        self.check()
+
+    def add(self, block_value: float, floor: float):
+        """Count one evaluated block; raises _ProvenAbove once the loss is
+        proven above the ceiling."""
+        self.known -= block_value
+        self.unseen -= floor
+        self.scale += abs(block_value)
+        self.evaluated += 1
+        self.check()
+
+    def check(self):
+        bound = self.known + self.unseen
+        if bound > self.ceiling + MARGIN_RTOL * self.scale:
+            raise _ProvenAbove(bound, self.evaluated)
+
+
+def _floor(n_points: int, c: float) -> float:
+    """Lower bound on the negated value of any n_points of a collection with
+    effective noise c."""
+    return 0.5 * n_points * float(np.log(2.0 * np.pi * c))
+
+
+def _scale(n_points: int, y_sq: float, amp_sum: float, c: float) -> float:
+    """Magnitude of the terms that make up the negated value of n_points
+    whose squared values sum to y_sq, under a kernel whose amplitudes sum
+    to amp_sum (see MARGIN_RTOL)."""
+    return 0.5 * n_points * (LOG_2PI + abs(float(np.log(c)))) + (n_points * amp_sum + y_sq) / c
+
+
 def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
-                jitter: float, keep: bool) -> _BoundPass:
+                jitter: float, keep: bool, cap: _Cap | None = None) -> _BoundPass:
     """The bound's value pass over one collection; with keep=True it keeps
-    every block's arrays for _bound_gradient."""
+    every block's arrays for _bound_gradient. With a cap, each evaluated
+    block is counted in it, and the pass raises _ProvenAbove as soon as the
+    cap's bound passes its ceiling."""
     s = check_inducing(inducing)
     c = effective_noise(collection.size, sigma)
     m = s.size
@@ -230,6 +315,8 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
         value += block_value
         if keep:
             kept.append(arrays)
+        if cap is not None:
+            cap.add(block_value, _floor(block.n_points, c))
     if not np.isfinite(value):
         raise NumericalError("collection bound evaluated to a non-finite value")
     return _BoundPass(value, kp, s, c, collection, p_comps, d_ss, whiten, kept)
@@ -283,10 +370,11 @@ def lmax_bound(kp: KernelParams, inducing, collection: Collection,
     return bp.value, _bound_gradient(bp)
 
 
-def _class_pass(params: ModelParams, dataset: Dataset, k: int, keep: bool) -> _BoundPass:
+def _class_pass(params: ModelParams, dataset: Dataset, k: int, keep: bool,
+                cap: _Cap | None = None) -> _BoundPass:
     h = params.hyper
     return _bound_pass(class_kernel(params, k), params.inducing_timestamps(k),
-                       dataset.collections[k], h.sigma, h.jitter, keep)
+                       dataset.collections[k], h.sigma, h.jitter, keep, cap)
 
 
 def _penalty(params: ModelParams, k: int) -> float:
@@ -294,16 +382,31 @@ def _penalty(params: ModelParams, k: int) -> float:
     return params.hyper.lam * float(z_k @ z_k)
 
 
-def total_loss(params: ModelParams, dataset: Dataset, keep: bool = False):
+def total_loss(params: ModelParams, dataset: Dataset, keep: bool = False,
+               ceiling: float | None = None):
     """Training loss: sum of negated collection bounds plus the code penalty.
 
     With keep=True returns (loss, passes): one value pass per class, in class
     order, holding what loss_gradient needs to take the gradient at these
     same params without building any kernel matrix again.
+
+    With a ceiling, the evaluation stops as soon as a lower bound proves the
+    loss above the ceiling (see the module docstring) and returns that
+    bound, which is above the ceiling, with passes None. Otherwise it
+    returns the loss it returns without one, bit for bit. Each stop logs
+    one DEBUG line on motioncode.objective.
     """
     params.check_classes(dataset)
-    passes = [_class_pass(params, dataset, k, keep) for k in range(dataset.n_classes)]
-    loss = float(sum(-bp.value + _penalty(params, k) for k, bp in enumerate(passes)))
+    penalties = [_penalty(params, k) for k in range(dataset.n_classes)]
+    try:
+        cap = None if ceiling is None else _Cap(ceiling, params, dataset, penalties)
+        passes = [_class_pass(params, dataset, k, keep, cap) for k in range(dataset.n_classes)]
+    except _ProvenAbove as stop:
+        bound, evaluated = stop.args
+        log.debug("trial stopped after %d of %d blocks: loss at least %.17g, ceiling %.17g",
+                  evaluated, sum(len(col.blocks) for col in dataset.collections), bound, ceiling)
+        return (bound, None) if keep else bound
+    loss = float(sum(-bp.value + penalties[k] for k, bp in enumerate(passes)))
     return (loss, passes) if keep else loss
 
 

@@ -87,10 +87,14 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
     stop_reason "line-search-failure" instead of raising. Loss never
     increases across accepted iterations.
 
-    loss_fn runs once at x0 and once per line-search trial; grad_fn runs
-    once at x0 and once per accepted iteration, and never when max_iters
-    is 0. Each grad_fn call is at the point of the loss_fn call just before
-    it, so a caller may reuse work that loss_fn did there.
+    loss_fn(x, ceiling) runs once at x0, with ceiling None, and once per
+    line-search trial, with the trial's Armijo ceiling: the trial is
+    accepted when its loss is finite and at most the ceiling. Once loss_fn
+    can prove a trial's loss is above the ceiling it may return any value
+    above the ceiling instead of the loss. grad_fn runs once at x0 and once
+    per accepted iteration, and never when max_iters is 0. Each grad_fn
+    call is at the point of the loss_fn call just before it, so a caller
+    may reuse work that loss_fn did there.
 
     Each accepted iteration logs one DEBUG line on motioncode.optimizer:
     the loss and its decrease, the gradient max-norm, the step, the
@@ -101,7 +105,7 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    loss = float(loss_fn(x))
+    loss = float(loss_fn(x, None))
     if not np.isfinite(loss):
         raise NumericalError(f"loss at the starting point is not finite ({loss})")
     if max_iters == 0:
@@ -124,9 +128,10 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
         step = INITIAL_STEP
         for halvings in range(MAX_HALVINGS + 1):
             trial = x + step * p
-            f_trial = float(loss_fn(trial))
+            ceiling = loss + ARMIJO_C1 * step * slope
+            f_trial = float(loss_fn(trial, ceiling))
             loss_calls += 1
-            if np.isfinite(f_trial) and f_trial <= loss + ARMIJO_C1 * step * slope:
+            if np.isfinite(f_trial) and f_trial <= ceiling:
                 break
             step *= BACKTRACK
         else:
@@ -205,10 +210,12 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     the line search backtracks past them; a failure at the starting point
     still raises.
 
-    Each loss evaluation keeps its value passes until the next one, and a
-    gradient at that same point is taken from them (minimize asks for the
-    gradient only at the trial it just accepted). A gradient anywhere else
-    builds its own passes.
+    Each loss evaluation passes minimize's Armijo ceiling on to
+    total_loss, which stops a trial's evaluation as soon as it proves the
+    trial fails. An evaluation that runs to the end keeps its value passes
+    until the next one, and a gradient at that same point is taken from
+    them (minimize asks for the gradient only at the trial it just
+    accepted). A gradient anywhere else builds its own passes.
     """
     # the model keeps the dataset's scales and labels to map later inputs
     start = dataclasses.replace(
@@ -217,15 +224,17 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
         class_labels=dataset.class_labels)
     x0 = pack_params(start)
 
-    last = []  # (x, value passes) of the latest loss evaluation, if it succeeded
+    last = []  # (x, value passes) of the latest loss evaluation, if it ran to the end
 
-    def loss_fn(x):
+    def loss_fn(x, ceiling):
         last.clear()  # one evaluation's block arrays alive at a time
         try:
-            loss, passes = total_loss(unpack_params(x, start), dataset, keep=True)
+            loss, passes = total_loss(unpack_params(x, start), dataset, keep=True,
+                                      ceiling=ceiling)
         except MotionCodeError:
             return np.inf
-        last.append((np.array(x), passes))
+        if passes is not None:
+            last.append((np.array(x), passes))
         return loss
 
     def grad_fn(x):

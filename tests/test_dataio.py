@@ -630,6 +630,45 @@ def test_save_model_refuses_what_load_model_rejects(tmp_path, changes, post_chan
     assert not p.exists()
 
 
+def _nan_sigma():
+    hyper = Hyperparams()
+    object.__setattr__(hyper, "sigma", float("nan"))
+    return hyper
+
+
+# (a field save_model writes, an invalid value, the exact ValidationError
+# message); format_version follows from the posteriors, and the version 2
+# fields are covered above
+UNSAVABLE_FIELDS = [
+    ("hyper", _nan_sigma(), "sigma must be finite, got nan"),
+    ("time_scale", (0.0, np.inf), "degenerate or non-finite time range [0.0, inf]"),
+    ("value_center", np.nan, "value_center must be finite, got nan"),
+    ("value_scale", 0.0, "value_scale must be positive and finite, got 0.0"),
+    ("class_labels", (1, 1), "class_labels must hold one distinct label per class"),
+    ("log_amplitudes", np.full((2, 1), np.nan),
+     "log_amplitudes must exponentiate to finite positive values"),
+    ("log_bandwidths", np.full((2, 1), np.inf),
+     "log_bandwidths must exponentiate to finite positive values"),
+    ("codes", np.full((2, 2), np.nan), "codes and code_map must be finite"),
+    ("code_map", np.full((10, 2), np.inf), "codes and code_map must be finite"),
+    ("data_digest", 12345, "model file field data_digest must be a string or null"),
+]
+
+
+@pytest.mark.parametrize("name, bad, message", UNSAVABLE_FIELDS,
+                         ids=[case[0] for case in UNSAVABLE_FIELDS])
+def test_save_model_refuses_an_invalid_field(tmp_path, name, bad, message):
+    params = init_params(2, Hyperparams())
+    # ModelParams checks every field but data_digest itself; set the value
+    # past those checks so that save_model's own check is what refuses it
+    object.__setattr__(params, name, bad)
+    p = tmp_path / "m.json"
+    with pytest.raises(ValidationError) as err:
+        save_model(params, p)
+    assert str(err.value) == message
+    assert not p.exists()
+
+
 def test_model_with_non_finite_hyperparams_fails_to_load(tmp_path):
     p = tmp_path / "m.json"
     save_model(init_params(2, Hyperparams()), p)

@@ -1,21 +1,29 @@
 import dataclasses
+import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motioncode import objective
 from motioncode.core import (
     LEARNED_FIELDS,
     Collection,
     Dataset,
     Hyperparams,
     ModelParams,
+    MotionCodeError,
+    NumericalError,
     TimeSeries,
     ValidationError,
     code_to_timestamps,
+    effective_noise,
     learned_arrays,
 )
 from motioncode.kernel import KernelParams, kernel_matrix
-from motioncode.objective import lmax_bound, loss_gradient, total_loss
+from motioncode.objective import MARGIN_RTOL, lmax_bound, loss_gradient, total_loss
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -290,3 +298,158 @@ def test_passes_from_other_params_are_refused():
         loss_gradient(moved, ds, passes)
     with pytest.raises(ValueError):
         loss_gradient(params, ds, passes[:1])
+
+
+@st.composite
+def floor_cases(draw):
+    """A kernel, inducing timestamps, a collection and its noise scale, over
+    wide ranges: collapsed amplitudes (log near -200) and effective noise c
+    below 1/(2 pi), where a block's floor is negative."""
+    j = draw(st.integers(1, 2))
+    amp = st.one_of(st.floats(-205.0, -195.0), st.floats(-5.0, 5.0))
+    kp = KernelParams(np.array(draw(st.lists(amp, min_size=j, max_size=j))),
+                      np.array(draw(st.lists(st.floats(-3.0, 9.0), min_size=j, max_size=j))))
+    grid = st.lists(st.integers(1, 199), min_size=1, max_size=40, unique=True)
+    s = np.sort(np.array(draw(grid.map(lambda v: v[:6])), dtype=float)) / 200.0
+    y_scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 10.0]))
+    series = []
+    for i in range(draw(st.integers(1, 5))):
+        t = np.sort(np.array(draw(grid), dtype=float)) / 200.0
+        y = y_scale * np.random.default_rng(i).normal(size=t.size)
+        series.append(TimeSeries(t, y))
+    sigma = draw(st.floats(1e-3, 2.0))
+    jitter = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    return kp, s, Collection(0, tuple(series)), sigma, jitter
+
+
+@settings(max_examples=80, deadline=None)
+@given(floor_cases())
+def test_every_block_value_clears_its_floor(case):
+    kp, s, col, sigma, jitter = case
+    c = effective_noise(col.size, sigma)
+    seen = []
+
+    def recording(kp_, s_, whiten, block, c_):
+        value, arrays = real_block_value(kp_, s_, whiten, block, c_)
+        seen.append((block, value))
+        return value, arrays
+
+    real_block_value = objective._block_value
+    with mock.patch.object(objective, "_block_value", recording):
+        try:
+            lmax_bound(kp, s, col, sigma, jitter)
+        except MotionCodeError:
+            pass
+    amp_sum = float(np.sum(kp.amplitudes))
+    for block, value in seen:
+        n_b = block.n_points
+        floor = 0.5 * n_b * np.log(2.0 * np.pi * c)
+        assert objective._floor(n_b, c) == floor
+        y_sq = float(np.vdot(block.values, block.values))
+        margin = MARGIN_RTOL * objective._scale(n_b, y_sq, amp_sum, c)
+        assert -value >= floor - margin
+
+
+def blocky_model_and_data(seed=0, L=3):
+    """A model over L classes of 60 series each, in several blocks per class."""
+    rng = np.random.default_rng(seed)
+    cols = tuple(make_collection(rng, label=k, n_series=60, n_lo=20, n_hi=30)
+                 for k in range(L))
+    h = Hyperparams(m=4, d=2, j=1, lam=0.7, sigma=0.3)
+    params = ModelParams(
+        log_amplitudes=rng.uniform(-0.3, 0.3, (L, 1)),
+        log_bandwidths=rng.uniform(np.log(30.0), np.log(80.0), (L, 1)),
+        codes=rng.normal(size=(L, 2)) * 0.5 + 1.0,
+        code_map=rng.uniform(0.1, 0.9, (4, 2)),
+        hyper=h,
+    )
+    return params, Dataset(cols, (0.0, 1.0))
+
+
+def counting_blocks(monkeypatch):
+    calls = []
+    real = objective._block_value
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(objective, "_block_value", counted)
+    return calls
+
+
+def test_ceiling_at_or_above_the_loss_changes_nothing():
+    params, ds = blocky_model_and_data()
+    assert all(len(col.blocks) >= 3 for col in ds.collections)
+    loss, ref = total_loss(params, ds, keep=True)
+    want = loss_gradient(params, ds)[1]
+    for ceiling in (loss, np.nextafter(loss, np.inf), loss + 1.0, np.inf):
+        assert total_loss(params, ds, ceiling=ceiling) == loss
+        got, passes = total_loss(params, ds, keep=True, ceiling=ceiling)
+        assert got == loss
+        for bp, ref_bp in zip(passes, ref, strict=True):
+            assert bp.value == ref_bp.value
+            for arrays, ref_arrays in zip(bp.blocks, ref_bp.blocks, strict=True):
+                for a, b in zip(arrays, ref_arrays, strict=True):
+                    assert np.array_equal(a, b)
+        assert np.array_equal(loss_gradient(params, ds, passes)[1], want)
+
+
+def test_ceiling_below_the_loss_returns_more_than_it(monkeypatch, caplog):
+    params, ds = blocky_model_and_data(seed=1)
+    loss = total_loss(params, ds)
+    n_blocks = sum(len(col.blocks) for col in ds.collections)
+    floor = sum(objective._floor(col.n_points(), effective_noise(col.size, params.hyper.sigma))
+                for col in ds.collections) + sum(params.hyper.lam * float(z @ z)
+                                                 for z in params.codes)
+    assert floor < loss
+    calls = counting_blocks(monkeypatch)
+    evaluated = []
+    for ceiling in (-np.inf, floor - 1.0, 0.5 * (floor + loss), np.nextafter(loss, -np.inf)):
+        del calls[:]
+        with caplog.at_level(logging.DEBUG, logger="motioncode.objective"):
+            caplog.clear()
+            got = total_loss(params, ds, ceiling=ceiling)
+            got_kept, passes = total_loss(params, ds, keep=True, ceiling=ceiling)
+        assert got > ceiling and got_kept == got
+        evaluated.append(len(calls) // 2)
+        if evaluated[-1] < n_blocks:
+            assert passes is None
+            first = caplog.records[0]
+            assert len(caplog.records) == 2 and first.levelno == logging.DEBUG
+            assert first.args == (evaluated[-1], n_blocks, got, ceiling)
+        else:
+            assert got == loss and len(passes) == ds.n_classes
+            assert caplog.records == []
+    # no block is needed to prove the loss above -inf or below the floors;
+    # halfway between the floors and the loss some blocks are skipped
+    assert evaluated[:2] == [0, 0]
+    assert 0 < evaluated[2] < n_blocks
+
+
+@pytest.mark.parametrize("fault", ["nan", "-inf", "inf", "raise"])
+@pytest.mark.parametrize("at", [0, 4])
+def test_failing_trial_is_still_rejected(monkeypatch, fault, at):
+    params, ds = blocky_model_and_data(seed=2)
+    loss = total_loss(params, ds)
+    real = objective._block_value
+    calls = []
+
+    def faulty(*args):
+        calls.append(None)
+        value, arrays = real(*args)
+        if len(calls) - 1 == at:
+            if fault == "raise":
+                raise NumericalError("inner inducing-point system lost positive definiteness")
+            value = float(fault)
+        return value, arrays
+
+    monkeypatch.setattr(objective, "_block_value", faulty)
+    for keep in (False, True):
+        del calls[:]
+        try:
+            got = total_loss(params, ds, keep=keep, ceiling=loss)
+        except MotionCodeError:
+            continue
+        value = got[0] if keep else got
+        assert not (np.isfinite(value) and value <= loss)

@@ -7,6 +7,7 @@ from motioncode import objective, optimizer
 from motioncode.core import Dataset, Collection, Hyperparams, NumericalError, TimeSeries
 from motioncode.objective import total_loss, loss_gradient
 from motioncode.optimizer import (
+    ARMIJO_C1,
     BACKTRACK,
     MAX_HALVINGS,
     MinimizeResult,
@@ -21,7 +22,7 @@ from motioncode.optimizer import (
 def test_quadratic_converges():
     a = np.array([3.0, -2.0])
     res = minimize(
-        lambda x: float((x - a) @ (x - a)),
+        lambda x, ceiling: float((x - a) @ (x - a)),
         lambda x: 2.0 * (x - a),
         np.zeros(2),
         max_iters=50,
@@ -34,7 +35,7 @@ def test_quadratic_converges():
 
 def test_constant_function_stops_small_decrease():
     res = minimize(
-        lambda x: 5.0,
+        lambda x, ceiling: 5.0,
         lambda x: np.zeros_like(x),
         np.array([1.0, 2.0]),
         max_iters=100,
@@ -47,7 +48,7 @@ def test_constant_function_stops_small_decrease():
 
 
 def test_rosenbrock_converges():
-    def f(x):
+    def f(x, ceiling):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
     def g(x):
@@ -63,7 +64,7 @@ def test_rosenbrock_converges():
 
 def test_zero_max_iters_returns_start():
     res = minimize(
-        lambda x: float(x @ x), lambda x: 2.0 * x, np.array([1.0]), 0, 1e-5
+        lambda x, ceiling: float(x @ x), lambda x: 2.0 * x, np.array([1.0]), 0, 1e-5
     )
     assert res.iterations == 0
     assert res.stop_reason == "max-iters"
@@ -73,7 +74,7 @@ def test_zero_max_iters_returns_start():
 def test_max_iters_cap():
     a = np.array([100.0])
     res = minimize(
-        lambda x: float((x - a) @ (x - a)) ** 0.5 if False else float(abs(x[0] - a[0])),
+        lambda x, ceiling: float(abs(x[0] - a[0])),
         lambda x: np.sign(x - a),
         np.zeros(1),
         max_iters=3,
@@ -91,7 +92,7 @@ def test_monotone_loss_trajectory():
     rhs = rng.normal(size=6)
     losses = []
 
-    def f(x):
+    def f(x, ceiling=None):
         v = float(0.5 * x @ a @ x - rhs @ x)
         losses.append(v)
         return v
@@ -105,7 +106,7 @@ def test_monotone_loss_trajectory():
 def test_line_search_failure_returns_current_point():
     # the supplied gradient lies about the slope at the minimum of |x|, so
     # every trial step increases f and all halvings are exhausted
-    def f(x):
+    def f(x, ceiling):
         return float(np.abs(x[0]))
 
     def g(x):
@@ -119,12 +120,12 @@ def test_line_search_failure_returns_current_point():
 
 def test_infinite_start_raises():
     with pytest.raises(NumericalError):
-        minimize(lambda x: np.inf, lambda x: x, np.zeros(1), 5, 1e-5)
+        minimize(lambda x, ceiling: np.inf, lambda x: x, np.zeros(1), 5, 1e-5)
 
 
 def test_nonfinite_trial_is_backtracked():
     # f blows up past |x| > 0.6 but has its minimum at 0.5
-    def f(x):
+    def f(x, ceiling):
         if abs(x[0]) > 0.6:
             return np.inf
         return float((x[0] - 0.5) ** 2)
@@ -138,7 +139,7 @@ def test_determinism():
 
     def run():
         return minimize(
-            lambda x: float((x - a) @ (x - a) + 0.1 * np.sum(x**4)),
+            lambda x, ceiling: float((x - a) @ (x - a) + 0.1 * np.sum(x**4)),
             lambda x: 2.0 * (x - a) + 0.4 * x**3,
             np.zeros(3),
             30,
@@ -268,7 +269,7 @@ def test_evaluation_counts(name, max_iters):
     f, g, x0, epsilon = COUNT_PROBLEMS[name]
     calls = []  # ("l" for loss or "g" for gradient, point), in call order
 
-    def loss_fn(x):
+    def loss_fn(x, ceiling):
         calls.append(("l", x.copy()))
         return f(x)
 
@@ -317,6 +318,38 @@ def test_evaluation_counts(name, max_iters):
         assert any(len(trials) > 1 for _, trials in searches)
 
 
+def test_loss_fn_gets_each_trials_armijo_ceiling():
+    seen = []  # (point, ceiling) of every loss call
+
+    def f(x, ceiling):
+        seen.append((x.copy(), ceiling))
+        return rosenbrock(x)
+
+    res = minimize(f, rosenbrock_grad, np.array([-1.2, 1.0]), 40, 1e-14)
+    assert seen[0][1] is None
+    start, loss, halvings, rejected = seen[0][0], rosenbrock(seen[0][0]), 0, 0
+    for x, ceiling in seen[1:]:
+        if halvings == 0:  # the first trial of a search takes the full step
+            slope = float(rosenbrock_grad(start) @ (x - start))
+        assert ceiling == pytest.approx(loss + ARMIJO_C1 * BACKTRACK ** halvings * slope,
+                                        rel=1e-12, abs=1e-12 * abs(loss))
+        if rosenbrock(x) <= ceiling:
+            start, loss, halvings = x, rosenbrock(x), 0
+        else:
+            halvings += 1
+            rejected += 1
+    assert rejected > 0 and loss == res.loss
+
+    # a loss that gives up on a trial it knows fails changes nothing
+    def shortcut(x, ceiling):
+        value = rosenbrock(x)
+        return ceiling + 1.0 if ceiling is not None and value > ceiling else value
+
+    short = minimize(shortcut, rosenbrock_grad, np.array([-1.2, 1.0]), 40, 1e-14)
+    assert short.x.tobytes() == res.x.tobytes() and short.loss == res.loss
+    assert (short.iterations, short.stop_reason) == (res.iterations, res.stop_reason)
+
+
 def fresh_gradient(x, template, ds):
     return loss_gradient(unpack_params(x, template), ds)[1]
 
@@ -327,7 +360,7 @@ def test_train_model_takes_gradients_from_the_accepted_pass(monkeypatch):
     template = init_params(2, h)
     ref_calls = {"loss": 0, "grad": 0}
 
-    def ref_loss(x):
+    def ref_loss(x, ceiling):
         ref_calls["loss"] += 1
         return total_loss(unpack_params(x, template), ds)
 
@@ -359,7 +392,7 @@ def test_train_model_takes_gradients_from_the_accepted_pass(monkeypatch):
     def probing_minimize(loss_fn, grad_fn, x0, max_iters, epsilon):
         # a gradient away from the last trial, then one with no trial since:
         # both must build their own passes and still give the fresh gradient
-        loss_fn(x0)
+        loss_fn(x0, None)
         for x in (x0 + 0.01, x0):
             start = len(events)
             probes.append((x, grad_fn(x), events[start:].count("kernel")))
@@ -388,10 +421,63 @@ def test_train_model_takes_gradients_from_the_accepted_pass(monkeypatch):
         assert np.array_equal(got, fresh_gradient(x, template, ds))
 
 
+def multi_class_dataset(seed=0, n_classes=3, n_series=6):
+    rng = np.random.default_rng(seed)
+    cols = []
+    for k in range(n_classes):
+        series = []
+        for _ in range(n_series):
+            n = int(rng.integers(8, 14))
+            t = np.sort(rng.choice(np.linspace(0, 1, 400), size=n, replace=False))
+            y = np.sin(2 * np.pi * (1.0 + 0.5 * k) * t + k) + rng.normal(0, 0.1, n)
+            series.append(TimeSeries(t, y))
+        cols.append(Collection(k, tuple(series)))
+    return Dataset(tuple(cols), (0.0, 1.0))
+
+
+def test_trials_cut_short_leave_training_unchanged(monkeypatch):
+    ds = multi_class_dataset()
+    h = Hyperparams(m=5, d=2, j=1, max_iters=10, sigma=0.1)
+    template = init_params(ds.n_classes, h)
+    ref_calls = {"loss": 0, "grad": 0}
+
+    def ref_loss(x, ceiling):  # ignores the ceiling: every trial runs in full
+        ref_calls["loss"] += 1
+        return total_loss(unpack_params(x, template), ds)
+
+    def ref_grad(x):
+        ref_calls["grad"] += 1
+        return fresh_gradient(x, template, ds)
+
+    ref = minimize(ref_loss, ref_grad, pack_params(template), h.max_iters, h.epsilon)
+
+    calls = {"loss": 0, "grad": 0, "block": 0}
+
+    def counted(module, name, tag):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[tag] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(optimizer, "total_loss", "loss")
+    counted(optimizer, "loss_gradient", "grad")
+    counted(objective, "_block_value", "block")
+    _, res = train_model(ds, h)
+
+    n_blocks = sum(len(col.blocks) for col in ds.collections)
+    assert calls["block"] < calls["loss"] * n_blocks  # some trial was cut short
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.loss == ref.loss
+    assert (res.iterations, res.stop_reason) == (ref.iterations, ref.stop_reason)
+    assert (calls["loss"], calls["grad"]) == (ref_calls["loss"], ref_calls["grad"])
+
+
 def test_minimize_logs_each_iteration(caplog):
     calls = {"loss": 0, "grad": 0}
 
-    def f(x):
+    def f(x, ceiling):
         calls["loss"] += 1
         return rosenbrock(x)
 
