@@ -366,18 +366,6 @@ def blocky_model_and_data(seed=0, L=3):
     return params, Dataset(cols, (0.0, 1.0))
 
 
-def counting_blocks(monkeypatch):
-    calls = []
-    real = objective._block_value
-
-    def counted(*args):
-        calls.append(args[3])
-        return real(*args)
-
-    monkeypatch.setattr(objective, "_block_value", counted)
-    return calls
-
-
 def test_ceiling_at_or_above_the_loss_changes_nothing():
     params, ds = blocky_model_and_data()
     assert all(len(col.blocks) >= 3 for col in ds.collections)
@@ -403,7 +391,14 @@ def test_ceiling_below_the_loss_returns_more_than_it(monkeypatch, caplog):
                 for col in ds.collections) + sum(params.hyper.lam * float(z @ z)
                                                  for z in params.codes)
     assert floor < loss
-    calls = counting_blocks(monkeypatch)
+    calls = []
+    real = objective._block_value
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(objective, "_block_value", counted)
     evaluated = []
     for ceiling in (-np.inf, floor - 1.0, 0.5 * (floor + loss), np.nextafter(loss, -np.inf)):
         del calls[:]
