@@ -7,7 +7,8 @@ The oracle checks re-derive every quantity with plain dense linear algebra
 factor) and compare against the low-rank production path. The benchmark
 checks train real models on generated two-class data (a unit-amplitude
 sine versus a linear ramp) and score classification accuracy and forecast
-error against a last-seen baseline. class_forecast_errors also builds the forecast command's rows.
+error against a last-seen baseline. class_forecast_errors also builds each
+class's entry of the forecast command.
 
 Every check returns a plain dict of JSON-safe values so reports serialize
 byte-identically for a fixed seed. Wall-clock measurements live in a
@@ -46,10 +47,7 @@ __all__ = [
     "run_checks",
     "report_to_bytes",
     "write_fixtures",
-    "classification_instance",
-    "forecasting_instance",
     "class_forecast_errors",
-    "summarize_rmse",
     "dense_bound",
     "dense_posterior",
     "dense_predict",
@@ -434,29 +432,20 @@ def _classification_records(seed):
             by_label[0][10:] + by_label[1][10:])
 
 
-def classification_instance(seed):
-    """One benchmark draw: a 10-series-per-class training dataset plus 20
-    noisy test series per class, the test series already mapped into the
-    training dataset's coordinates.
-
-    Returns (train_dataset, test_series list, true internal labels).
-    """
-    train_recs, test_recs = _classification_records(seed)
-    train = dataset_from_records(train_recs)
-    test_series = model_series(train, test_recs)
-    truth = [0] * 20 + [1] * 20
-    return train, test_series, truth
-
-
 def check_classification(seed=0):
+    """Accuracy on 20 noisy test series per class, mapped into the
+    coordinates of a 10-series-per-class training dataset, averaged over
+    BENCH_SEEDS draws. The labels 0 and 1 are also the class indices."""
     accuracies = []
     hyper = Hyperparams()
     for i in range(BENCH_SEEDS):
-        train, test_series, truth = classification_instance(seed + i)
+        train_recs, test_recs = _classification_records(seed + i)
+        train = dataset_from_records(train_recs)
         model, _ = train_model(train, hyper)
-        results = classify_many(model, class_posteriors(model, train), test_series)
-        hits = sum(1 for (pred, _), want in zip(results, truth) if pred == want)
-        accuracies.append(hits / len(truth))
+        results = classify_many(model, class_posteriors(model, train),
+                                model_series(train, test_recs))
+        hits = sum(1 for (pred, _), rec in zip(results, test_recs) if pred == rec.label)
+        accuracies.append(hits / len(test_recs))
     mean_acc = float(np.mean(accuracies))
     return {
         "name": "classification-benchmark",
@@ -474,24 +463,20 @@ def _forecasting_dataset(seed):
     return dataset_from_records(_two_class_records(rng, 10, 0.1))
 
 
-def forecasting_instance(seed):
-    """A two-class dataset for the forecasting benchmark, already split in
-    time. Returns (train, test) datasets sharing one coordinate system."""
-    return forecast_split(_forecasting_dataset(seed), 0.8)
-
-
 def class_forecast_errors(model, posteriors, k, train_series, queries):
-    """Original-unit forecast rows for class k, predicted from the class
-    posteriors of class_posteriors.
+    """Class k's entry of the forecast command, predicted from the class
+    posteriors of class_posteriors; None when there are no queries.
 
     queries is a sequence of TimeSeries in model coordinates, whose times
     may reach FORECAST_HORIZON, paired by position with class k's training
-    series train_series. Returns one dict per query with its timestamps,
-    actual values, model predictions and the last-seen baseline, all
-    de-centered back to the data's units; [] when there are no queries.
+    series train_series. The entry holds the class's original label, the
+    model's and the last-seen baseline's RMSE over every query point, the
+    point count, and as points one dict per query with its timestamps,
+    actual values, model predictions and last-seen value, all de-centered
+    back to the data's units.
     """
     if not queries:
-        return []
+        return None
     if len(queries) != len(train_series):
         raise InputError(
             f"class {model.class_labels[k]}: {len(queries)} test series cannot "
@@ -505,32 +490,26 @@ def class_forecast_errors(model, posteriors, k, train_series, queries):
         model, query_times, np.concatenate([q.values for q in queries]))
     _, predicted, _ = to_original_units(model, y=pred.mean)
     _, last_seen, _ = to_original_units(model, y=[tr.values[-1] for tr in train_series])
-    splits = np.cumsum([len(q) for q in queries[:-1]])
-    per_query = zip(*(np.split(a, splits) for a in (times, actual, predicted)), last_seen)
-    return [
-        {
-            "series": idx,
-            "timestamps": [float(x) for x in t],
-            "actual": [float(x) for x in y],
-            "predicted": [float(x) for x in mean],
-            "last_seen": float(last),
-        }
-        for idx, (t, y, mean, last) in enumerate(per_query)
-    ]
-
-
-def summarize_rmse(rows):
-    """(model RMSE, last-seen RMSE) over every point of every row produced
-    by class_forecast_errors."""
-    sq_model, sq_last = [], []
-    for row in rows:
-        actual = np.asarray(row["actual"])
-        sq_model.append((actual - np.asarray(row["predicted"])) ** 2)
-        sq_last.append((actual - row["last_seen"]) ** 2)
-    return (
-        float(np.sqrt(np.mean(np.concatenate(sq_model)))),
-        float(np.sqrt(np.mean(np.concatenate(sq_last)))),
-    )
+    lengths = [len(q) for q in queries]
+    per_query = zip(*(np.split(a, np.cumsum(lengths[:-1]))
+                      for a in (times, actual, predicted)), last_seen)
+    return {
+        "label": int(model.class_labels[k]),
+        "rmse": float(np.sqrt(np.mean((actual - predicted) ** 2))),
+        "last_seen_rmse": float(np.sqrt(np.mean(
+            (actual - np.repeat(last_seen, lengths)) ** 2))),
+        "n_points": int(actual.size),
+        "points": [
+            {
+                "series": idx,
+                "timestamps": t.tolist(),
+                "actual": y.tolist(),
+                "predicted": mean.tolist(),
+                "last_seen": float(last),
+            }
+            for idx, (t, y, mean, last) in enumerate(per_query)
+        ],
+    }
 
 
 def check_forecasting(seed=0):
@@ -539,14 +518,13 @@ def check_forecasting(seed=0):
     hyper = Hyperparams()
     model_rmse, last_rmse = [], []
     for i in range(BENCH_SEEDS):
-        train, test = forecasting_instance(seed + i)
+        train, test = forecast_split(_forecasting_dataset(seed + i), 0.8)
         model, _ = train_model(train, hyper)
         posteriors = class_posteriors(model, train)
-        rows = class_forecast_errors(model, posteriors, 0, train.collections[0].series,
-                                     test.collections[0].series)
-        rm, rl = summarize_rmse(rows)
-        model_rmse.append(rm)
-        last_rmse.append(rl)
+        entry = class_forecast_errors(model, posteriors, 0, train.collections[0].series,
+                                      test.collections[0].series)
+        model_rmse.append(entry["rmse"])
+        last_rmse.append(entry["last_seen_rmse"])
     wins = sum(1 for rm, rl in zip(model_rmse, last_rmse) if rm <= rl)
     return {
         "name": "forecasting-benchmark",

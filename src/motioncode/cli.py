@@ -183,8 +183,7 @@ def _load_in_model_coordinates(path, fmt, model: ModelParams):
     contain exactly the model's classes."""
     records = parse_records(path, fmt)
     with in_file(path):
-        ds = dataset_from_records(records, model.time_scale, model.value_center,
-                                  model.value_scale)
+        ds = dataset_from_records(records, model)
     if ds.class_labels != model.class_labels:
         raise InputError(
             f"{path}: class labels {ds.class_labels} do not match the "
@@ -324,19 +323,11 @@ def cmd_forecast(args):
     posteriors = class_posteriors(model, train_ds)
     classes = []
     for k, class_queries in enumerate(queries):
-        rows = bench.class_forecast_errors(model, posteriors, k,
-                                           train_ds.collections[k].series,
-                                           class_queries)
-        if not rows:
-            continue
-        rmse, last_seen = bench.summarize_rmse(rows)
-        classes.append({
-            "label": int(model.class_labels[k]),
-            "rmse": rmse,
-            "last_seen_rmse": last_seen,
-            "n_points": int(sum(len(r["actual"]) for r in rows)),
-            "points": rows,
-        })
+        entry = bench.class_forecast_errors(model, posteriors, k,
+                                            train_ds.collections[k].series,
+                                            class_queries)
+        if entry is not None:
+            classes.append(entry)
     payload = {"split_fraction": args.split_fraction, "classes": classes}
     _emit("forecast", _hyper_dict(model.hyper), payload, started, args.out)
     return 0

@@ -23,7 +23,8 @@ the one flat vector that parameters and gradients share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -330,6 +331,14 @@ class Hyperparams:
     jitter: float = 1e-6
 
     def __post_init__(self):
+        # each field holds the type of its default; a bool is neither
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            wanted = numbers.Integral if kind is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                noun = "an integer" if kind is int else "a real number"
+                raise ValidationError(f"{f.name} must be {noun}, got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
         if self.m < 1 or self.d < 1 or self.j < 1:
             raise ValidationError("m, d and J must all be >= 1")
         for name, value in (("sigma", self.sigma), ("lambda", self.lam),
@@ -427,7 +436,10 @@ class ModelParams:
     data_format : that file's format, 'ragged' or 'ucr'
     posteriors  : one VariationalPosterior per class, fitted at
                   these parameters on the training file as loaded, before
-                  any injected noise or split; () when none were stored
+                  any injected noise or split; () when none were stored.
+                  Each must hold its class's inducing timestamps and
+                  hyper.jitter exactly: a model file stores neither, and
+                  load_model rebuilds them from the codes and hyper
     """
 
     log_amplitudes: np.ndarray
@@ -474,6 +486,11 @@ class ModelParams:
             raise ValidationError(
                 f"model has {L} classes but {len(self.posteriors)} stored posteriors"
             )
+        for k, post in enumerate(self.posteriors):
+            if not np.array_equal(post.inducing, self.inducing_timestamps(k)) \
+                    or post.jitter != h.jitter:
+                raise ValidationError(f"stored posterior {k} was not fitted at class {k}'s "
+                                      f"inducing timestamps and jitter {h.jitter}")
 
     @property
     def n_classes(self) -> int:

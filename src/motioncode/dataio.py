@@ -377,13 +377,12 @@ def _flat(records) -> Records:
     return Records(tuple(labels), t, y, offsets)
 
 
-def to_model_coordinates(scales, t, y, horizon: float = 1.0, offsets=None):
+def to_model_coordinates(scales, t, y, offsets, horizon: float = 1.0):
     """Map raw timestamps t and values y into model coordinates through the
     map of a Scales, Dataset or ModelParams; returns (times, values).
 
-    t and y may hold several series back to back, series i at
-    offsets[i]:offsets[i + 1] (one series when offsets is None), each with
-    increasing times. Every time must land in [0, horizon]: 1.0 for
+    t and y hold series back to back, series i at offsets[i]:offsets[i + 1],
+    each with increasing times. Every time must land in [0, horizon]: 1.0 for
     datasets and classify queries, FORECAST_HORIZON for forecast queries.
     The map can overflow or round two times into one, so the mapped times
     and values must also be finite, and the times strictly increasing. The
@@ -395,8 +394,6 @@ def to_model_coordinates(scales, t, y, horizon: float = 1.0, offsets=None):
     with np.errstate(over="ignore", invalid="ignore"):
         times = (t - t0) / (t1 - t0)
         values = (y - scales.value_center) / scales.value_scale
-    if offsets is None:
-        offsets = np.array([0, times.size])
     starts, ends = offsets[:-1], offsets[1:] - 1
     low, high = times[starts] < 0.0, times[ends] > horizon
     found = []
@@ -435,8 +432,8 @@ def to_original_units(scales, t=(), y=(), var=()):
 def _mapped(scales, records: Records, horizon=1.0):
     """Every record mapped into model coordinates by one
     to_model_coordinates call: [(times, values) read-only views]."""
-    times, values = to_model_coordinates(scales, records.t, records.y, horizon,
-                                         records.offsets)
+    times, values = to_model_coordinates(scales, records.t, records.y, records.offsets,
+                                         horizon)
     times.setflags(write=False)
     values.setflags(write=False)
     bounds = records.offsets.tolist()
@@ -450,30 +447,23 @@ def model_series(scales, records) -> list[TimeSeries]:
     return [TimeSeries.view(t, y) for t, y in _mapped(scales, _flat(records))]
 
 
-def dataset_from_records(records, time_scale=None, value_center=None,
-                         value_scale=None) -> Dataset:
+def dataset_from_records(records, scales=None) -> Dataset:
     """Assemble a Dataset from Records or a list of RaggedRecords, mapping
-    every record into model coordinates.
-
-    Each scale not supplied is computed from the records: the time range
-    over every record, and the mean and standard deviation of every value
-    (a standard deviation of 0 becomes 1). Supply all three to bring test
-    data into a trained model's coordinates.
+    every record into model coordinates through the map of scales, a
+    Scales, Dataset or ModelParams: pass a trained model to bring data into
+    its coordinates. Without scales the map is computed from the records:
+    the time range over every record, and the mean and standard deviation
+    of every value (a standard deviation of 0 becomes 1).
     """
     records = _flat(records)
     if not records.labels:
         raise ValidationError("no records to assemble")
-    if time_scale is None:
-        time_scale = (float(records.t.min()), float(records.t.max()))
-    if value_center is None or value_scale is None:
+    if scales is None:
         # values near the float limit overflow here; Scales rejects the result
         with np.errstate(over="ignore", invalid="ignore"):
-            if value_center is None:
-                value_center = float(np.mean(records.y))
-            if value_scale is None:
-                std = float(np.std(records.y))
-                value_scale = std if std > 0 else 1.0
-    scales = Scales(time_scale, value_center, value_scale)
+            center, std = float(np.mean(records.y)), float(np.std(records.y))
+        scales = Scales((float(records.t.min()), float(records.t.max())), center,
+                        std if std > 0 else 1.0)
     by_label = {}
     for label, (t, y) in zip(records.labels, _mapped(scales, records)):
         by_label.setdefault(label, []).append(TimeSeries.view(t, y))
@@ -513,8 +503,8 @@ def load_queries(path, model: ModelParams, fmt: str = "ragged",
         if unknown is not None:
             # a timestamp out of range up to that record is reported first
             stop = records.offsets[unknown + 1]
-            to_model_coordinates(model, records.t[:stop], records.y[:stop], horizon,
-                                 records.offsets[:unknown + 2])
+            to_model_coordinates(model, records.t[:stop], records.y[:stop],
+                                 records.offsets[:unknown + 2], horizon)
             model.class_index(records.labels[unknown])
         mapped = _mapped(model, records, horizon)
     return ([index[label] for label in records.labels],
@@ -613,8 +603,7 @@ def save_model(params: ModelParams, path):
     ValidationError before the file is opened."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION if params.posteriors else 1,
-        "hyper": {f.name: type(f.default)(getattr(params.hyper, f.name))
-                  for f in fields(Hyperparams)},
+        "hyper": {f.name: getattr(params.hyper, f.name) for f in fields(Hyperparams)},
         "time_scale": [float(params.time_scale[0]), float(params.time_scale[1])],
         "value_center": float(params.value_center),
         "value_scale": float(params.value_scale),

@@ -628,6 +628,27 @@ def test_v1_model_refits_and_needs_the_training_file(tmp_path, two_constants, ca
                        "with the data the model was trained on\n")
 
 
+def test_training_file_must_hold_the_models_classes(tmp_path, two_constants, capsys):
+    # classify reads a training file whose digest differs, to refit from it,
+    # and forecast always reads its training file
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(two_constants), "--max-iters", "0",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in two_constants.read_text().splitlines()]
+    for command, train_rows, labels in (
+            ("classify", [r for r in rows if r["label"] == 0], "(0,)"),
+            ("forecast", rows + [dict(rows[0], label=5)], "(0, 1, 5)")):
+        train = tmp_path / f"{command}-train.jsonl"
+        write_jsonl(train, train_rows)
+        code, report, err = run(capsys, [command, "--model", str(model_path),
+                                         "--train-data", str(train),
+                                         "--data", str(two_constants)])
+        assert code == 1 and report is None
+        assert err == (f"error: {train}: class labels {labels} do not match the "
+                       "model's classes (0, 1)\n")
+
+
 def test_serving_logs_which_posteriors_it_used(tmp_path, two_constants, capsys, caplog):
     model_path = tmp_path / "model.json"
     assert main(["train", "--data", str(two_constants), "--max-iters", "2",

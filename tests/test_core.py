@@ -7,6 +7,7 @@ from motioncode.core import (
     Hyperparams,
     ModelParams,
     Prediction,
+    Scales,
     TimeSeries,
     ValidationError,
     code_to_timestamps,
@@ -123,6 +124,18 @@ def test_hyperparams_must_be_finite(field, value):
         Hyperparams(**{field: value})
 
 
+def test_hyperparams_fields_hold_their_default_types():
+    # max_iters=2.5 once constructed, trained 3 iterations and was saved as 2
+    for field, value in (("max_iters", 2.5), ("m", True), ("sigma", "0.1"),
+                         ("jitter", False)):
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            Hyperparams(**{field: value})
+    h = Hyperparams(m=np.int64(3), lam=2, sigma=np.float32(0.5))
+    assert type(h.m) is int and h.m == 3
+    assert type(h.lam) is float and h.lam == 2.0
+    assert type(h.sigma) is float and h.sigma == 0.5
+
+
 def test_code_to_timestamps_open_interval():
     # saturated logits must stay strictly inside (0, 1)
     cm = np.array([[50.0], [-50.0], [0.0]])
@@ -202,25 +215,20 @@ def test_prediction_variance_nonnegative():
 
 
 def test_normalize_timestamps():
-    """Loading maps raw times onto [0, 1] through a supplied time scale and
-    rejects times outside it, or a degenerate scale."""
+    """Loading maps raw times onto [0, 1] through supplied scales and
+    rejects times outside them; a degenerate time scale is no Scales."""
 
-    def load(raw_times, time_scale, **values):
+    def load(raw_times, time_scale):
         records = [RaggedRecord(0, raw_times, np.arange(len(raw_times), dtype=float))]
-        return dataset_from_records(records, time_scale=time_scale, **values)
+        return dataset_from_records(records, Scales(time_scale, 1.0, 2.0))
 
     ds = load([0.0, 5.0, 10.0], (0.0, 10.0))
     assert np.allclose(ds.collections[0].series[0].timestamps, [0.0, 0.5, 1.0])
+    assert (ds.value_center, ds.value_scale) == (1.0, 2.0)
+    assert np.array_equal(ds.collections[0].series[0].values, [-0.5, 0.0, 0.5])
     with pytest.raises(ValidationError, match="outside the time scale"):
         load([-1.0, 5.0], (0.0, 10.0))
     with pytest.raises(ValidationError, match="outside the time scale"):
         load([5.0, 11.0], (0.0, 10.0))
     with pytest.raises(ValidationError, match="degenerate"):
         load([1.0, 3.0], (2.0, 2.0))
-    # a supplied half of the value pair is kept and only the other computed:
-    # the values 0, 1, 2 have mean 1 and standard deviation sqrt(2/3)
-    ds = load([0.0, 5.0, 10.0], (0.0, 10.0), value_center=4.0)
-    assert (ds.value_center, ds.value_scale) == (4.0, np.std([0.0, 1.0, 2.0]))
-    ds = load([0.0, 5.0, 10.0], (0.0, 10.0), value_scale=2.0)
-    assert (ds.value_center, ds.value_scale) == (1.0, 2.0)
-    assert np.array_equal(ds.collections[0].series[0].values, [-0.5, 0.0, 0.5])

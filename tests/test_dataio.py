@@ -11,9 +11,11 @@ from motioncode.core import (
     Hyperparams,
     InputError,
     ParseError,
+    Scales,
     SplitError,
     TimeSeries,
     ValidationError,
+    VariationalPosterior,
     VersionError,
 )
 from motioncode.dataio import (
@@ -201,7 +203,7 @@ def test_inject_noise_statistics(tmp_path):
         for _ in range(25):
             t = np.linspace(0, 1, 220)
             records.append(RaggedRecord(label, t, rng.uniform(-2.0, 2.0, 220)))
-    ds = dataset_from_records(records, value_center=0.0, value_scale=1.0)
+    ds = dataset_from_records(records, Scales((0.0, 1.0)))
     peak = max(float(np.max(np.abs(s.values))) for c in ds.collections for s in c.series)
     noisy = inject_noise(ds, 0.3, seed=5)
     diffs = np.concatenate([
@@ -603,6 +605,30 @@ def test_model_stored_field_checked(tmp_path, path, bad, message):
     assert str(err.value) == message
 
 
+def test_model_refuses_posteriors_a_file_cannot_hold():
+    # a model file stores neither a posterior's inducing timestamps nor its
+    # jitter: the first case below once saved, and loaded back at the
+    # class's own timestamps and jitter 1e-6, predicting -0.0860 where it
+    # had predicted 0.0718 at t = 0.3
+    params = model_with_posteriors(m=3)
+    fitted = params.posteriors
+    moved = [VariationalPosterior([0.2, 0.5, 0.8], fitted[0].mean, fitted[0].covariance,
+                                  1e-3),
+             dataclasses.replace(fitted[0], jitter=1e-3),
+             dataclasses.replace(fitted[0], inducing=np.nextafter(fitted[0].inducing, 1.0))]
+    for first in moved:
+        with pytest.raises(ValidationError, match="^stored posterior 0 was not fitted"):
+            dataclasses.replace(params, posteriors=(first, fitted[1]))
+
+
+def test_model_file_holds_numpy_hyperparams_as_python_numbers(tmp_path):
+    # save_model writes the fields as Hyperparams stored them
+    hyper = Hyperparams(m=np.int64(3), max_iters=np.int32(4), sigma=np.float32(0.5))
+    p = tmp_path / "m.json"
+    save_model(init_params(2, hyper), p)
+    assert load_model(p).hyper == hyper
+
+
 # (changes to the model, changes to its first posterior, the exact
 # ValidationError message: the ParseError load_model would raise)
 UNSAVABLE = [
@@ -705,7 +731,7 @@ def test_load_queries_maps_into_model_coordinates(tmp_path):
         "[0.0, 100.0] (normalized range [0, 1.0])"
     )
     with pytest.raises(ValidationError, match="outside the time scale"):
-        dataset_from_records(parse_ragged(p), time_scale=params.time_scale)
+        dataset_from_records(parse_ragged(p), params)
     # unknown label
     write_lines(p, [json.dumps({"label": 4, "t": [0.0, 1.0], "y": [0, 0]})])
     with pytest.raises(InputError):

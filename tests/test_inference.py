@@ -448,10 +448,21 @@ def test_bench_forecast_rows_match_per_series_forecast():
     model, train, test, posteriors = forecast_row_case(43)
     for k in range(2):
         queries = test.collections[k].series
-        rows = bench.class_forecast_errors(model, posteriors, k,
-                                           train.collections[k].series, queries)
+        entry = bench.class_forecast_errors(model, posteriors, k,
+                                            train.collections[k].series, queries)
+        rows = entry["points"]
         assert_rows_match_per_series(model, posteriors, k, rows, queries,
                                      train.collections[k].series)
+        # the RMSEs are the ones of the rows' per-row squared errors, concatenated
+        actual = [np.asarray(row["actual"]) for row in rows]
+        sq_model = np.concatenate([(a - np.asarray(row["predicted"])) ** 2
+                                   for a, row in zip(actual, rows)])
+        sq_last = np.concatenate([(a - row["last_seen"]) ** 2
+                                  for a, row in zip(actual, rows)])
+        assert entry["label"] == model.class_labels[k]
+        assert entry["rmse"] == float(np.sqrt(np.mean(sq_model)))
+        assert entry["last_seen_rmse"] == float(np.sqrt(np.mean(sq_last)))
+        assert entry["n_points"] == sq_model.size == sum(len(q) for q in queries)
 
 
 def test_cli_forecast_rows_match_per_series_forecast():
@@ -464,14 +475,14 @@ def test_cli_forecast_rows_match_per_series_forecast():
     ]
     for k in range(2):
         queries = [q for c, q in records if c == k]
-        rows = bench.class_forecast_errors(model, posteriors, k,
-                                           train.collections[k].series, queries)
-        assert_rows_match_per_series(model, posteriors, k, rows, queries,
+        entry = bench.class_forecast_errors(model, posteriors, k,
+                                            train.collections[k].series, queries)
+        assert_rows_match_per_series(model, posteriors, k, entry["points"], queries,
                                      train.collections[k].series)
-    # no queries for a class gives no rows; a count that cannot be paired
+    # no queries for a class gives no entry; a count that cannot be paired
     # with the class's training series is an input error
     assert bench.class_forecast_errors(model, posteriors, 0,
-                                       train.collections[0].series, []) == []
+                                       train.collections[0].series, []) is None
     with pytest.raises(InputError, match="cannot be paired"):
         bench.class_forecast_errors(model, posteriors, 0,
                                     train.collections[0].series, queries[:2])
