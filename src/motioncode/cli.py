@@ -38,7 +38,7 @@ from .dataio import (
     to_original_units,
 )
 from .inference import FORECAST_HORIZON, class_posteriors, classify_many, forecast
-from .kernel import class_kernel
+from .kernel import chol_jittered, class_kernel, kernel_matrix
 from .optimizer import train_model
 
 __all__ = ["main"]
@@ -217,18 +217,20 @@ def _serving_posteriors(args, model: ModelParams, path, flag):
 
 def _class_fit(model: ModelParams, dataset):
     """Per class: its summed kernel amplitude over the effective noise c of
-    its training collection, and the smallest gap between its sorted
-    normalized inducing timestamps (None when m = 1). A collapsed fit shows
-    as a tiny ratio or coincident timestamps."""
-    sigma = model.hyper.sigma
+    its training collection, the smallest gap between its sorted
+    normalized inducing timestamps (None when m = 1), and the jitter
+    chol_jittered needs to factor its K_SS. A collapsed fit shows as a tiny
+    ratio, coincident timestamps or a jitter above hyper.jitter."""
+    hyper = model.hyper
     rows = []
     for k, collection in enumerate(dataset.collections):
-        s = np.sort(model.inducing_timestamps(k))
+        kp, s = class_kernel(model, k), model.inducing_timestamps(k)
         rows.append({
             "label": int(model.class_labels[k]),
-            "amplitude_over_noise": float(np.sum(class_kernel(model, k).amplitudes))
-            / effective_noise(collection.size, sigma),
-            "min_inducing_gap": float(np.diff(s).min()) if s.size > 1 else None,
+            "amplitude_over_noise": float(np.sum(kp.amplitudes))
+            / effective_noise(collection.size, hyper.sigma),
+            "min_inducing_gap": float(np.diff(np.sort(s)).min()) if s.size > 1 else None,
+            "jitter_used": chol_jittered(kernel_matrix(kp, s), hyper.jitter).jitter_used,
         })
     return rows
 

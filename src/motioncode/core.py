@@ -338,7 +338,11 @@ class Hyperparams:
             if isinstance(value, bool) or not isinstance(value, wanted):
                 noun = "an integer" if kind is int else "a real number"
                 raise ValidationError(f"{f.name} must be {noun}, got {value!r}")
-            object.__setattr__(self, f.name, kind(value))
+            try:
+                object.__setattr__(self, f.name, kind(value))
+            except OverflowError:
+                raise ValidationError(f"{f.name} must be finite, got a number too "
+                                      "large for a float") from None
         if self.m < 1 or self.d < 1 or self.j < 1:
             raise ValidationError("m, d and J must all be >= 1")
         for name, value in (("sigma", self.sigma), ("lambda", self.lam),

@@ -625,6 +625,21 @@ def save_model(params: ModelParams, path):
         handle.write("\n")
 
 
+def _number(node, where, *index) -> float:
+    """A model-file number as a float, or a ParseError naming its field (and
+    index) when it is not an int or float or is an int too large for one."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        try:
+            # float(int) rounds as np.array(..., dtype=float) does
+            return float(node)
+        except OverflowError:
+            got = "an integer too large for a float"
+    else:
+        got = repr(node)
+    where += "".join(f"[{i}]" for i in index)
+    raise ParseError(f"model file field {where} must be a number, got {got}")
+
+
 def _field(doc, path_parts, kind):
     node = doc
     trail = []
@@ -646,28 +661,18 @@ def _field(doc, path_parts, kind):
             raise ParseError(f"model file field {where} must be an integer, got {node!r}")
         return node
     if kind == "float":
-        if isinstance(node, bool) or not isinstance(node, (int, float)):
-            raise ParseError(f"model file field {where} must be a number, got {node!r}")
-        return float(node)
+        return _number(node, where)
     if kind == "matrix":
         if not isinstance(node, list) or not all(isinstance(row, list) for row in node):
             raise ParseError(f"model file field {where} must be a list of rows")
         if len({len(row) for row in node}) > 1:
             raise ParseError(f"model file field {where} has rows of unequal length")
-        for i, row in enumerate(node):
-            for jj, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ParseError(
-                        f"model file field {where}[{i}][{jj}] must be a number, got {v!r}"
-                    )
-        return np.array(node, dtype=float)
+        return np.array([[_number(v, where, i, jj) for jj, v in enumerate(row)]
+                         for i, row in enumerate(node)], dtype=float)
     if kind == "vector":
         if not isinstance(node, list):
             raise ParseError(f"model file field {where} must be a list of numbers")
-        for i, v in enumerate(node):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(f"model file field {where}[{i}] must be a number, got {v!r}")
-        return np.array(node, dtype=float)
+        return np.array([_number(v, where, i) for i, v in enumerate(node)], dtype=float)
     if kind == "str":
         if not isinstance(node, str):
             raise ParseError(f"model file field {where} must be a string, got {node!r}")

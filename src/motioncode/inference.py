@@ -97,10 +97,11 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
         lam += (cross @ cross.T) / c
         rhs += cross @ block.values.ravel()
     lam = 0.5 * (lam + lam.T)
-    precision_factor = chol_jittered(lam, jitter)
+    # one solve for [rhs, K_SS]: each column is substituted on its own
+    solved = chol_jittered(lam, jitter).solve(np.column_stack((rhs, k_ss)))
 
-    mean = (k_ss @ precision_factor.solve(rhs)) / c
-    cov = k_ss @ precision_factor.solve(k_ss)
+    mean = (k_ss @ solved[:, 0]) / c
+    cov = k_ss @ solved[:, 1:]
     cov = 0.5 * (cov + cov.T)
     return VariationalPosterior(s, mean, cov, jitter)
 

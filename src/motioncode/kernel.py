@@ -7,6 +7,13 @@ The covariance between two timestamps t, s is
 
 with amp_j > 0, bw_j > 0. Parameters live in log space everywhere so
 positivity never has to be enforced by the optimizer.
+
+The package factors only small matrices, m x m for m informative
+timestamps (10 by default), so beyond numpy's Cholesky factorization it
+needs one more operation: L^{-1} b for a lower-triangular factor L. It
+runs as column-oriented forward substitution in numpy, the algorithm of
+LAPACK's triangular solve; a solve with L^T is the same substitution with
+rows and columns reversed.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import ModelParams, NumericalError, SingularMatrixError, ValidationError
 
@@ -120,21 +126,45 @@ def kernel_matrix(params: KernelParams, t, s=None) -> np.ndarray:
     return kernel_matrix_components(params, t, s)[0].sum(axis=0)
 
 
+def _forward_substitute(lower: np.ndarray, b) -> np.ndarray:
+    """L^{-1} b for a lower-triangular L and a vector or matrix b.
+
+    Column-oriented forward substitution, as LAPACK's trsm runs it: step k
+    divides row k by the pivot L[k, k], then subtracts L[i, k] times row k
+    from every later row i. Every column of b takes the same operations
+    whatever the other columns hold. One Python step per row, so it suits
+    the m x m factors it is used on.
+    """
+    b = np.asarray(b, dtype=float)
+    x = b.reshape(b.shape[0], -1).copy()
+    for k in range(lower.shape[0]):
+        x[k] /= lower[k, k]
+        x[k + 1:] -= np.multiply.outer(lower[k + 1:, k], x[k])
+    return x.reshape(b.shape)
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower Cholesky factor of (A + jitter_used * I), plus solve helpers."""
+    """Lower Cholesky factor L of (A + jitter_used * I), plus solve helpers.
+
+    Both helpers run numpy forward substitution (_forward_substitute). The
+    objective and predict whiten with W = half_solve(I) = L^{-1};
+    fit_posterior solves through both triangles, which keeps the residual
+    of (A + jI) x = b backward stable where W^T W b would not be.
+    """
 
     lower: np.ndarray
     jitter_used: float
 
     def solve(self, b) -> np.ndarray:
-        """(A + jI)^{-1} b via two triangular solves."""
-        y = scipy.linalg.solve_triangular(self.lower, b, lower=True)
-        return scipy.linalg.solve_triangular(self.lower.T, y, lower=False)
+        """(A + jI)^{-1} b via two triangular substitutions; the one with
+        L^T is a forward substitution on L^T with rows and columns reversed."""
+        y = self.half_solve(b)
+        return _forward_substitute(self.lower.T[::-1, ::-1], y[::-1])[::-1]
 
     def half_solve(self, b) -> np.ndarray:
-        """L^{-1} b, the whitening half of the solve."""
-        return scipy.linalg.solve_triangular(self.lower, b, lower=True)
+        """L^{-1} b, the whitening half of the solve, for a vector or matrix b."""
+        return _forward_substitute(self.lower, b)
 
 
 def chol_jittered(a: np.ndarray, base_jitter: float) -> CholeskyFactor:

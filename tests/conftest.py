@@ -7,15 +7,20 @@ from motioncode import objective
 
 @pytest.fixture
 def forbid_inverse(monkeypatch):
-    """A switch that makes np.linalg.inv, as objective looks it up, raise.
+    """A switch that makes np.linalg.inv and np.linalg.solve raise, as the
+    objective, fit_posterior and predict look them up.
 
-    Tests compute their references first (the dense oracles do call inv),
-    then flip it.
+    Tests compute their references first (the dense oracles do call inv and
+    solve), then flip it.
     """
-    def inv(*_args, **_kwargs):
-        raise AssertionError("the objective must not form an explicit inverse")
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the model must not form an explicit inverse or LU solve")
 
-    return lambda: monkeypatch.setattr(objective.np.linalg, "inv", inv)
+    def flip():
+        for name in ("inv", "solve"):
+            monkeypatch.setattr(objective.np.linalg, name, forbidden)
+
+    return flip
 
 
 def pytest_terminal_summary(terminalreporter):

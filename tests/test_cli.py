@@ -11,6 +11,7 @@ from motioncode.cli import _build_parser, main
 from motioncode.core import Hyperparams, TimeSeries, code_to_timestamps
 from motioncode.dataio import load_dataset, load_model
 from motioncode.inference import class_posteriors, classify_many, forecast
+from motioncode.kernel import chol_jittered, class_kernel, kernel_matrix
 
 REPORT_KEYS = {"command", "hyperparams", "wall_clock_seconds", "payload"}
 HYPER_KEYS = {"m", "d", "J", "lambda", "sigma", "max_iters", "epsilon", "jitter"}
@@ -91,13 +92,15 @@ def test_train_report_schema(tmp_path, two_constants, capsys):
     assert model.data_digest == payload["data_digest"]
     # 3 series per class at the default sigma 0.1, so c = 0.03
     assert [set(row) for row in payload["class_fit"]] == [
-        {"label", "amplitude_over_noise", "min_inducing_gap"}] * 2
+        {"label", "amplitude_over_noise", "min_inducing_gap", "jitter_used"}] * 2
     for k, row in enumerate(payload["class_fit"]):
         s = np.sort(model.inducing_timestamps(k))
         assert row["label"] == k
         assert row["amplitude_over_noise"] == pytest.approx(
             np.exp(model.log_amplitudes[k, 0]) / 0.03, rel=1e-12)
         assert row["min_inducing_gap"] == np.diff(s).min() > 0.0
+        # K_SS factors at the base jitter: nothing escalated
+        assert row["jitter_used"] == model.hyper.jitter == 1e-6
 
 
 def test_train_report_records_noise_and_split(tmp_path, two_constants, capsys):
@@ -130,8 +133,25 @@ def test_train_class_fit_single_inducing_timestamp(tmp_path, two_constants, caps
     assert code == 0
     # unit amplitudes at the start point: (1 + 1) / (3 * 0.5**2)
     assert report["payload"]["class_fit"] == [
-        {"label": label, "amplitude_over_noise": 2.0 / 0.75, "min_inducing_gap": None}
+        {"label": label, "amplitude_over_noise": 2.0 / 0.75, "min_inducing_gap": None,
+         "jitter_used": 1e-6}
         for label in (0, 1)]
+
+
+def test_train_class_fit_reports_an_escalated_jitter(tmp_path, two_constants, capsys):
+    # ten initial timestamps 0.023 apart: K_SS's smallest eigenvalue rounds
+    # to about -4e-13, so a base jitter of 1e-16 must escalate
+    model_path = tmp_path / "model.json"
+    code, report, _ = run(capsys, [
+        "train", "--data", str(two_constants), "--max-iters", "0", "--jitter", "1e-16",
+        "--out", str(model_path),
+    ])
+    assert code == 0
+    model = load_model(model_path)
+    for k, row in enumerate(report["payload"]["class_fit"]):
+        factor = chol_jittered(kernel_matrix(class_kernel(model, k),
+                                             model.inducing_timestamps(k)), 1e-16)
+        assert row["jitter_used"] == factor.jitter_used > 1e-16
 
 
 def test_train_zero_iterations(tmp_path, two_constants, capsys):
@@ -507,6 +527,27 @@ def test_classify_rejects_non_finite_hyperparams(tmp_path, two_constants, capsys
     ])
     assert code == 1 and report is None
     assert err == f"error: {model_path}: sigma must be finite, got inf\n"
+
+
+def test_timestamps_rejects_model_numbers_too_large_for_a_float(tmp_path, two_constants,
+                                                               capsys):
+    # JSON integers too large for a float once escaped as OverflowError
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(two_constants), "--max-iters", "1",
+                 "--out", str(model_path)]) == 0
+    saved = model_path.read_text()
+    edits = [("value_center", lambda doc: doc.__setitem__("value_center", 10**400)),
+             ("codes[1][0]", lambda doc: doc["codes"][1].__setitem__(0, -10**400)),
+             ("hyper.sigma", lambda doc: doc["hyper"].__setitem__("sigma", 10**400))]
+    for where, edit in edits:
+        doc = json.loads(saved)
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, report, err = run(capsys, ["timestamps", "--model", str(model_path)])
+        assert code == 1 and report is None
+        assert err == (f"error: model file field {where} must be a number, "
+                       "got an integer too large for a float\n")
 
 
 def test_train_rejects_times_the_map_overflows(tmp_path, capsys):

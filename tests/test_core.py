@@ -127,7 +127,7 @@ def test_hyperparams_must_be_finite(field, value):
 def test_hyperparams_fields_hold_their_default_types():
     # max_iters=2.5 once constructed, trained 3 iterations and was saved as 2
     for field, value in (("max_iters", 2.5), ("m", True), ("sigma", "0.1"),
-                         ("jitter", False)):
+                         ("jitter", False), ("sigma", 10**400), ("lam", -10**400)):
         with pytest.raises(ValidationError, match=f"^{field} must be"):
             Hyperparams(**{field: value})
     h = Hyperparams(m=np.int64(3), lam=2, sigma=np.float32(0.5))

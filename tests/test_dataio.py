@@ -590,6 +590,15 @@ STORED_CORRUPTIONS = [
     (["data_format"], _DROP, "model file missing field data_format"),
     (["data_format"], "csv",
      "model file field data_format must be one of ('ragged', 'ucr'), got 'csv'"),
+    # JSON integers too large for a float once escaped as OverflowError;
+    # named, so that the test ids do not spell out 400 digits
+    *(pytest.param(path, bad, f"model file field {where} must be a number, got an "
+                   "integer too large for a float", id=f"{where}-too-large-for-a-float")
+      for path, bad, where in ((["value_center"], 10**400, "value_center"),
+                               (["codes", 1, 0], -10**400, "codes[1][0]"),
+                               (["hyper", "sigma"], 10**400, "hyper.sigma"),
+                               (["posteriors", 0, "mean", 2], 10**400,
+                                "posteriors.0.mean[2]"))),
 ]
 
 

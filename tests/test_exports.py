@@ -52,3 +52,15 @@ def test_dataio_imports_no_numerics():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_no_scipy():
+    # the only dense linear algebra beyond numpy's Cholesky is m x m
+    # substitution, done in numpy; scipy would load a second BLAS
+    code = ("import sys, motioncode, motioncode.cli, motioncode.bench, "
+            "motioncode.objective, motioncode.inference; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(motioncode.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

@@ -174,25 +174,74 @@ def test_chol_jittered_rejects_non_finite():
         chol_jittered(a, 1e-6)
 
 
+def longdouble_substitution(lower, b):
+    """Reference L^{-1} b: row-oriented forward substitution in extended
+    precision, independent of the package's column-oriented float64 one."""
+    lower = np.asarray(lower, dtype=np.longdouble)
+    x = np.array(b, dtype=np.longdouble).reshape(lower.shape[0], -1)
+    for k in range(lower.shape[0]):
+        x[k] = (x[k] - lower[k, :k] @ x[:k]) / lower[k, k]
+    return x.reshape(np.shape(b))
+
+
+def check_ill_conditioned_solves(rng, rhs_shape):
+    """An RBF K_SS at timestamps 1e-6 apart, cond(K_SS) >= 1e10, factored
+    at jitters 1e-12 to 1e-6. The solve meets the residual budget of
+    tests/test_properties.py, and the substitution meets the componentwise
+    forward-error bound of a triangular solve, n eps |L^{-1}| |L| |x|
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 8.5),
+    against an extended-precision one."""
+    k = kernel_matrix(params([1.0], [50.0]), 0.4 + 1e-6 * np.arange(6))
+    assert np.linalg.cond(k) >= 1e10
+    eps = np.finfo(float).eps
+    for jitter in (1e-12, 1e-9, 1e-6):
+        f = chol_jittered(k, jitter)
+        a = k + f.jitter_used * np.eye(6)
+        rhs = rng.normal(size=rhs_shape)
+        resid = float(np.abs(a @ f.solve(rhs) - rhs).max())
+        assert resid <= 100.0 * eps * float(np.linalg.cond(a)) * float(np.abs(rhs).max())
+        ref = longdouble_substitution(f.lower, rhs)
+        spread = np.abs(longdouble_substitution(f.lower, np.eye(6))) @ np.abs(f.lower)
+        bound = (6 * eps * (spread @ np.abs(ref))).astype(float)
+        assert np.all(np.abs(f.half_solve(rhs) - ref).astype(float) <= bound)
+
+
 def test_cholesky_factor_solver():
     rng = np.random.default_rng(13)
-    b = rng.normal(size=(5, 5))
-    a = b @ b.T + 5 * np.eye(5)
-    f = chol_jittered(a, 1e-12)
-    rhs = rng.normal(size=5)
-    x = f.solve(rhs)
-    assert np.allclose((a + f.jitter_used * np.eye(5)) @ x, rhs, atol=1e-9)
-    # half solve whitens: L^{-1} A L^{-T} = I when jitter is negligible
-    half = f.half_solve(np.eye(5))
-    assert np.allclose(half @ (a + f.jitter_used * np.eye(5)) @ half.T, np.eye(5), atol=1e-9)
+    for m in (5, 1):
+        b = rng.normal(size=(m, m))
+        a = b @ b.T + 5 * np.eye(m)
+        f = chol_jittered(a, 1e-12)
+        rhs = rng.normal(size=m)
+        x = f.solve(rhs)
+        assert x.shape == (m,)
+        assert np.allclose((a + f.jitter_used * np.eye(m)) @ x, rhs, atol=1e-9)
+        # half solve whitens: L^{-1} A L^{-T} = I when jitter is negligible
+        half = f.half_solve(np.eye(m))
+        assert np.allclose(half @ (a + f.jitter_used * np.eye(m)) @ half.T, np.eye(m),
+                           atol=1e-9)
+        # a vector right-hand side keeps its shape
+        assert f.half_solve(rhs).shape == (m,)
+        assert np.allclose(f.half_solve(rhs), longdouble_substitution(f.lower, rhs),
+                           rtol=1e-12, atol=1e-12)
+    check_ill_conditioned_solves(rng, 6)
 
 
 def test_cholesky_factor_matrix_rhs():
     rng = np.random.default_rng(17)
-    b = rng.normal(size=(4, 4))
-    a = b @ b.T + np.eye(4)
-    f = chol_jittered(a, 1e-12)
-    rhs = rng.normal(size=(4, 3))
-    x = f.solve(rhs)
-    assert x.shape == (4, 3)
-    assert np.allclose((a + f.jitter_used * np.eye(4)) @ x, rhs, atol=1e-9)
+    for m in (4, 1):
+        b = rng.normal(size=(m, m))
+        a = b @ b.T + np.eye(m)
+        f = chol_jittered(a, 1e-12)
+        rhs = rng.normal(size=(m, 3))
+        x = f.solve(rhs)
+        assert x.shape == (m, 3)
+        assert np.allclose((a + f.jitter_used * np.eye(m)) @ x, rhs, atol=1e-9)
+        # each column is substituted as that column alone would be, which
+        # fit_posterior's one solve for [rhs, K_SS] relies on
+        half = f.half_solve(rhs)
+        assert half.shape == (m, 3)
+        for col in range(3):
+            assert np.array_equal(half[:, col], f.half_solve(rhs[:, col]))
+            assert np.array_equal(x[:, col], f.solve(rhs[:, col]))
+    check_ill_conditioned_solves(rng, (6, 3))

@@ -48,13 +48,33 @@ def test_kernel_matrix_symmetric_psd(kp, t):
     assert np.allclose(np.diag(k), np.sum(kp.amplitudes), rtol=1e-12)
 
 
+@st.composite
+def near_coincident_timestamps(draw, max_points=8):
+    """2 to max_points timestamps at most 3e-6 apart: with the bandwidths
+    of kernel_params, cond(K_SS) >= 1e10."""
+    n = draw(st.integers(2, max_points))
+    gaps = draw(st.lists(st.floats(1e-8, 3e-6), min_size=n - 1, max_size=n - 1))
+    return draw(st.floats(0.1, 0.9)) + np.concatenate(([0.0], np.cumsum(gaps)))
+
+
+# well-spaced timestamps at jitters 1e-10 to 1e-4, or an ill-conditioned
+# K_SS at jitters 1e-12 to 1e-6
+factor_inputs = st.one_of(
+    st.tuples(timestamps(), st.floats(1e-10, 1e-4)),
+    st.tuples(near_coincident_timestamps(), st.floats(1e-12, 1e-6)),
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(kernel_params(), timestamps(), st.floats(1e-10, 1e-4))
-def test_jittered_factor_solves(kp, t, jitter):
+@given(kernel_params(), factor_inputs, st.sampled_from([(), (1,), (3,)]))
+def test_jittered_factor_solves(kp, inputs, rhs_columns):
+    t, jitter = inputs
     k = kernel_matrix(kp, t)
+    if t.size > 1 and float(np.diff(t).max()) <= 3e-6:
+        assert float(np.linalg.cond(k)) >= 1e10
     factor = chol_jittered(k, jitter)
     rng = np.random.default_rng(0)
-    b = rng.normal(size=t.size)
+    b = rng.normal(size=(t.size,) + rhs_columns)
     a = k + factor.jitter_used * np.eye(t.size)
     resid = float(np.abs(a @ factor.solve(b) - b).max())
     # near-coincident timestamps make cond(a) ~ amp/jitter, so the residual
