@@ -183,10 +183,12 @@ def dense_posterior(kp, inducing, collection, sigma, jitter):
         cross = kernel_matrix(kp, s, ts.timestamps)
         lam += (cross @ cross.T) / c
         rhs += cross @ ts.values
+    # K_SS + jitter I, the matrix dense_predict solves with
+    kt = k_ss + jitter * np.eye(s.size)
     lam = 0.5 * (lam + lam.T) + jitter * np.eye(s.size)
     lam_inv = np.linalg.inv(lam)
-    mean = (k_ss @ lam_inv @ rhs) / c
-    cov = k_ss @ lam_inv @ k_ss
+    mean = (kt @ lam_inv @ rhs) / c
+    cov = kt @ lam_inv @ kt
     return mean, 0.5 * (cov + cov.T)
 
 

@@ -143,11 +143,11 @@ class Records:
 
 @contextlib.contextmanager
 def in_file(path):
-    """Prefix the path of the file being read to any ValidationError or
-    VersionError raised in the block."""
+    """Prefix the path of the file being read to any ParseError,
+    ValidationError or VersionError raised in the block."""
     try:
         yield
-    except (ValidationError, VersionError) as exc:
+    except (ParseError, ValidationError, VersionError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 

@@ -4,11 +4,18 @@ and nearest-prototype classification.
 
 For one collection with B series and effective noise c = B * sigma**2
 (core.effective_noise), the best Gaussian over the process values at the m
-inducing timestamps has
+inducing timestamps, for the bound the objective maximizes, has
 
-    Lam  = K_SS + (1/c) * sum_i C_i C_i^T        (C_i = K(S, T_i))
-    mean = (1/c) * K_SS Lam^{-1} sum_i C_i y_i
-    cov  = K_SS Lam^{-1} K_SS
+    Kt   = K_SS + jitter * I
+    Lam  = Kt + (1/c) * sum_i C_i C_i^T          (C_i = K(S, T_i))
+    mean = (1/c) * Kt Lam^{-1} sum_i C_i y_i
+    cov  = Kt Lam^{-1} Kt
+
+fit_posterior forms them through the lower Cholesky factor L_Lam of Lam
+and no second triangle: with G = L_Lam^{-1} Kt and h = L_Lam^{-1} sum_i
+C_i y_i, both from one substitution of [Kt, sum_i C_i y_i],
+
+    mean = G^T h / c,    cov = G^T G
 
 The sums over series run over the same zero-padded blocks the objective
 uses (Collection.blocks): one cross-covariance build per block, with the
@@ -17,8 +24,8 @@ padded points masked out.
 Predictions at query timestamps T marginalize the signal through the
 inducing values:
 
-    p      = K_TS K_SS^{-1} mean
-    var[t] = k(t,t) - q(t,t) + [K_TS K_SS^{-1} cov K_SS^{-1} K_ST](t,t)
+    p      = K_TS Kt^{-1} mean
+    var[t] = k(t,t) - [K_TS Kt^{-1} K_ST](t,t) + [K_TS Kt^{-1} cov Kt^{-1} K_ST](t,t)
 
 A posterior holds just what a model file stores for a class
 (core.VariationalPosterior): the inducing timestamps, mean, cov and the
@@ -81,10 +88,13 @@ VARIANCE_SLACK = -1e-8
 
 def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
                   sigma: float, jitter: float = Hyperparams.jitter) -> VariationalPosterior:
-    """Compute the optimal posterior for one collection.
+    """Compute the optimal posterior for one collection (module docstring).
 
-    inducing timestamps must lie strictly inside (0, 1). All solves go
-    through Cholesky factors; nothing is ever inverted explicitly.
+    inducing timestamps must lie strictly inside (0, 1). Kt = K_SS +
+    jitter * I is the matrix the objective and predict whiten, so the
+    posterior maximizes the bound training maximizes. One forward
+    substitution through the factor of Lam gives G and h, and cov = G^T G
+    is symmetric by construction; nothing is ever inverted explicitly.
     """
     s = check_inducing(inducing)
     c = effective_noise(collection.size, sigma)
@@ -96,14 +106,11 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
         cross *= block.mask.ravel()  # padded columns must not enter the sums
         lam += (cross @ cross.T) / c
         rhs += cross @ block.values.ravel()
-    lam = 0.5 * (lam + lam.T)
-    # one solve for [rhs, K_SS]: each column is substituted on its own
-    solved = chol_jittered(lam, jitter).solve(np.column_stack((rhs, k_ss)))
-
-    mean = (k_ss @ solved[:, 0]) / c
-    cov = k_ss @ solved[:, 1:]
-    cov = 0.5 * (cov + cov.T)
-    return VariationalPosterior(s, mean, cov, jitter)
+    kt = k_ss + jitter * np.eye(s.size)
+    # one substitution of [Kt, rhs]: each column is substituted on its own
+    solved = chol_jittered(lam, jitter).half_solve(np.column_stack((kt, rhs)))
+    g, h = solved[:, :-1], solved[:, -1]
+    return VariationalPosterior(s, (g.T @ h) / c, g.T @ g, jitter)
 
 
 def predict(posterior: VariationalPosterior, kparams: KernelParams,

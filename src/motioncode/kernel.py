@@ -12,8 +12,10 @@ The package factors only small matrices, m x m for m informative
 timestamps (10 by default), so beyond numpy's Cholesky factorization it
 needs one more operation: L^{-1} b for a lower-triangular factor L. It
 runs as column-oriented forward substitution in numpy, the algorithm of
-LAPACK's triangular solve; a solve with L^T is the same substitution with
-rows and columns reversed.
+LAPACK's triangular solve. Every caller whitens with it: the objective and
+predict take W = L^{-1} for the factor of K_SS, and fit_posterior takes
+L^{-1} [K_SS + jI, rhs] for the factor of its Lam, so nothing substitutes
+with L^T.
 """
 
 from __future__ import annotations
@@ -145,25 +147,14 @@ def _forward_substitute(lower: np.ndarray, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower Cholesky factor L of (A + jitter_used * I), plus solve helpers.
-
-    Both helpers run numpy forward substitution (_forward_substitute). The
-    objective and predict whiten with W = half_solve(I) = L^{-1};
-    fit_posterior solves through both triangles, which keeps the residual
-    of (A + jI) x = b backward stable where W^T W b would not be.
-    """
+    """Lower Cholesky factor L of (A + jitter_used * I), and L^{-1} b."""
 
     lower: np.ndarray
     jitter_used: float
 
-    def solve(self, b) -> np.ndarray:
-        """(A + jI)^{-1} b via two triangular substitutions; the one with
-        L^T is a forward substitution on L^T with rows and columns reversed."""
-        y = self.half_solve(b)
-        return _forward_substitute(self.lower.T[::-1, ::-1], y[::-1])[::-1]
-
     def half_solve(self, b) -> np.ndarray:
-        """L^{-1} b, the whitening half of the solve, for a vector or matrix b."""
+        """L^{-1} b for a vector or matrix b, by numpy forward substitution
+        (_forward_substitute); it whitens A + jI to L^{-1} (A + jI) L^{-T} = I."""
         return _forward_substitute(self.lower, b)
 
 

@@ -77,8 +77,8 @@ def _direction(grad: np.ndarray, history) -> np.ndarray:
     return q
 
 
-def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeResult:
-    """Minimize loss_fn starting at x0; grad_fn supplies gradients.
+def minimize(fun, x0, max_iters: int, epsilon: float) -> MinimizeResult:
+    """Minimize a loss starting at x0; fun(x, ceiling) returns (loss, gradient).
 
     Stops when the iteration count reaches max_iters, when one accepted
     iteration decreases the loss by less than epsilon, or when the gradient
@@ -87,32 +87,32 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
     stop_reason "line-search-failure" instead of raising. Loss never
     increases across accepted iterations.
 
-    loss_fn(x, ceiling) runs once at x0, with ceiling None, and once per
-    line-search trial, with the trial's Armijo ceiling: the trial is
-    accepted when its loss is finite and at most the ceiling. Once loss_fn
-    can prove a trial's loss is above the ceiling it may return any value
-    above the ceiling instead of the loss. grad_fn runs once at x0 and once
-    per accepted iteration, and never when max_iters is 0. Each grad_fn
-    call is at the point of the loss_fn call just before it, so a caller
-    may reuse work that loss_fn did there.
+    fun runs once at x0, with ceiling None, and once per line-search trial,
+    with the trial's Armijo ceiling: the trial is accepted when its loss is
+    finite and at most the ceiling. Once fun can prove a trial's loss is
+    above the ceiling it may return any value above the ceiling instead of
+    the loss, and None for the gradient. Otherwise it returns the gradient
+    at x, which minimize uses only at x0 and at accepted trials.
 
     Each accepted iteration logs one DEBUG line on motioncode.optimizer:
     the loss and its decrease, the gradient max-norm, the step, the
-    line-search halvings, and the loss and gradient evaluations so far.
+    line-search halvings, and the loss evaluations and gradients used so
+    far.
     """
     x = np.asarray(x0, dtype=float).copy()
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    loss = float(loss_fn(x, None))
+    loss, grad = fun(x, None)
+    loss = float(loss)
     if not np.isfinite(loss):
         raise NumericalError(f"loss at the starting point is not finite ({loss})")
     if max_iters == 0:
         return MinimizeResult(x=x, loss=loss, iterations=0, stop_reason=STOP_MAX_ITERS)
 
-    grad = np.asarray(grad_fn(x), dtype=float)
-    loss_calls, grad_calls = 1, 1
+    grad = np.asarray(grad, dtype=float)
+    loss_calls = 1
     # (step, gradient-difference) pairs, newest last; every stored pair
     # satisfies step @ grad_diff > CURVATURE_MIN
     history = deque(maxlen=HISTORY_CAPACITY)
@@ -129,7 +129,8 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
         for halvings in range(MAX_HALVINGS + 1):
             trial = x + step * p
             ceiling = loss + ARMIJO_C1 * step * slope
-            f_trial = float(loss_fn(trial, ceiling))
+            f_trial, g_new = fun(trial, ceiling)
+            f_trial = float(f_trial)
             loss_calls += 1
             if np.isfinite(f_trial) and f_trial <= ceiling:
                 break
@@ -138,8 +139,7 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
             stop_reason = STOP_LINE_SEARCH
             break
 
-        g_new = np.asarray(grad_fn(trial), dtype=float)
-        grad_calls += 1
+        g_new = np.asarray(g_new, dtype=float)
         decrease = loss - f_trial
         s = trial - x
         y = g_new - grad
@@ -149,7 +149,7 @@ def minimize(loss_fn, grad_fn, x0, max_iters: int, epsilon: float) -> MinimizeRe
         log.debug("iteration %d: loss %.17g decrease %.6g grad max-norm %.6g "
                   "step %.6g halvings %d evaluations %d loss, %d gradient",
                   iteration, loss, decrease, grad_norm, step, halvings,
-                  loss_calls, grad_calls)
+                  loss_calls, iteration + 1)
         if decrease < epsilon:
             stop_reason = STOP_SMALL_DECREASE
             break
@@ -210,37 +210,26 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     the line search backtracks past them; a failure at the starting point
     still raises.
 
-    Each loss evaluation passes minimize's Armijo ceiling on to
-    total_loss, which stops a trial's evaluation as soon as it proves the
-    trial fails. An evaluation that runs to the end keeps its value passes
-    until the next one, and a gradient at that same point is taken from
-    them (minimize asks for the gradient only at the trial it just
-    accepted). A gradient anywhere else builds its own passes.
+    Each evaluation passes minimize's Armijo ceiling on to total_loss,
+    which stops a trial's evaluation as soon as it proves the trial fails.
+    An evaluation that runs to the end takes its gradient from the value
+    passes it just built, so no kernel matrix is built twice.
     """
     # the model keeps the dataset's scales and labels to map later inputs
     start = dataclasses.replace(
         init_params(dataset.n_classes, hyper), time_scale=dataset.time_scale,
         value_center=dataset.value_center, value_scale=dataset.value_scale,
         class_labels=dataset.class_labels)
-    x0 = pack_params(start)
 
-    last = []  # (x, value passes) of the latest loss evaluation, if it ran to the end
-
-    def loss_fn(x, ceiling):
-        last.clear()  # one evaluation's block arrays alive at a time
+    def fun(x, ceiling):
         try:
-            loss, passes = total_loss(unpack_params(x, start), dataset, keep=True,
-                                      ceiling=ceiling)
+            params = unpack_params(x, start)
+            loss, passes = total_loss(params, dataset, keep=True, ceiling=ceiling)
         except MotionCodeError:
-            return np.inf
-        if passes is not None:
-            last.append((np.array(x), passes))
-        return loss
+            return np.inf, None
+        if passes is None:
+            return loss, None
+        return loss, loss_gradient(params, dataset, passes)[1]
 
-    def grad_fn(x):
-        passes = last[0][1] if last and np.array_equal(last[0][0], x) else None
-        last.clear()
-        return loss_gradient(unpack_params(x, start), dataset, passes)[1]
-
-    result = minimize(loss_fn, grad_fn, x0, hyper.max_iters, hyper.epsilon)
+    result = minimize(fun, pack_params(start), hyper.max_iters, hyper.epsilon)
     return unpack_params(result.x, start), result

@@ -546,7 +546,7 @@ def test_timestamps_rejects_model_numbers_too_large_for_a_float(tmp_path, two_co
         capsys.readouterr()
         code, report, err = run(capsys, ["timestamps", "--model", str(model_path)])
         assert code == 1 and report is None
-        assert err == (f"error: model file field {where} must be a number, "
+        assert err == (f"error: {model_path}: model file field {where} must be a number, "
                        "got an integer too large for a float\n")
 
 

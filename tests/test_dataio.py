@@ -421,7 +421,7 @@ def test_model_corrupt_field_names_path(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError) as err:
         load_model(p)
-    assert "hyper.sigma" in str(err.value)
+    assert str(err.value).startswith(f"{p}: ") and "hyper.sigma" in str(err.value)
 
     doc = json.loads((tmp_path / "m.json").read_text())
     save_model(params, p)
@@ -430,7 +430,7 @@ def test_model_corrupt_field_names_path(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError) as err:
         load_model(p)
-    assert "codes[1][0]" in str(err.value)
+    assert str(err.value).startswith(f"{p}: ") and "codes[1][0]" in str(err.value)
 
     # rows of unequal length would otherwise escape as numpy's ValueError
     save_model(params, p)
@@ -454,7 +454,7 @@ def test_model_corrupt_field_names_path(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError) as err:
         load_model(p)
-    assert "log_bandwidths" in str(err.value)
+    assert str(err.value).startswith(f"{p}: ") and "log_bandwidths" in str(err.value)
 
     p.write_text("{broken")
     with pytest.raises(ParseError):
@@ -485,7 +485,7 @@ def test_model_hyper_field_checked(tmp_path, name, bad):
     p.write_text(json.dumps(doc))
     with pytest.raises(ParseError) as err:
         load_model(p)
-    assert str(err.value) == message
+    assert str(err.value) == f"{p}: {message}"
 
 
 def model_with_posteriors(m=4):
@@ -611,7 +611,7 @@ def test_model_stored_field_checked(tmp_path, path, bad, message):
     p.write_text(json.dumps(doc))  # json writes NaN and Infinity, and json.load accepts them
     with pytest.raises(ParseError) as err:
         load_model(p)
-    assert str(err.value) == message
+    assert str(err.value) == f"{p}: {message}"
 
 
 def test_model_refuses_posteriors_a_file_cannot_hold():

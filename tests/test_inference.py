@@ -134,6 +134,32 @@ def test_posterior_collapse_single_series():
     assert np.allclose(pred.mean, want, atol=1e-8)
 
 
+def test_predict_is_the_dense_sgpr_at_the_jittered_inducing_covariance():
+    # the objective and predict work with Kt = K_SS + jitter I, so the
+    # posterior must be the maximizer for Kt too: two inducing timestamps
+    # 1e-5 apart make the jitter visible in the predictions
+    rng = np.random.default_rng(25)
+    kp = KernelParams(np.array([0.0]), np.array([np.log(50.0)]))
+    s = np.array([0.2, 0.5, 0.5 + 1e-5, 0.8])
+    col = rand_collection(rng, n_series=3, n_lo=12, n_hi=12)
+    sigma, jitter = 0.3, 1e-6
+    c = col.size * sigma**2
+    kt = kernel_matrix(kp, s) + jitter * np.eye(s.size)
+    lam, rhs = kt.copy(), np.zeros(s.size)
+    for ts in col.series:
+        cross = kernel_matrix(kp, s, ts.timestamps)
+        lam += cross @ cross.T / c
+        rhs += cross @ ts.values
+    q = np.linspace(0.0, 1.2, 25)
+    k_st = kernel_matrix(kp, s, q)
+    mean = k_st.T @ np.linalg.solve(lam, rhs) / c
+    var = (1.0 - np.sum(k_st * np.linalg.solve(kt, k_st), axis=0)
+           + np.sum(k_st * np.linalg.solve(lam, k_st), axis=0))
+    pred = predict(fit_posterior(col, kp, s, sigma, jitter), kp, q)
+    assert np.allclose(pred.mean, mean, rtol=0, atol=1e-8)
+    assert np.allclose(pred.variance, var, rtol=0, atol=1e-8)
+
+
 def test_interpolation_limit():
     rng = np.random.default_rng(24)
     kp = KernelParams(np.array([0.0]), np.array([np.log(50.0)]))

@@ -5,7 +5,6 @@ import pytest
 
 from motioncode.core import NumericalError, SingularMatrixError, ValidationError
 from motioncode.kernel import (
-    CholeskyFactor,
     KernelParams,
     chol_jittered,
     kernel_matrix,
@@ -184,26 +183,36 @@ def longdouble_substitution(lower, b):
     return x.reshape(np.shape(b))
 
 
+def assert_backward_stable(f, b):
+    """half_solve meets the componentwise backward-error bound of a
+    triangular solve, |b - L x| <= n eps |L| |x| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 8.5), with a factor 2 of room
+    for the rounding of the residual itself. Returns x."""
+    x = f.half_solve(b)
+    assert x.shape == np.shape(b)
+    n = f.lower.shape[0]
+    resid = np.abs(b - f.lower @ x)
+    assert np.all(resid <= 2 * n * np.finfo(float).eps * (np.abs(f.lower) @ np.abs(x)))
+    return x
+
+
 def check_ill_conditioned_solves(rng, rhs_shape):
     """An RBF K_SS at timestamps 1e-6 apart, cond(K_SS) >= 1e10, factored
-    at jitters 1e-12 to 1e-6. The solve meets the residual budget of
-    tests/test_properties.py, and the substitution meets the componentwise
-    forward-error bound of a triangular solve, n eps |L^{-1}| |L| |x|
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 8.5),
+    at jitters 1e-12 to 1e-6. The substitution meets the backward-error
+    bound of assert_backward_stable, and the componentwise forward-error
+    bound of a triangular solve, n eps |L^{-1}| |L| |x| (Higham, Thm 8.5),
     against an extended-precision one."""
     k = kernel_matrix(params([1.0], [50.0]), 0.4 + 1e-6 * np.arange(6))
     assert np.linalg.cond(k) >= 1e10
     eps = np.finfo(float).eps
     for jitter in (1e-12, 1e-9, 1e-6):
         f = chol_jittered(k, jitter)
-        a = k + f.jitter_used * np.eye(6)
         rhs = rng.normal(size=rhs_shape)
-        resid = float(np.abs(a @ f.solve(rhs) - rhs).max())
-        assert resid <= 100.0 * eps * float(np.linalg.cond(a)) * float(np.abs(rhs).max())
+        x = assert_backward_stable(f, rhs)
         ref = longdouble_substitution(f.lower, rhs)
         spread = np.abs(longdouble_substitution(f.lower, np.eye(6))) @ np.abs(f.lower)
         bound = (6 * eps * (spread @ np.abs(ref))).astype(float)
-        assert np.all(np.abs(f.half_solve(rhs) - ref).astype(float) <= bound)
+        assert np.all(np.abs(x - ref).astype(float) <= bound)
 
 
 def test_cholesky_factor_solver():
@@ -213,17 +222,13 @@ def test_cholesky_factor_solver():
         a = b @ b.T + 5 * np.eye(m)
         f = chol_jittered(a, 1e-12)
         rhs = rng.normal(size=m)
-        x = f.solve(rhs)
-        assert x.shape == (m,)
-        assert np.allclose((a + f.jitter_used * np.eye(m)) @ x, rhs, atol=1e-9)
+        # a vector right-hand side keeps its shape
+        x = assert_backward_stable(f, rhs)
+        assert np.allclose(x, longdouble_substitution(f.lower, rhs), rtol=1e-12, atol=1e-12)
         # half solve whitens: L^{-1} A L^{-T} = I when jitter is negligible
         half = f.half_solve(np.eye(m))
         assert np.allclose(half @ (a + f.jitter_used * np.eye(m)) @ half.T, np.eye(m),
                            atol=1e-9)
-        # a vector right-hand side keeps its shape
-        assert f.half_solve(rhs).shape == (m,)
-        assert np.allclose(f.half_solve(rhs), longdouble_substitution(f.lower, rhs),
-                           rtol=1e-12, atol=1e-12)
     check_ill_conditioned_solves(rng, 6)
 
 
@@ -234,14 +239,9 @@ def test_cholesky_factor_matrix_rhs():
         a = b @ b.T + np.eye(m)
         f = chol_jittered(a, 1e-12)
         rhs = rng.normal(size=(m, 3))
-        x = f.solve(rhs)
-        assert x.shape == (m, 3)
-        assert np.allclose((a + f.jitter_used * np.eye(m)) @ x, rhs, atol=1e-9)
+        half = assert_backward_stable(f, rhs)
         # each column is substituted as that column alone would be, which
-        # fit_posterior's one solve for [rhs, K_SS] relies on
-        half = f.half_solve(rhs)
-        assert half.shape == (m, 3)
+        # fit_posterior's one substitution of [K_SS + jI, rhs] relies on
         for col in range(3):
             assert np.array_equal(half[:, col], f.half_solve(rhs[:, col]))
-            assert np.array_equal(x[:, col], f.solve(rhs[:, col]))
     check_ill_conditioned_solves(rng, (6, 3))

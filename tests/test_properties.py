@@ -75,12 +75,19 @@ def test_jittered_factor_solves(kp, inputs, rhs_columns):
     factor = chol_jittered(k, jitter)
     rng = np.random.default_rng(0)
     b = rng.normal(size=(t.size,) + rhs_columns)
+    x = factor.half_solve(b)
+    assert x.shape == b.shape
+    # componentwise backward errors, which hold at any conditioning, each
+    # with a factor 2 of room for the rounding of the residual itself: the
+    # factor's, |A + jI - L L^T| <= (n + 1) eps |L| |L^T| (Higham, Thm
+    # 10.3), and the substitution's, |b - L x| <= n eps |L| |x| (Thm 8.5)
+    eps = np.finfo(float).eps
+    lower = factor.lower
     a = k + factor.jitter_used * np.eye(t.size)
-    resid = float(np.abs(a @ factor.solve(b) - b).max())
-    # near-coincident timestamps make cond(a) ~ amp/jitter, so the residual
-    # budget has to scale with the conditioning of the system actually solved
-    budget = 100.0 * np.finfo(float).eps * float(np.linalg.cond(a))
-    assert resid <= max(budget, 1e-9) * max(1.0, float(np.abs(b).max()))
+    assert np.all(np.abs(a - lower @ lower.T)
+                  <= 2 * (t.size + 1) * eps * (np.abs(lower) @ np.abs(lower.T)))
+    resid = np.abs(b - lower @ x)
+    assert np.all(resid <= 2 * t.size * eps * (np.abs(lower) @ np.abs(x)))
 
 
 @st.composite
