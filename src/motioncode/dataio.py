@@ -143,11 +143,11 @@ class Records:
 
 @contextlib.contextmanager
 def in_file(path):
-    """Prefix the path of the file being read to any ParseError,
-    ValidationError or VersionError raised in the block."""
+    """Prefix the path of the file being read to any InputError raised in
+    the block: every input error raised there is about that file."""
     try:
         yield
-    except (ParseError, ValidationError, VersionError) as exc:
+    except InputError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 

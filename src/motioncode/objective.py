@@ -27,14 +27,18 @@ Each A_i is the Gram matrix of [V_i^T, y_i] plus c*I, so positive definite;
 its pivots give log|E_i| and the series' quadratic form, and the value forms
 no inverse. Padded points are zeroed after whitening, so they add nothing.
 
-The gradient is taken from a value pass: the pass keeps each block's kernel
-components, whitened rows and bordered stack, plus the collection's K_SS
+The gradient is taken from a value pass: the pass keeps each block's
+bordered stack A, (m+1)^2 doubles per series, plus the collection's K_SS
 components and whitening factor, and the gradient reads them instead of
-building them again. It adds one stacked Cholesky of
-[[E_i, I], [I, (2/c) I]], positive definite because E_i >= c*I, which
-yields E_i^{-1} (see _block_grads), and batched contractions. Training keeps
-the pass of each trial point that runs to the end, so an accepted point's
-kernel, whitening and bordered factor are computed once.
+building them again. It rebuilds each block's kernel components and
+whitened rows, one kernel build and one whitening product per block,
+rather than keeping them: kept, they would hold (J + 1) * m doubles per
+padded point for every block of every class at once. It adds one stacked
+Cholesky of [[E_i, I], [I, (2/c) I]], positive definite because
+E_i >= c*I, which yields E_i^{-1} (see _block_grads), and batched
+contractions. Training keeps the pass of each trial point that runs to the
+end, so an accepted point's K_SS factor and bordered factor are computed
+once.
 
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
@@ -113,15 +117,30 @@ def _cholesky(a):
         ) from exc
 
 
-def _block_value(kp: KernelParams, s, whiten, block, c):
-    """One series block's share of the bound, and the arrays its gradient
-    reads: (value, [c_comps, v_rows, a]), where whiten is the inverse of
-    K_SS's lower Cholesky factor.
+def _block_rows(kp: KernelParams, s, whiten, block):
+    """A block's kernel against the inducing timestamps and its whitened
+    rows: (c_comps, r2, v_rows), the (J, m, G*width) kernel components, the
+    (m, G*width) squared distances they were built from and V^T, one row
+    per padded point, where whiten is the inverse of K_SS's lower Cholesky
+    factor.
 
     The kernel is built with one column per padded point, series after
     series, which keeps its inner loops long; after whitening the work runs
     on rows, so series i's V_i^T is one contiguous (width, m) slab. Padded
-    points are zeroed after whitening, so they drop out of every sum.
+    points are zeroed after whitening, so they drop out of every sum. The
+    value pass and the gradient both call this, so the gradient's rows are
+    the value's, bit for bit.
+    """
+    c_comps, r2 = kernel_matrix_components(kp, s, block.times.ravel())
+    v_rows = c_comps.sum(axis=0).T @ whiten.T
+    if block.n_points < block.times.size:
+        v_rows *= block.mask.reshape(-1, 1)
+    return c_comps, r2, v_rows
+
+
+def _block_value(kp: KernelParams, s, whiten, block, c):
+    """One series block's share of the bound, and the bordered stack its
+    gradient reads: (value, a), with a the (G, m+1, m+1) stack of A_i.
 
     The value needs log|E_i| and w_i E_i^{-1} w_i^T, with E_i = c*I + V_i V_i^T
     and w_i = (V_i y_i)^T. Both come from one stacked Cholesky of
@@ -135,15 +154,16 @@ def _block_value(kp: KernelParams, s, whiten, block, c):
     form times c. The border's "+ c" keeps delta_i^2 >= c > 0 even for an
     all-zero series. Gradients are taken from this pass (_block_grads), so
     the value is computed the same way whether or not they are wanted.
+
+    Only a is kept: (m+1)^2 doubles per series, whatever its length. The
+    kernel components and whitened rows, (J + 1) * m doubles per padded
+    point, are freed here and rebuilt by the gradient.
     """
     m = s.size
     g, width = block.times.shape
     n_b = block.n_points
     y = block.values[:, :, None]  # (G, width, 1)
-    c_comps, _ = kernel_matrix_components(kp, s, block.times.ravel())  # (J, m, G*width)
-    v_rows = c_comps.sum(axis=0).T @ whiten.T  # V^T, one row per point
-    if n_b < g * width:
-        v_rows *= block.mask.reshape(-1, 1)
+    _, _, v_rows = _block_rows(kp, s, whiten, block)
     vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
     xt = np.concatenate((vt, y), axis=2)  # X_i = [V_i^T, y_i]
     a = xt.transpose(0, 2, 1) @ xt + c * np.eye(m + 1)  # min eigenvalue >= c
@@ -153,7 +173,7 @@ def _block_value(kp: KernelParams, s, whiten, block, c):
     logdet = (n_b - g * m) * np.log(c) + 2.0 * float(np.sum(np.log(pivots[:, :m])))
     log_lik = -0.5 * (n_b * LOG_2PI + logdet + quad)
     trace_gap = n_b * float(np.sum(kp.amplitudes)) - float(np.vdot(v_rows, v_rows))
-    return log_lik - trace_gap / (2.0 * c), [c_comps, v_rows, a]
+    return log_lik - trace_gap / (2.0 * c), a
 
 
 def _paired_template(m, c):
@@ -163,11 +183,16 @@ def _paired_template(m, c):
     return np.block([[np.zeros((m, m)), eye], [eye, (2.0 / c) * eye]])
 
 
-def _block_grads(kp: KernelParams, s, whiten, block, c, kept, template):
-    """One block's share of the gradients, from the arrays its value pass
-    kept: (p_dot, d_log_amp, d_log_bw, d_timestamps), where p_dot is the
-    block's unsymmetrized adjoint of K_SS. kept is emptied on entry, so each
-    array is freed as soon as this function is done with it.
+def _block_grads(kp: KernelParams, s, whiten, block, c, a, template):
+    """One block's share of the gradients: (p_dot, d_log_amp, d_log_bw,
+    d_timestamps), where p_dot is the block's unsymmetrized adjoint of K_SS
+    and a is the bordered stack its value pass kept.
+
+    The kernel components and whitened rows are rebuilt here by
+    _block_rows from the value pass's inputs, so they are its arrays bit
+    for bit. Rebuilding costs one kernel build and one whitening product
+    per block, done while the block is in cache; keeping them would hold
+    them for every block of every class at once (see the module docstring).
 
     The gradients need E_i^{-1} = L_e^{-T} L_e^{-1}, where E_i = L_e L_e^T.
     L_e^{-T} is the lower-left block of the Cholesky factor of
@@ -177,14 +202,10 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, kept, template):
     _paired_template(m, c), copied into every series' system before its E_i
     is written.
     """
-    c_comps, v_rows, a = kept
-    kept.clear()
     m = s.size
     g, width = block.times.shape
     n_b = block.n_points
-    t_flat = block.times.ravel()
     y = block.values[:, :, None]  # (G, width, 1)
-    vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
     w = a[:, m:, :m]  # (V_i y_i)^T, (G, 1, m)
     # adjoint of each series covariance block is rank m+1; contract it
     # without ever forming an n x n matrix. Transposed, series i's
@@ -196,6 +217,8 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, kept, template):
     paired[:, :m, :m] = a[:, :m, :m]
     l_inv_t = _cholesky(paired)[:, m:, :m]  # L_e^{-T}
     e_inv = l_inv_t @ l_inv_t.transpose(0, 2, 1)
+    c_comps, d_b, v_rows = _block_rows(kp, s, whiten, block)
+    vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
     resid = (y - vt @ (w @ e_inv).transpose(0, 2, 1)) / c
     w_rows = v_rows @ whiten  # W^T
     wt = w_rows.reshape(g, width, m)
@@ -204,14 +227,12 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, kept, template):
     cdot += resid @ (resid.transpose(0, 2, 1) @ wt)
     cdot = cdot.reshape(-1, m)
     p_dot = -0.5 * (cdot.T @ w_rows)
-    # release the whitened rows before the cross differences are allocated,
-    # which keeps the block's peak working set at six row arrays
+    # release the whitened rows before the cross differences are allocated
     del v_rows, vt, w_rows, wt
     amps = kp.amplitudes
     bws = kp.bandwidths
     cdot = np.ascontiguousarray(cdot.T)  # back to columns, like c_comps
-    diff_cross = s[:, None] - t_flat[None, :]
-    d_b = diff_cross * diff_cross  # the squared distances the kernel was built from
+    diff_cross = s[:, None] - block.times.ravel()[None, :]
     d_la = np.empty(kp.n_components)
     d_lb = np.empty(kp.n_components)
     d_s = np.zeros(m)
@@ -226,8 +247,11 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, kept, template):
 class _BoundPass:
     """One collection's value pass: the bound, and what its gradient reads.
 
-    blocks holds one [c_comps, v_rows, a] list per block of the collection,
-    in block order, when the pass was kept; _bound_gradient empties it."""
+    blocks holds each block's bordered stack a, (G, m+1, m+1), in block
+    order, when the pass was kept; _bound_gradient empties it. That is all
+    a kept pass holds per block: the gradient rebuilds the block's kernel
+    components and whitened rows (_block_grads), so the kept state grows
+    with the number of series, not with their lengths."""
 
     value: float
     kp: KernelParams
@@ -297,9 +321,9 @@ def _scale(n_points: int, y_sq: float, amp_sum: float, c: float) -> float:
 def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
                 jitter: float, keep: bool, cap: _Cap | None = None) -> _BoundPass:
     """The bound's value pass over one collection; with keep=True it keeps
-    every block's arrays for _bound_gradient. With a cap, each evaluated
-    block is counted in it, and the pass raises _ProvenAbove as soon as the
-    cap's bound passes its ceiling."""
+    every block's bordered stack for _bound_gradient. With a cap, each
+    evaluated block is counted in it, and the pass raises _ProvenAbove as
+    soon as the cap's bound passes its ceiling."""
     s = check_inducing(inducing)
     c = effective_noise(collection.size, sigma)
     m = s.size
@@ -311,10 +335,10 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
     value = 0.0
     kept = []
     for block in collection.blocks:
-        block_value, arrays = _block_value(kp, s, whiten, block, c)
+        block_value, a = _block_value(kp, s, whiten, block, c)
         value += block_value
         if keep:
-            kept.append(arrays)
+            kept.append(a)
         if cap is not None:
             cap.add(block_value, _floor(block.n_points, c))
     if not np.isfinite(value):
@@ -324,8 +348,8 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
 
 def _bound_gradient(bp: _BoundPass):
     """Gradients of a kept pass's bound: (d_log_amplitudes,
-    d_log_bandwidths, d_timestamps). Builds no kernel matrix and factors no
-    K_SS; consumes the pass's block arrays as it goes."""
+    d_log_bandwidths, d_timestamps). Rebuilds each block's kernel
+    components but factors no K_SS; consumes the pass's bordered stacks."""
     if len(bp.blocks) != len(bp.collection.blocks):
         raise ValueError("the value pass was not kept, or its gradient was already taken")
     kp, s = bp.kp, bp.s
@@ -333,8 +357,8 @@ def _bound_gradient(bp: _BoundPass):
     n_comp = kp.n_components
     sums = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))
     template = _paired_template(m, bp.c)
-    for block, kept in zip(bp.collection.blocks, bp.blocks):
-        parts = _block_grads(kp, s, bp.whiten, block, bp.c, kept, template)
+    for block, a in zip(bp.collection.blocks, bp.blocks):
+        parts = _block_grads(kp, s, bp.whiten, block, bp.c, a, template)
         for total, part in zip(sums, parts):
             total += part
     bp.blocks.clear()
@@ -388,7 +412,7 @@ def total_loss(params: ModelParams, dataset: Dataset, keep: bool = False,
 
     With keep=True returns (loss, passes): one value pass per class, in class
     order, holding what loss_gradient needs to take the gradient at these
-    same params without building any kernel matrix again.
+    same params without factoring K_SS or any bordered system again.
 
     With a ceiling, the evaluation stops as soon as a lower bound proves the
     loss above the ceiling (see the module docstring) and returns that

@@ -213,7 +213,8 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     Each evaluation passes minimize's Armijo ceiling on to total_loss,
     which stops a trial's evaluation as soon as it proves the trial fails.
     An evaluation that runs to the end takes its gradient from the value
-    passes it just built, so no kernel matrix is built twice.
+    passes it just built, so K_SS and each bordered system are factored
+    once; only each block's kernel rows are built again.
     """
     # the model keeps the dataset's scales and labels to map later inputs
     start = dataclasses.replace(

@@ -232,6 +232,23 @@ def test_out_of_range_timestamps_exit_1(tmp_path, two_constants, capsys):
                               "outside the time scale [0.0, 10.0]")
 
 
+def test_unknown_query_label_names_the_file(tmp_path, two_constants, capsys):
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(two_constants), "--max-iters", "0",
+                 "--out", str(model_path)]) == 0
+    queries = tmp_path / "queries.jsonl"
+    write_jsonl(queries, [{"label": label, "t": [1.0, 2.0], "y": [0.0, 0.0]}
+                          for label in (0, 17)])
+    for argv in (["classify"],
+                 ["classify", "--train-data", str(two_constants)],
+                 ["forecast", "--train-data", str(two_constants)]):
+        capsys.readouterr()
+        code, report, err = run(capsys, argv + ["--model", str(model_path),
+                                                "--data", str(queries)])
+        assert code == 1 and report is None
+        assert err == f"error: {queries}: label 17 is not one of the model's classes (0, 1)\n"
+
+
 def test_missing_data_file(capsys):
     code, _, err = run(capsys, ["train", "--data", "/no/such/file.jsonl"])
     assert code == 1

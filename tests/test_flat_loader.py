@@ -71,7 +71,7 @@ def reference_queries(rows, model, horizon, path):
             return (f"{path}: timestamp {t[i]} maps to {times[i]:.4g}, outside the "
                     f"time scale [{t0}, {t1}] (normalized range [0, {horizon}])")
         if label not in model.class_labels:
-            return f"label {label} is not one of the model's classes {model.class_labels}"
+            return f"{path}: label {label} is not one of the model's classes {model.class_labels}"
         values = (np.array(y, dtype=float) - model.value_center) / model.value_scale
         out.append((model.class_labels.index(label), times, values))
     return out
@@ -393,7 +393,7 @@ def test_unknown_label_before_a_mapping_fault(tmp_path):
                     encoding="utf-8")
     with pytest.raises(InputError) as err:
         load_queries(path, query_model(1e-300))
-    assert str(err.value) == "label 4 is not one of the model's classes (0, 1)"
+    assert str(err.value) == f"{path}: label 4 is not one of the model's classes (0, 1)"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from motioncode import objective
 from motioncode.core import (
+    BLOCK_COLUMNS,
     LEARNED_FIELDS,
     Collection,
     Dataset,
@@ -275,19 +276,36 @@ def test_gradient_from_kept_passes_is_bit_identical(forbid_inverse, forbid):
         assert np.array_equal(got_field, want_field)
 
 
+def collections_of_lengths(lengths, stretch=1, seed=6):
+    """One collection per list of series lengths, every length times stretch."""
+    rng = np.random.default_rng(seed)
+    cols = tuple(
+        Collection(k, tuple(TimeSeries(np.sort(rng.uniform(0.0, 1.0, n * stretch)),
+                                       rng.normal(size=n * stretch)) for n in ns))
+        for k, ns in enumerate(lengths))
+    return Dataset(cols, (0.0, 1.0))
+
+
 def test_kept_pass_row_arrays_are_bounded_and_freed():
-    params, ds = small_model_and_data(seed=6, L=2, m=4, d=2, j=3)
-    _, passes = total_loss(params, ds, keep=True)
-    j, m = 3, 4
-    for bp, col in zip(passes, ds.collections):
-        padded = sum(b.times.size for b in col.blocks)
-        # kernel components (J, m, cols) and whitened rows (cols, m); the
-        # bordered stacks are (series, m + 1, m + 1), independent of length
-        rows = sum(c_comps.nbytes + v_rows.nbytes for c_comps, v_rows, _ in bp.blocks)
-        assert rows <= (j + 1) * m * padded * 8
-        assert sum(a.shape[0] for _, _, a in bp.blocks) == col.size
-    loss_gradient(params, ds, passes)
-    assert all(bp.blocks == [] for bp in passes)
+    params, _ = small_model_and_data(seed=6, L=2, m=4, d=2, j=3)
+    m = 4
+    # short series, and a series longer than a block next to short ones
+    for lengths in ([[5, 7], [4, 8, 6]], [[BLOCK_COLUMNS + 90, 30, 12], [40, 9]]):
+        kept = []
+        for stretch in (1, 4):
+            ds = collections_of_lengths(lengths, stretch)
+            _, passes = total_loss(params, ds, keep=True)
+            for bp, col in zip(passes, ds.collections, strict=True):
+                # only each block's bordered stack (series, m + 1, m + 1):
+                # nothing that grows with the series' lengths
+                assert [a.shape for a in bp.blocks] == [
+                    (b.times.shape[0], m + 1, m + 1) for b in col.blocks]
+                assert sum(a.nbytes for a in bp.blocks) == col.size * (m + 1) ** 2 * 8
+            kept.append(sum(a.nbytes for bp in passes for a in bp.blocks))
+            loss_gradient(params, ds, passes)
+            assert all(bp.blocks == [] for bp in passes)
+        # every series four times longer keeps the same bytes
+        assert kept[0] == kept[1]
 
 
 def test_passes_from_other_params_are_refused():

@@ -400,13 +400,17 @@ def test_train_model_takes_gradients_from_the_accepted_pass(monkeypatch):
     # only the start and the accepted trials run to the end
     assert len(completed) == ref.iterations + 1
     per_pass = sum(1 + len(col.blocks) for col in ds.collections)
+    n_blocks = sum(len(col.blocks) for col in ds.collections)
     for x, grad, seen in completed:
         # every gradient is the one a fresh pass at its point gives
         assert np.array_equal(grad, fresh_gradient(x, template, ds))
         # taken from the evaluation's own value pass: its kernels, one per
-        # class and per block, and its K_SS factors are built once
-        assert seen.index("grad") == len(seen) - 1 and seen.count("loss") == 1
-        assert seen.count("kernel") == per_pass and seen.count("chol") == ds.n_classes
+        # class and per block, and its K_SS factors are built once; the
+        # gradient then rebuilds one kernel per block and factors nothing
+        assert seen.count("loss") == 1 and seen.count("grad") == 1
+        value, gradient = seen[:seen.index("grad")], seen[seen.index("grad") + 1:]
+        assert value.count("kernel") == per_pass and value.count("chol") == ds.n_classes
+        assert gradient == ["kernel"] * n_blocks
     for x, grad, seen in evaluations:
         if grad is None:
             assert seen.count("loss") == 1 and "grad" not in seen
