@@ -335,7 +335,7 @@ def check_gradients(seed=0):
         n_classes, j, m = combos[i % len(combos)]
         d = 2 + (i % 2)
         params, dataset = _gradient_instance(rng, n_classes, j, m, d)
-        _, analytic = loss_gradient(params, dataset)
+        analytic = loss_gradient(params, dataset)
         x0 = pack_params(params)
         for idx in range(x0.size):
             xp = x0.copy()

@@ -32,6 +32,7 @@ __all__ = [
     "class_kernel",
     "kernel_matrix",
     "kernel_matrix_components",
+    "component_sum",
     "CholeskyFactor",
     "chol_jittered",
 ]
@@ -123,9 +124,15 @@ def kernel_matrix_components(params: KernelParams, t, s=None):
     return comps, r2
 
 
+def component_sum(comps: np.ndarray) -> np.ndarray:
+    """The matrix that (J, ...) kernel components sum to. One component is
+    returned as it is, uncopied: a sum over one slice is that slice."""
+    return comps[0] if comps.shape[0] == 1 else comps.sum(axis=0)
+
+
 def kernel_matrix(params: KernelParams, t, s=None) -> np.ndarray:
     """Cross-covariance matrix K[a, b] = k(t[a], s[b]); s defaults to t."""
-    return kernel_matrix_components(params, t, s)[0].sum(axis=0)
+    return component_sum(kernel_matrix_components(params, t, s)[0])
 
 
 def _forward_substitute(lower: np.ndarray, b) -> np.ndarray:

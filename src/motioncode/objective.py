@@ -27,18 +27,16 @@ Each A_i is the Gram matrix of [V_i^T, y_i] plus c*I, so positive definite;
 its pivots give log|E_i| and the series' quadratic form, and the value forms
 no inverse. Padded points are zeroed after whitening, so they add nothing.
 
-The gradient is taken from a value pass: the pass keeps each block's
-bordered stack A, (m+1)^2 doubles per series, plus the collection's K_SS
-components and whitening factor, and the gradient reads them instead of
-building them again. It rebuilds each block's kernel components and
-whitened rows, one kernel build and one whitening product per block,
-rather than keeping them: kept, they would hold (J + 1) * m doubles per
-padded point for every block of every class at once. It adds one stacked
-Cholesky of [[E_i, I], [I, (2/c) I]], positive definite because
-E_i >= c*I, which yields E_i^{-1} (see _block_grads), and batched
-contractions. Training keeps the pass of each trial point that runs to the
-end, so an accepted point's K_SS factor and bordered factor are computed
-once.
+The gradient is taken from the parameters alone; a value pass keeps
+nothing for it. It starts as the value pass does, with K_SS's components
+and the inverse of its Cholesky factor (_start_pass), and builds each
+block's kernel, whitened rows and bordered stack A through the same
+helpers (_block_rows, _bordered), so its A_i are the value pass's bit for
+bit. It adds one stacked Cholesky of [[E_i, I], [I, (2/c) I]], positive
+definite because E_i >= c*I, which yields E_i^{-1} (see _block_grads), and
+batched contractions; it does not factor A_i. Training takes a gradient
+only at the start point and at accepted trials, where a line search needs
+one.
 
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
@@ -64,7 +62,6 @@ one without a ceiling.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +76,8 @@ from .core import (
     learned_arrays,
     learned_size,
 )
-from .kernel import KernelParams, chol_jittered, class_kernel, kernel_matrix_components
+from .kernel import (KernelParams, chol_jittered, class_kernel, component_sum,
+                     kernel_matrix_components)
 
 __all__ = [
     "lmax_bound",
@@ -132,15 +130,22 @@ def _block_rows(kp: KernelParams, s, whiten, block):
     the value's, bit for bit.
     """
     c_comps, r2 = kernel_matrix_components(kp, s, block.times.ravel())
-    v_rows = c_comps.sum(axis=0).T @ whiten.T
+    v_rows = component_sum(c_comps).T @ whiten.T
     if block.n_points < block.times.size:
         v_rows *= block.mask.reshape(-1, 1)
     return c_comps, r2, v_rows
 
 
-def _block_value(kp: KernelParams, s, whiten, block, c):
-    """One series block's share of the bound, and the bordered stack its
-    gradient reads: (value, a), with a the (G, m+1, m+1) stack of A_i.
+def _bordered(vt, y, c):
+    """The (G, m+1, m+1) stack of bordered systems A_i = X_i^T X_i + c*I,
+    X_i = [V_i^T, y_i], from a block's whitened rows vt, (G, width, m), and
+    values y, (G, width, 1); its smallest eigenvalue is at least c."""
+    xt = np.concatenate((vt, y), axis=2)
+    return xt.transpose(0, 2, 1) @ xt + c * np.eye(vt.shape[2] + 1)
+
+
+def _block_value(kp: KernelParams, s, whiten, block, c) -> float:
+    """One series block's share of the bound.
 
     The value needs log|E_i| and w_i E_i^{-1} w_i^T, with E_i = c*I + V_i V_i^T
     and w_i = (V_i y_i)^T. Both come from one stacked Cholesky of
@@ -152,28 +157,19 @@ def _block_value(kp: KernelParams, s, whiten, block, c):
     m pivots are those of E_i, and its last, delta_i, has
     delta_i^2 - c = y_i^T y_i - w_i E_i^{-1} w_i^T, the series' quadratic
     form times c. The border's "+ c" keeps delta_i^2 >= c > 0 even for an
-    all-zero series. Gradients are taken from this pass (_block_grads), so
-    the value is computed the same way whether or not they are wanted.
-
-    Only a is kept: (m+1)^2 doubles per series, whatever its length. The
-    kernel components and whitened rows, (J + 1) * m doubles per padded
-    point, are freed here and rebuilt by the gradient.
+    all-zero series.
     """
     m = s.size
     g, width = block.times.shape
     n_b = block.n_points
-    y = block.values[:, :, None]  # (G, width, 1)
     _, _, v_rows = _block_rows(kp, s, whiten, block)
-    vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
-    xt = np.concatenate((vt, y), axis=2)  # X_i = [V_i^T, y_i]
-    a = xt.transpose(0, 2, 1) @ xt + c * np.eye(m + 1)  # min eigenvalue >= c
-    l_a = _cholesky(a)
+    l_a = _cholesky(_bordered(v_rows.reshape(g, width, m), block.values[:, :, None], c))
     pivots = np.diagonal(l_a, axis1=1, axis2=2)
     quad = float(np.sum(pivots[:, m] * pivots[:, m] - c)) / c
     logdet = (n_b - g * m) * np.log(c) + 2.0 * float(np.sum(np.log(pivots[:, :m])))
     log_lik = -0.5 * (n_b * LOG_2PI + logdet + quad)
     trace_gap = n_b * float(np.sum(kp.amplitudes)) - float(np.vdot(v_rows, v_rows))
-    return log_lik - trace_gap / (2.0 * c), a
+    return log_lik - trace_gap / (2.0 * c)
 
 
 def _paired_template(m, c):
@@ -183,16 +179,13 @@ def _paired_template(m, c):
     return np.block([[np.zeros((m, m)), eye], [eye, (2.0 / c) * eye]])
 
 
-def _block_grads(kp: KernelParams, s, whiten, block, c, a, template):
+def _block_grads(kp: KernelParams, s, whiten, block, c, template):
     """One block's share of the gradients: (p_dot, d_log_amp, d_log_bw,
-    d_timestamps), where p_dot is the block's unsymmetrized adjoint of K_SS
-    and a is the bordered stack its value pass kept.
+    d_timestamps), where p_dot is the block's unsymmetrized adjoint of K_SS.
 
-    The kernel components and whitened rows are rebuilt here by
-    _block_rows from the value pass's inputs, so they are its arrays bit
-    for bit. Rebuilding costs one kernel build and one whitening product
-    per block, done while the block is in cache; keeping them would hold
-    them for every block of every class at once (see the module docstring).
+    The block's kernel components, whitened rows and bordered stack A come
+    from _block_rows and _bordered, as in the value pass, so E_i and w_i
+    are the value pass's bit for bit.
 
     The gradients need E_i^{-1} = L_e^{-T} L_e^{-1}, where E_i = L_e L_e^T.
     L_e^{-T} is the lower-left block of the Cholesky factor of
@@ -206,6 +199,9 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, a, template):
     g, width = block.times.shape
     n_b = block.n_points
     y = block.values[:, :, None]  # (G, width, 1)
+    c_comps, d_b, v_rows = _block_rows(kp, s, whiten, block)
+    vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
+    a = _bordered(vt, y, c)
     w = a[:, m:, :m]  # (V_i y_i)^T, (G, 1, m)
     # adjoint of each series covariance block is rank m+1; contract it
     # without ever forming an n x n matrix. Transposed, series i's
@@ -217,8 +213,6 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, a, template):
     paired[:, :m, :m] = a[:, :m, :m]
     l_inv_t = _cholesky(paired)[:, m:, :m]  # L_e^{-T}
     e_inv = l_inv_t @ l_inv_t.transpose(0, 2, 1)
-    c_comps, d_b, v_rows = _block_rows(kp, s, whiten, block)
-    vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
     resid = (y - vt @ (w @ e_inv).transpose(0, 2, 1)) / c
     w_rows = v_rows @ whiten  # W^T
     wt = w_rows.reshape(g, width, m)
@@ -241,27 +235,6 @@ def _block_grads(kp: KernelParams, s, whiten, block, c, a, template):
         d_lb[j] = -0.5 * bws[j] * float(np.einsum("ap,ap,ap->", cdot, d_b, c_comps[j]))
         d_s -= bws[j] * np.einsum("ap,ap,ap->a", cdot, c_comps[j], diff_cross)
     return p_dot, d_la, d_lb, d_s
-
-
-@dataclass
-class _BoundPass:
-    """One collection's value pass: the bound, and what its gradient reads.
-
-    blocks holds each block's bordered stack a, (G, m+1, m+1), in block
-    order, when the pass was kept; _bound_gradient empties it. That is all
-    a kept pass holds per block: the gradient rebuilds the block's kernel
-    components and whitened rows (_block_grads), so the kept state grows
-    with the number of series, not with their lengths."""
-
-    value: float
-    kp: KernelParams
-    s: np.ndarray
-    c: float
-    collection: Collection
-    p_comps: np.ndarray  # K_SS components, (J, m, m)
-    d_ss: np.ndarray  # squared inducing distances, (m, m)
-    whiten: np.ndarray  # inverse of K_SS's lower Cholesky factor
-    blocks: list
 
 
 class _ProvenAbove(Exception):
@@ -318,50 +291,51 @@ def _scale(n_points: int, y_sq: float, amp_sum: float, c: float) -> float:
     return 0.5 * n_points * (LOG_2PI + abs(float(np.log(c)))) + (n_points * amp_sum + y_sq) / c
 
 
-def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
-                jitter: float, keep: bool, cap: _Cap | None = None) -> _BoundPass:
-    """The bound's value pass over one collection; with keep=True it keeps
-    every block's bordered stack for _bound_gradient. With a cap, each
-    evaluated block is counted in it, and the pass raises _ProvenAbove as
-    soon as the cap's bound passes its ceiling."""
+def _start_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
+                jitter: float):
+    """What every pass over a collection starts from: (s, c, p_comps, d_ss,
+    whiten), the checked inducing timestamps, the effective noise, K_SS's
+    (J, m, m) components, the squared inducing distances and the inverse
+    of K_SS's lower Cholesky factor."""
     s = check_inducing(inducing)
     c = effective_noise(collection.size, sigma)
-    m = s.size
     p_comps, d_ss = kernel_matrix_components(kp, s)
-    factor = chol_jittered(p_comps.sum(axis=0), jitter)
+    factor = chol_jittered(component_sum(p_comps), jitter)
     # whitening through the explicit m x m inverse factor is one matrix
     # product per block; a triangular solve per block cost ten times more
-    whiten = factor.half_solve(np.eye(m))
+    return s, c, p_comps, d_ss, factor.half_solve(np.eye(s.size))
+
+
+def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
+                jitter: float, cap: _Cap | None = None) -> float:
+    """The bound's value over one collection. With a cap, each evaluated
+    block is counted in it, and the pass raises _ProvenAbove as soon as the
+    cap's bound passes its ceiling."""
+    s, c, _, _, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
     value = 0.0
-    kept = []
     for block in collection.blocks:
-        block_value, a = _block_value(kp, s, whiten, block, c)
+        block_value = _block_value(kp, s, whiten, block, c)
         value += block_value
-        if keep:
-            kept.append(a)
         if cap is not None:
             cap.add(block_value, _floor(block.n_points, c))
     if not np.isfinite(value):
         raise NumericalError("collection bound evaluated to a non-finite value")
-    return _BoundPass(value, kp, s, c, collection, p_comps, d_ss, whiten, kept)
+    return value
 
 
-def _bound_gradient(bp: _BoundPass):
-    """Gradients of a kept pass's bound: (d_log_amplitudes,
-    d_log_bandwidths, d_timestamps). Rebuilds each block's kernel
-    components but factors no K_SS; consumes the pass's bordered stacks."""
-    if len(bp.blocks) != len(bp.collection.blocks):
-        raise ValueError("the value pass was not kept, or its gradient was already taken")
-    kp, s = bp.kp, bp.s
+def _bound_gradient(kp: KernelParams, inducing, collection: Collection, sigma: float,
+                    jitter: float):
+    """Gradients of the bound over one collection: (d_log_amplitudes,
+    d_log_bandwidths, d_timestamps)."""
+    s, c, p_comps, d_ss, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
     m = s.size
     n_comp = kp.n_components
     sums = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))
-    template = _paired_template(m, bp.c)
-    for block, a in zip(bp.collection.blocks, bp.blocks):
-        parts = _block_grads(kp, s, bp.whiten, block, bp.c, a, template)
+    template = _paired_template(m, c)
+    for block in collection.blocks:
+        parts = _block_grads(kp, s, whiten, block, c, template)
         for total, part in zip(sums, parts):
             total += part
-    bp.blocks.clear()
 
     p_dot, d_la, d_lb, d_s = sums
     p_dot = 0.5 * (p_dot + p_dot.T)
@@ -369,9 +343,9 @@ def _bound_gradient(bp: _BoundPass):
     diff_ss = s[:, None] - s[None, :]
     g_ss = np.zeros((m, m))
     for j in range(n_comp):
-        d_la[j] += float(np.sum(p_dot * bp.p_comps[j]))
-        d_lb[j] += -0.5 * bws[j] * float(np.sum(p_dot * bp.d_ss * bp.p_comps[j]))
-        g_ss -= bws[j] * diff_ss * bp.p_comps[j]
+        d_la[j] += float(np.sum(p_dot * p_comps[j]))
+        d_lb[j] += -0.5 * bws[j] * float(np.sum(p_dot * d_ss * p_comps[j]))
+        g_ss -= bws[j] * diff_ss * p_comps[j]
     d_s += 2.0 * np.sum(p_dot * g_ss, axis=1)
     return d_la, d_lb, d_s
 
@@ -386,19 +360,20 @@ def lmax_bound(kp: KernelParams, inducing, collection: Collection,
     (value, (d_log_amplitudes, d_log_bandwidths, d_timestamps)): analytic
     gradients w.r.t. the log-kernel parameters, each (J,), and the inducing
     timestamps, (m,). With grads=True this is the value pass followed by
-    the gradient taken from that pass.
+    the gradient pass.
     """
-    bp = _bound_pass(kp, inducing, collection, sigma, jitter, keep=grads)
+    value = _bound_pass(kp, inducing, collection, sigma, jitter)
     if not grads:
-        return bp.value
-    return bp.value, _bound_gradient(bp)
+        return value
+    return value, _bound_gradient(kp, inducing, collection, sigma, jitter)
 
 
-def _class_pass(params: ModelParams, dataset: Dataset, k: int, keep: bool,
-                cap: _Cap | None = None) -> _BoundPass:
+def _class_bound(params: ModelParams, dataset: Dataset, k: int):
+    """Class k's arguments to _bound_pass and _bound_gradient: (kernel,
+    inducing timestamps, collection, sigma, jitter)."""
     h = params.hyper
-    return _bound_pass(class_kernel(params, k), params.inducing_timestamps(k),
-                       dataset.collections[k], h.sigma, h.jitter, keep, cap)
+    return (class_kernel(params, k), params.inducing_timestamps(k),
+            dataset.collections[k], h.sigma, h.jitter)
 
 
 def _penalty(params: ModelParams, k: int) -> float:
@@ -406,66 +381,43 @@ def _penalty(params: ModelParams, k: int) -> float:
     return params.hyper.lam * float(z_k @ z_k)
 
 
-def total_loss(params: ModelParams, dataset: Dataset, keep: bool = False,
-               ceiling: float | None = None):
+def total_loss(params: ModelParams, dataset: Dataset, ceiling: float | None = None) -> float:
     """Training loss: sum of negated collection bounds plus the code penalty.
-
-    With keep=True returns (loss, passes): one value pass per class, in class
-    order, holding what loss_gradient needs to take the gradient at these
-    same params without factoring K_SS or any bordered system again.
 
     With a ceiling, the evaluation stops as soon as a lower bound proves the
     loss above the ceiling (see the module docstring) and returns that
-    bound, which is above the ceiling, with passes None. Otherwise it
-    returns the loss it returns without one, bit for bit. Each stop logs
-    one DEBUG line on motioncode.objective.
+    bound, which is above the ceiling. Otherwise it returns the loss it
+    returns without one, bit for bit. Each stop logs one DEBUG line on
+    motioncode.objective.
     """
     params.check_classes(dataset)
     penalties = [_penalty(params, k) for k in range(dataset.n_classes)]
     try:
         cap = None if ceiling is None else _Cap(ceiling, params, dataset, penalties)
-        passes = [_class_pass(params, dataset, k, keep, cap) for k in range(dataset.n_classes)]
+        values = [_bound_pass(*_class_bound(params, dataset, k), cap)
+                  for k in range(dataset.n_classes)]
     except _ProvenAbove as stop:
         bound, evaluated = stop.args
         log.debug("trial stopped after %d of %d blocks: loss at least %.17g, ceiling %.17g",
                   evaluated, sum(len(col.blocks) for col in dataset.collections), bound, ceiling)
-        return (bound, None) if keep else bound
-    loss = float(sum(-bp.value + penalties[k] for k, bp in enumerate(passes)))
-    return (loss, passes) if keep else loss
+        return bound
+    return float(sum(-value + penalties[k] for k, value in enumerate(values)))
 
 
-def loss_gradient(params: ModelParams, dataset: Dataset, passes=None):
-    """Training loss and its gradients w.r.t. every learnable parameter.
-
-    Returns (loss, gradient), the gradient one flat vector in the layout of
-    core.learned_arrays. The reduction always runs in class order.
-    passes, when given, are the value passes that total_loss(params, dataset,
-    keep=True) returned at these same params; the gradient is then taken
-    from them, and consumes them. Without them each class's pass is built
-    here, just before its gradient.
-    """
+def loss_gradient(params: ModelParams, dataset: Dataset) -> np.ndarray:
+    """Gradient of total_loss w.r.t. every learnable parameter, one flat
+    vector in the layout of core.learned_arrays, taken from the parameters
+    and the dataset alone. The reduction always runs in class order."""
     params.check_classes(dataset)
-    if passes is not None and len(passes) != dataset.n_classes:
-        raise ValueError(f"need one value pass per class, got {len(passes)}")
     L = params.n_classes
     grad = np.zeros(learned_size(L, params.hyper))
     d_la, d_lb, d_codes, d_map = learned_arrays(grad, L, params.hyper)
-    loss = 0.0
     for k in range(L):
-        if passes is None:
-            bp = _class_pass(params, dataset, k, keep=True)
-        else:
-            bp = passes[k]
-            s_k = params.inducing_timestamps(k)
-            if not (bp.collection is dataset.collections[k] and np.array_equal(bp.s, s_k)
-                    and np.array_equal(bp.kp.log_amplitudes, params.log_amplitudes[k])
-                    and np.array_equal(bp.kp.log_bandwidths, params.log_bandwidths[k])):
-                raise ValueError(f"class {k}'s value pass was built at other params")
-        d_la_k, d_lb_k, d_s = _bound_gradient(bp)
+        kp, s, collection, sigma, jitter = _class_bound(params, dataset, k)
+        d_la_k, d_lb_k, d_s = _bound_gradient(kp, s, collection, sigma, jitter)
         z_k = params.codes[k]
-        gate = d_s * bp.s * (1.0 - bp.s)  # chain through the sigmoid
-        loss += -bp.value + _penalty(params, k)
+        gate = d_s * s * (1.0 - s)  # chain through the sigmoid
         d_la[k], d_lb[k] = -d_la_k, -d_lb_k
         d_codes[k] = -(params.code_map.T @ gate) + 2.0 * params.hyper.lam * z_k
         d_map += -np.outer(gate, z_k)
-    return float(loss), grad
+    return grad

@@ -91,8 +91,9 @@ def minimize(fun, x0, max_iters: int, epsilon: float) -> MinimizeResult:
     with the trial's Armijo ceiling: the trial is accepted when its loss is
     finite and at most the ceiling. Once fun can prove a trial's loss is
     above the ceiling it may return any value above the ceiling instead of
-    the loss, and None for the gradient. Otherwise it returns the gradient
-    at x, which minimize uses only at x0 and at accepted trials.
+    the loss. It returns the gradient at x0 and at every trial whose loss
+    is at most its ceiling, and None for the gradient otherwise: minimize
+    uses a gradient only at x0 and at accepted trials.
 
     Each accepted iteration logs one DEBUG line on motioncode.optimizer:
     the loss and its decrease, the gradient max-norm, the step, the
@@ -212,9 +213,7 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
 
     Each evaluation passes minimize's Armijo ceiling on to total_loss,
     which stops a trial's evaluation as soon as it proves the trial fails.
-    An evaluation that runs to the end takes its gradient from the value
-    passes it just built, so K_SS and each bordered system are factored
-    once; only each block's kernel rows are built again.
+    loss_gradient runs only at the start point and at accepted trials.
     """
     # the model keeps the dataset's scales and labels to map later inputs
     start = dataclasses.replace(
@@ -225,12 +224,12 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
     def fun(x, ceiling):
         try:
             params = unpack_params(x, start)
-            loss, passes = total_loss(params, dataset, keep=True, ceiling=ceiling)
+            loss = total_loss(params, dataset, ceiling)
         except MotionCodeError:
             return np.inf, None
-        if passes is None:
+        if ceiling is not None and not loss <= ceiling:
             return loss, None
-        return loss, loss_gradient(params, dataset, passes)[1]
+        return loss, loss_gradient(params, dataset)
 
     result = minimize(fun, pack_params(start), hyper.max_iters, hyper.epsilon)
     return unpack_params(result.x, start), result

@@ -18,7 +18,7 @@ from motioncode.bench import (
 from motioncode.core import BLOCK_COLUMNS, Collection, TimeSeries, series_blocks
 from motioncode.inference import fit_posterior
 from motioncode.kernel import KernelParams, kernel_matrix
-from motioncode.objective import _bound_gradient, _bound_pass, lmax_bound
+from motioncode.objective import lmax_bound
 
 SIGMA = 0.5
 JITTER = 1e-10
@@ -118,19 +118,6 @@ def test_blocked_posterior_matches_dense_oracle(name, lengths, m, j):
     assert np.max(np.abs(post.covariance - cov)) <= ORACLE_TOL
 
 
-@pytest.mark.parametrize("name,lengths,m,j", CASES, ids=[c[0] for c in CASES])
-def test_blocked_bound_forms_no_inverse(forbid_inverse, name, lengths, m, j):
-    kp, s, col = make_case(lengths, m, j, seed=2)
-    value = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
-    with_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
-    forbid_inverse()
-    assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER) == value
-    got_value, got_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
-    assert got_value == with_grads[0]
-    for got, want in zip(got_grads, with_grads[1]):
-        assert np.array_equal(got, want)
-
-
 def zero_series_case():
     kp, s, col = make_case([9] * 20 + [5, 1], 4, 1, seed=5)
     series = list(col.series)
@@ -185,27 +172,17 @@ def all_cases():
     return {**cases, **EDGE_CASES}
 
 
-@pytest.mark.parametrize("forbid", [False, True], ids=["inv-allowed", "inv-forbidden"])
 @pytest.mark.parametrize("name", list(all_cases()))
-def test_kept_pass_gives_the_same_gradients(forbid_inverse, name, forbid):
+def test_blocked_bound_forms_no_inverse(forbid_inverse, name):
     kp, s, col = all_cases()[name]()
     value = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
-    want_value, want_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
-    if forbid:
-        forbid_inverse()
-    kept = _bound_pass(kp, s, col, SIGMA, JITTER, keep=True)
-    # an evaluation elsewhere between the pass and its gradient must not
-    # touch the kept arrays
-    lmax_bound(KernelParams(kp.log_amplitudes + 0.25, kp.log_bandwidths), s, col,
-               SIGMA, jitter=JITTER, grads=True)
-    assert kept.value == value == want_value
-    for got, want in zip(_bound_gradient(kept), want_grads):
+    with_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    forbid_inverse()
+    assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER) == value
+    got_value, got_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    assert got_value == with_grads[0] == value
+    for got, want in zip(got_grads, with_grads[1]):
         assert np.array_equal(got, want)
-    assert kept.blocks == []  # consumed: no block array is held any more
-    with pytest.raises(ValueError):
-        _bound_gradient(kept)
-    with pytest.raises(ValueError):
-        _bound_gradient(_bound_pass(kp, s, col, SIGMA, JITTER, keep=False))
 
 
 # (name, series lengths): many short series, a few long ones (some a block

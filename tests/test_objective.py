@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from motioncode import objective
 from motioncode.core import (
-    BLOCK_COLUMNS,
     LEARNED_FIELDS,
     Collection,
     Dataset,
@@ -196,15 +195,9 @@ def test_total_loss_is_sum_of_parts():
     assert total_loss(params, ds) == pytest.approx(expected, rel=1e-12)
 
 
-def test_loss_gradient_value_agrees_with_total_loss():
-    params, ds = small_model_and_data(seed=4)
-    loss, _ = loss_gradient(params, ds)
-    assert loss == pytest.approx(total_loss(params, ds), rel=1e-12)
-
-
 def test_loss_gradient_matches_finite_differences():
     params, ds = small_model_and_data(seed=7, L=2, m=3, d=2, j=2)
-    _, grad = loss_gradient(params, ds)
+    grad = loss_gradient(params, ds)
     h = 1e-6
 
     def fd_field(field, analytic):
@@ -250,72 +243,13 @@ def test_informative_timestamps_shape():
 def test_training_loss_forms_no_inverse(forbid_inverse):
     params, ds = small_model_and_data(seed=5)
     loss = total_loss(params, ds)
-    grad_loss, grads = loss_gradient(params, ds)
+    grads = loss_gradient(params, ds)
     forbid_inverse()
     assert total_loss(params, ds) == loss
-    got_loss, got_grads = loss_gradient(params, ds)
-    assert got_loss == grad_loss
+    got_grads = loss_gradient(params, ds)
     for got, want in zip(*(learned_arrays(g, params.n_classes, params.hyper)
                            for g in (got_grads, grads))):
         assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("forbid", [False, True], ids=["inv-allowed", "inv-forbidden"])
-def test_gradient_from_kept_passes_is_bit_identical(forbid_inverse, forbid):
-    params, ds = small_model_and_data(seed=5)
-    want_loss, want = loss_gradient(params, ds)
-    value = total_loss(params, ds)
-    if forbid:
-        forbid_inverse()
-    loss, passes = total_loss(params, ds, keep=True)
-    assert loss == value
-    got_loss, got = loss_gradient(params, ds, passes)
-    assert got_loss == want_loss
-    for got_field, want_field in zip(*(learned_arrays(g, params.n_classes, params.hyper)
-                                       for g in (got, want))):
-        assert np.array_equal(got_field, want_field)
-
-
-def collections_of_lengths(lengths, stretch=1, seed=6):
-    """One collection per list of series lengths, every length times stretch."""
-    rng = np.random.default_rng(seed)
-    cols = tuple(
-        Collection(k, tuple(TimeSeries(np.sort(rng.uniform(0.0, 1.0, n * stretch)),
-                                       rng.normal(size=n * stretch)) for n in ns))
-        for k, ns in enumerate(lengths))
-    return Dataset(cols, (0.0, 1.0))
-
-
-def test_kept_pass_row_arrays_are_bounded_and_freed():
-    params, _ = small_model_and_data(seed=6, L=2, m=4, d=2, j=3)
-    m = 4
-    # short series, and a series longer than a block next to short ones
-    for lengths in ([[5, 7], [4, 8, 6]], [[BLOCK_COLUMNS + 90, 30, 12], [40, 9]]):
-        kept = []
-        for stretch in (1, 4):
-            ds = collections_of_lengths(lengths, stretch)
-            _, passes = total_loss(params, ds, keep=True)
-            for bp, col in zip(passes, ds.collections, strict=True):
-                # only each block's bordered stack (series, m + 1, m + 1):
-                # nothing that grows with the series' lengths
-                assert [a.shape for a in bp.blocks] == [
-                    (b.times.shape[0], m + 1, m + 1) for b in col.blocks]
-                assert sum(a.nbytes for a in bp.blocks) == col.size * (m + 1) ** 2 * 8
-            kept.append(sum(a.nbytes for bp in passes for a in bp.blocks))
-            loss_gradient(params, ds, passes)
-            assert all(bp.blocks == [] for bp in passes)
-        # every series four times longer keeps the same bytes
-        assert kept[0] == kept[1]
-
-
-def test_passes_from_other_params_are_refused():
-    params, ds = small_model_and_data(seed=8)
-    _, passes = total_loss(params, ds, keep=True)
-    moved = dataclasses.replace(params, codes=params.codes + 0.125)
-    with pytest.raises(ValueError):
-        loss_gradient(moved, ds, passes)
-    with pytest.raises(ValueError):
-        loss_gradient(params, ds, passes[:1])
 
 
 @st.composite
@@ -348,9 +282,9 @@ def test_every_block_value_clears_its_floor(case):
     seen = []
 
     def recording(kp_, s_, whiten, block, c_):
-        value, arrays = real_block_value(kp_, s_, whiten, block, c_)
+        value = real_block_value(kp_, s_, whiten, block, c_)
         seen.append((block, value))
-        return value, arrays
+        return value
 
     real_block_value = objective._block_value
     with mock.patch.object(objective, "_block_value", recording):
@@ -387,18 +321,9 @@ def blocky_model_and_data(seed=0, L=3):
 def test_ceiling_at_or_above_the_loss_changes_nothing():
     params, ds = blocky_model_and_data()
     assert all(len(col.blocks) >= 3 for col in ds.collections)
-    loss, ref = total_loss(params, ds, keep=True)
-    want = loss_gradient(params, ds)[1]
+    loss = total_loss(params, ds)
     for ceiling in (loss, np.nextafter(loss, np.inf), loss + 1.0, np.inf):
         assert total_loss(params, ds, ceiling=ceiling) == loss
-        got, passes = total_loss(params, ds, keep=True, ceiling=ceiling)
-        assert got == loss
-        for bp, ref_bp in zip(passes, ref, strict=True):
-            assert bp.value == ref_bp.value
-            for arrays, ref_arrays in zip(bp.blocks, ref_bp.blocks, strict=True):
-                for a, b in zip(arrays, ref_arrays, strict=True):
-                    assert np.array_equal(a, b)
-        assert np.array_equal(loss_gradient(params, ds, passes)[1], want)
 
 
 def test_ceiling_below_the_loss_returns_more_than_it(monkeypatch, caplog):
@@ -423,16 +348,14 @@ def test_ceiling_below_the_loss_returns_more_than_it(monkeypatch, caplog):
         with caplog.at_level(logging.DEBUG, logger="motioncode.objective"):
             caplog.clear()
             got = total_loss(params, ds, ceiling=ceiling)
-            got_kept, passes = total_loss(params, ds, keep=True, ceiling=ceiling)
-        assert got > ceiling and got_kept == got
-        evaluated.append(len(calls) // 2)
+        assert got > ceiling
+        evaluated.append(len(calls))
         if evaluated[-1] < n_blocks:
-            assert passes is None
             first = caplog.records[0]
-            assert len(caplog.records) == 2 and first.levelno == logging.DEBUG
+            assert len(caplog.records) == 1 and first.levelno == logging.DEBUG
             assert first.args == (evaluated[-1], n_blocks, got, ceiling)
         else:
-            assert got == loss and len(passes) == ds.n_classes
+            assert got == loss
             assert caplog.records == []
     # no block is needed to prove the loss above -inf or below the floors;
     # halfway between the floors and the loss some blocks are skipped
@@ -450,19 +373,16 @@ def test_failing_trial_is_still_rejected(monkeypatch, fault, at):
 
     def faulty(*args):
         calls.append(None)
-        value, arrays = real(*args)
+        value = real(*args)
         if len(calls) - 1 == at:
             if fault == "raise":
                 raise NumericalError("inner inducing-point system lost positive definiteness")
             value = float(fault)
-        return value, arrays
+        return value
 
     monkeypatch.setattr(objective, "_block_value", faulty)
-    for keep in (False, True):
-        del calls[:]
-        try:
-            got = total_loss(params, ds, keep=keep, ceiling=loss)
-        except MotionCodeError:
-            continue
-        value = got[0] if keep else got
-        assert not (np.isfinite(value) and value <= loss)
+    try:
+        got = total_loss(params, ds, ceiling=loss)
+    except MotionCodeError:
+        return
+    assert not (np.isfinite(got) and got <= loss)

@@ -338,7 +338,7 @@ def test_loss_fn_gets_each_trials_armijo_ceiling():
 
 
 def fresh_gradient(x, template, ds):
-    return loss_gradient(unpack_params(x, template), ds)[1]
+    return loss_gradient(unpack_params(x, template), ds)
 
 
 def reference_minimize(ds, template, h):
@@ -349,7 +349,7 @@ def reference_minimize(ds, template, h):
     def fun(x, ceiling):
         calls.append(x)
         params = unpack_params(x, template)
-        return total_loss(params, ds), loss_gradient(params, ds)[1]
+        return total_loss(params, ds), loss_gradient(params, ds)
 
     return minimize(fun, pack_params(template), h.max_iters, h.epsilon), len(calls)
 
@@ -397,20 +397,21 @@ def test_train_model_takes_gradients_from_the_accepted_pass(monkeypatch):
     assert (res.iterations, res.stop_reason) == (ref.iterations, ref.stop_reason)
     assert len(evaluations) == ref_calls
     completed = [(x, grad, seen) for x, grad, seen in evaluations if grad is not None]
-    # only the start and the accepted trials run to the end
+    # only the start and the accepted trials get a gradient
     assert len(completed) == ref.iterations + 1
     per_pass = sum(1 + len(col.blocks) for col in ds.collections)
-    n_blocks = sum(len(col.blocks) for col in ds.collections)
+    # per class: its K_SS kernel and factor, then one kernel per block
+    per_gradient = [tag for col in ds.collections
+                    for tag in ["kernel", "chol"] + ["kernel"] * len(col.blocks)]
     for x, grad, seen in completed:
         # every gradient is the one a fresh pass at its point gives
         assert np.array_equal(grad, fresh_gradient(x, template, ds))
-        # taken from the evaluation's own value pass: its kernels, one per
-        # class and per block, and its K_SS factors are built once; the
-        # gradient then rebuilds one kernel per block and factors nothing
+        # the value pass builds its kernels, one per class and per block,
+        # and factors K_SS once per class; the gradient builds its own
         assert seen.count("loss") == 1 and seen.count("grad") == 1
         value, gradient = seen[:seen.index("grad")], seen[seen.index("grad") + 1:]
         assert value.count("kernel") == per_pass and value.count("chol") == ds.n_classes
-        assert gradient == ["kernel"] * n_blocks
+        assert gradient == per_gradient
     for x, grad, seen in evaluations:
         if grad is None:
             assert seen.count("loss") == 1 and "grad" not in seen
@@ -450,6 +451,25 @@ def test_trials_cut_short_leave_training_unchanged(monkeypatch):
     assert res.loss == ref.loss
     assert (res.iterations, res.stop_reason) == (ref.iterations, ref.stop_reason)
     # a gradient for the start and for each accepted trial only
+    assert (events.count("loss"), events.count("grad")) == (ref_calls, ref.iterations + 1)
+
+
+def test_train_model_takes_a_gradient_only_at_accepted_points(monkeypatch):
+    ds = multi_class_dataset()
+    h = Hyperparams(m=5, d=2, j=1, max_iters=10, sigma=0.1)
+    template = init_params(ds.n_classes, h)
+    ref, ref_calls = reference_minimize(ds, template, h)
+    # no trial is cut short, so every rejected trial runs to the end
+    monkeypatch.setattr(objective, "MARGIN_RTOL", np.inf)
+
+    events = []
+    for module, name, tag in ((optimizer, "total_loss", "loss"),
+                              (optimizer, "loss_gradient", "grad")):
+        counted(monkeypatch, module, name, lambda tag=tag: events.append(tag))
+    _, res = train_model(ds, h)
+
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert ref_calls > ref.iterations + 1  # some trial was rejected
     assert (events.count("loss"), events.count("grad")) == (ref_calls, ref.iterations + 1)
 
 
