@@ -17,26 +17,30 @@ costs O(m^2 * N) time for N total points, never O(N^2).
 
 Series are not visited one at a time. Each collection is packed once into
 blocks of similar-length series, zero-padded to a common width of about
-BLOCK_COLUMNS points (core.series_blocks). A block costs one kernel build,
-one whitening product with the inverse of the K_SS Cholesky factor and one
-stacked Cholesky of the per-series bordered systems
+BLOCK_COLUMNS points (core.series_blocks). A block has one design matrix
+X = [V^T, y], one row per padded point, with V = W C whitened through
+W = L^{-1}, the inverse of K_SS's lower Cholesky factor (_design). A value
+pass's per-point work is the block's kernel build, the whitening product
+and the Gram matrices X_i^T X_i of its series; one stacked Cholesky of
 
-    A_i = [[E_i, V_i y_i], [y_i^T V_i^T, y_i^T y_i + c]],   E_i = c*I + V_i V_i^T.
+    A_i = X_i^T X_i + c*I = [[E_i, w_i^T], [w_i, y_i^T y_i + c]],
+    E_i = c*I + D_i,   D_i = V_i V_i^T,   w_i = (V_i y_i)^T,
 
-Each A_i is the Gram matrix of [V_i^T, y_i] plus c*I, so positive definite;
-its pivots give log|E_i| and the series' quadratic form, and the value forms
-no inverse. Padded points are zeroed after whitening, so they add nothing.
+positive definite, gives log|E_i| and the series' quadratic form from its
+pivots, and the value forms no inverse. Padded columns are zeroed on the
+kernel, so they add nothing.
 
 The gradient is taken from the parameters alone; a value pass keeps
-nothing for it. It starts as the value pass does, with K_SS's components
-and the inverse of its Cholesky factor (_start_pass), and builds each
-block's kernel, whitened rows and bordered stack A through the same
-helpers (_block_rows, _bordered), so its A_i are the value pass's bit for
-bit. It adds one stacked Cholesky of [[E_i, I], [I, (2/c) I]], positive
-definite because E_i >= c*I, which yields E_i^{-1} (see _block_grads), and
-batched contractions; it does not factor A_i. Training takes a gradient
-only at the start point and at accepted trials, where a line search needs
-one.
+nothing for it. It builds each block's X and Gram matrices through the same
+_design, so its E_i and w_i are the value pass's bit for bit, and forms the
+adjoint of each series' cross-covariance in m-space, as an (m+1) x m matrix
+H_i (see _block_grads). Its per-point work past _design's is Z = X H, V Z
+for K_SS's adjoint, and one product and three reductions per kernel
+component. H_i takes L^{-1} before the per-point product, and 1/c comes
+only after the reductions: where the kernel collapses (amplitudes near
+1e-100), dividing first pushes X H into the subnormal range, which runs
+several times slower. Training takes a gradient only at the start point
+and at accepted trials, where a line search needs one.
 
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
@@ -62,6 +66,7 @@ one without a ceiling.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -115,126 +120,118 @@ def _cholesky(a):
         ) from exc
 
 
-def _block_rows(kp: KernelParams, s, whiten, block):
-    """A block's kernel against the inducing timestamps and its whitened
-    rows: (c_comps, r2, v_rows), the (J, m, G*width) kernel components, the
-    (m, G*width) squared distances they were built from and V^T, one row
-    per padded point, where whiten is the inverse of K_SS's lower Cholesky
-    factor.
+def _design(kp: KernelParams, s, whiten, block):
+    """A block's kernel, design matrix and Gram stack: (comps, r2, x, gram).
 
-    The kernel is built with one column per padded point, series after
-    series, which keeps its inner loops long; after whitening the work runs
-    on rows, so series i's V_i^T is one contiguous (width, m) slab. Padded
-    points are zeroed after whitening, so they drop out of every sum. The
-    value pass and the gradient both call this, so the gradient's rows are
-    the value's, bit for bit.
+    comps, (J, m, P), are the kernel components at the block's P padded
+    points, zeroed on padded columns, and r2 the squared distances they were
+    built from. x = [V^T, y], (P, m+1), where V^T = C^T W^T is whitened by
+    whiten = W = L^{-1} straight into x's first m columns; series i's X_i
+    is one contiguous (width, m+1) slab. gram stacks each series'
+    X_i^T X_i = [[D_i, w_i^T], [w_i, y_i^T y_i]]. The kernel, whitening and
+    Gram are a pass's per-point products; the gradient adds Z = X H.
     """
-    c_comps, r2 = kernel_matrix_components(kp, s, block.times.ravel())
-    v_rows = component_sum(c_comps).T @ whiten.T
+    m = s.size
+    g, width = block.times.shape
+    comps, r2 = kernel_matrix_components(kp, s, block.times.ravel())
     if block.n_points < block.times.size:
-        v_rows *= block.mask.reshape(-1, 1)
-    return c_comps, r2, v_rows
-
-
-def _bordered(vt, y, c):
-    """The (G, m+1, m+1) stack of bordered systems A_i = X_i^T X_i + c*I,
-    X_i = [V_i^T, y_i], from a block's whitened rows vt, (G, width, m), and
-    values y, (G, width, 1); its smallest eigenvalue is at least c."""
-    xt = np.concatenate((vt, y), axis=2)
-    return xt.transpose(0, 2, 1) @ xt + c * np.eye(vt.shape[2] + 1)
+        comps *= block.mask.ravel()
+    x = np.empty((g * width, m + 1))
+    np.matmul(component_sum(comps).T, whiten.T, out=x[:, :m])
+    x[:, m] = block.values.ravel()
+    xt = x.reshape(g, width, m + 1)
+    return comps, r2, x, xt.transpose(0, 2, 1) @ xt
 
 
 def _block_value(kp: KernelParams, s, whiten, block, c) -> float:
     """One series block's share of the bound.
 
-    The value needs log|E_i| and w_i E_i^{-1} w_i^T, with E_i = c*I + V_i V_i^T
-    and w_i = (V_i y_i)^T. Both come from one stacked Cholesky of
-
-        A_i = [[E_i, w_i^T], [w_i, y_i^T y_i + c]] = X_i^T X_i + c*I,
-        X_i = [V_i^T, y_i],
-
-    positive definite because X_i^T X_i is positive semidefinite. Its first
-    m pivots are those of E_i, and its last, delta_i, has
+    The value needs log|E_i| and w_i E_i^{-1} w_i^T. Both come from one
+    stacked Cholesky of A_i = X_i^T X_i + c*I, positive definite because
+    X_i^T X_i is positive semidefinite. Its first m pivots are those of
+    E_i, and its last, delta_i, has
     delta_i^2 - c = y_i^T y_i - w_i E_i^{-1} w_i^T, the series' quadratic
     form times c. The border's "+ c" keeps delta_i^2 >= c > 0 even for an
-    all-zero series.
+    all-zero series. c goes onto the diagonal of _design's Gram stack in
+    place, after tr Q_i = tr D_i is read from it, so the pass makes no
+    per-point product beyond _design's.
     """
     m = s.size
-    g, width = block.times.shape
+    g = block.times.shape[0]
     n_b = block.n_points
-    _, _, v_rows = _block_rows(kp, s, whiten, block)
-    l_a = _cholesky(_bordered(v_rows.reshape(g, width, m), block.values[:, :, None], c))
-    pivots = np.diagonal(l_a, axis1=1, axis2=2)
-    quad = float(np.sum(pivots[:, m] * pivots[:, m] - c)) / c
-    logdet = (n_b - g * m) * np.log(c) + 2.0 * float(np.sum(np.log(pivots[:, :m])))
+    _, _, _, a = _design(kp, s, whiten, block)
+    diagonals = a.reshape(g, -1)[:, ::m + 2]  # a view of every A_i's diagonal
+    trace_q = float(diagonals[:, :m].sum())
+    diagonals += c
+    pivots = _cholesky(a).reshape(g, -1)[:, ::m + 2]
+    delta = pivots[:, m]
+    quad = (float(delta @ delta) - g * c) / c
+    logdet = (n_b - g * m) * math.log(c) + 2.0 * float(np.log(pivots[:, :m]).sum())
     log_lik = -0.5 * (n_b * LOG_2PI + logdet + quad)
-    trace_gap = n_b * float(np.sum(kp.amplitudes)) - float(np.vdot(v_rows, v_rows))
+    trace_gap = n_b * float(kp.amplitudes.sum()) - trace_q
     return log_lik - trace_gap / (2.0 * c)
 
 
 def _paired_template(m, c):
-    """[[0, I], [I, (2/c) I]], the constant blocks of every (2m, 2m) system
-    _block_grads factors."""
+    """[[c*I, I], [I, (2/c) I]]: every (2m, 2m) system _block_grads factors
+    before its D_i is added to the top-left block."""
     eye = np.eye(m)
-    return np.block([[np.zeros((m, m)), eye], [eye, (2.0 / c) * eye]])
+    return np.block([[c * eye, eye], [eye, (2.0 / c) * eye]])
 
 
-def _block_grads(kp: KernelParams, s, whiten, block, c, template):
-    """One block's share of the gradients: (p_dot, d_log_amp, d_log_bw,
-    d_timestamps), where p_dot is the block's unsymmetrized adjoint of K_SS.
+def _block_grads(kp: KernelParams, s, whiten, block, template):
+    """One block's share of the gradients, times c: (vz, d_log_amp,
+    d_log_bw, d_timestamps), where vz = sum_i (V_i Z_i)^T.
 
-    The block's kernel components, whitened rows and bordered stack A come
-    from _block_rows and _bordered, as in the value pass, so E_i and w_i
-    are the value pass's bit for bit.
+    Series i's term moves with C_i through Q_i, whose adjoint is
+    G_i = (a a^T - S^{-1}) / 2 + I / (2c), with S = c*I + Q_i and
+    a = S^{-1} y_i. By Woodbury G_i = a a^T / 2 + V_i^T E_i^{-1} V_i / (2c)
+    and V_i a = beta_i = E_i^{-1} w_i^T, so C_i's adjoint, transposed, is
+    2 G_i V_i^T W = X_i H_i / c with
 
-    The gradients need E_i^{-1} = L_e^{-T} L_e^{-1}, where E_i = L_e L_e^T.
-    L_e^{-T} is the lower-left block of the Cholesky factor of
-    [[E_i, I], [I, (2/c) I]], which is positive definite: its Schur
-    complement (2/c) I - E_i^{-1} is at least I/c, because E_i >= c*I.
-    This 2m system is the only factorization the gradient adds; template is
-    _paired_template(m, c), copied into every series' system before its E_i
-    is written.
+        H_i = [[D_i E_i^{-1} - beta_i beta_i^T], [beta_i^T]] W.
+
+    Z = X H is the one per-point product past _design's. H takes W before
+    it and 1/c waits until after the reductions (_bound_gradient), which
+    keeps X H out of the subnormal range where the kernel collapses.
+    E_i^{-1} = L_e^{-T} L_e^{-1}, and L_e^{-T} is the lower-left block of
+    the Cholesky factor of [[E_i, I], [I, (2/c) I]] (template plus D_i),
+    positive definite because its Schur complement (2/c) I - E_i^{-1} is at
+    least I/c. That 2m system is the gradient's only factorization. Each
+    kernel component enters through hc = Z^T * C_j, formed in place on
+    comps: d C / d log amp_j = C_j, d C / d log bw_j = -bw_j r2 C_j / 2
+    and d C[a, p] / d s_a = -bw_j (s_a - t_p) C_j[a, p].
     """
     m = s.size
     g, width = block.times.shape
-    n_b = block.n_points
-    y = block.values[:, :, None]  # (G, width, 1)
-    c_comps, d_b, v_rows = _block_rows(kp, s, whiten, block)
-    vt = v_rows.reshape(g, width, m)  # V_i^T of every series i
-    a = _bordered(vt, y, c)
-    w = a[:, m:, :m]  # (V_i y_i)^T, (G, 1, m)
-    # adjoint of each series covariance block is rank m+1; contract it
-    # without ever forming an n x n matrix. Transposed, series i's
-    # cross-covariance adjoint is
-    #   V_i^T E_i^{-1} (V_i W_i^T) / c + r_i (r_i^T W_i^T)
-    # with W_i = L^{-T} V_i and r_i = (y_i - V_i^T E_i^{-1} V_i y_i) / c
+    comps, r2, x, gram = _design(kp, s, whiten, block)
     paired = np.empty((g, 2 * m, 2 * m))
     paired[:] = template
-    paired[:, :m, :m] = a[:, :m, :m]
+    paired[:, :m, :m] += gram[:, :m, :m]
     l_inv_t = _cholesky(paired)[:, m:, :m]  # L_e^{-T}
     e_inv = l_inv_t @ l_inv_t.transpose(0, 2, 1)
-    resid = (y - vt @ (w @ e_inv).transpose(0, 2, 1)) / c
-    w_rows = v_rows @ whiten  # W^T
-    wt = w_rows.reshape(g, width, m)
-    cdot = vt @ (e_inv @ (vt.transpose(0, 2, 1) @ wt))
-    cdot /= c
-    cdot += resid @ (resid.transpose(0, 2, 1) @ wt)
-    cdot = cdot.reshape(-1, m)
-    p_dot = -0.5 * (cdot.T @ w_rows)
-    # release the whitened rows before the cross differences are allocated
-    del v_rows, vt, w_rows, wt
-    amps = kp.amplitudes
+    # freed before H and Z exist, a lower per-block peak keeps the heap
+    # from being trimmed and faulted in again block after block
+    del paired, l_inv_t
+    h = gram[:, :, :m] @ e_inv  # [[D_i E_i^{-1}], [beta_i^T]]
+    h[:, :m] -= h[:, m:].transpose(0, 2, 1) * h[:, m:]
+    h = (h.reshape(-1, m) @ whiten).reshape(g, m + 1, m)
+    zt = np.empty((m, g * width))  # Z^T, in comps' column layout
+    np.matmul(h.transpose(0, 2, 1), x.reshape(g, width, m + 1).transpose(0, 2, 1),
+              out=zt.reshape(m, g, width).transpose(1, 0, 2))
+    t = block.times.ravel()
     bws = kp.bandwidths
-    cdot = np.ascontiguousarray(cdot.T)  # back to columns, like c_comps
-    diff_cross = s[:, None] - block.times.ravel()[None, :]
     d_la = np.empty(kp.n_components)
     d_lb = np.empty(kp.n_components)
     d_s = np.zeros(m)
     for j in range(kp.n_components):
-        d_la[j] = float(np.vdot(cdot, c_comps[j])) - n_b * amps[j] / (2.0 * c)
-        d_lb[j] = -0.5 * bws[j] * float(np.einsum("ap,ap,ap->", cdot, d_b, c_comps[j]))
-        d_s -= bws[j] * np.einsum("ap,ap,ap->a", cdot, c_comps[j], diff_cross)
-    return p_dot, d_la, d_lb, d_s
+        hc = comps[j]
+        hc *= zt
+        row_sums = np.sum(hc, axis=1)
+        d_la[j] = float(row_sums.sum())
+        d_lb[j] = -0.5 * bws[j] * float(np.vdot(hc, r2))
+        d_s -= bws[j] * (s * row_sums - hc @ t)
+    return zt @ x[:, :m], d_la, d_lb, d_s
 
 
 class _ProvenAbove(Exception):
@@ -326,24 +323,27 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
 def _bound_gradient(kp: KernelParams, inducing, collection: Collection, sigma: float,
                     jitter: float):
     """Gradients of the bound over one collection: (d_log_amplitudes,
-    d_log_bandwidths, d_timestamps)."""
+    d_log_bandwidths, d_timestamps). The blocks' shares are divided by c
+    once summed; K_SS's adjoint is then -W^T (sum_i V_i Z_i) / (2c)."""
     s, c, p_comps, d_ss, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
     m = s.size
     n_comp = kp.n_components
     sums = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))
     template = _paired_template(m, c)
     for block in collection.blocks:
-        parts = _block_grads(kp, s, whiten, block, c, template)
+        parts = _block_grads(kp, s, whiten, block, template)
         for total, part in zip(sums, parts):
             total += part
 
-    p_dot, d_la, d_lb, d_s = sums
+    vz, d_la, d_lb, d_s = (total / c for total in sums)
+    p_dot = -0.5 * (vz @ whiten)
     p_dot = 0.5 * (p_dot + p_dot.T)
-    bws = kp.bandwidths
+    amps, bws = kp.amplitudes, kp.bandwidths
+    n = collection.n_points()
     diff_ss = s[:, None] - s[None, :]
     g_ss = np.zeros((m, m))
     for j in range(n_comp):
-        d_la[j] += float(np.sum(p_dot * p_comps[j]))
+        d_la[j] += float(np.sum(p_dot * p_comps[j])) - n * amps[j] / (2.0 * c)
         d_lb[j] += -0.5 * bws[j] * float(np.sum(p_dot * d_ss * p_comps[j]))
         g_ss -= bws[j] * diff_ss * p_comps[j]
     d_s += 2.0 * np.sum(p_dot * g_ss, axis=1)

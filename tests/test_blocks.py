@@ -15,9 +15,10 @@ from motioncode.bench import (
     dense_bound,
     dense_posterior,
 )
-from motioncode.core import BLOCK_COLUMNS, Collection, TimeSeries, series_blocks
+from motioncode.core import (BLOCK_COLUMNS, Collection, TimeSeries, effective_noise,
+                             series_blocks)
 from motioncode.inference import fit_posterior
-from motioncode.kernel import KernelParams, kernel_matrix
+from motioncode.kernel import KernelParams, kernel_matrix, kernel_matrix_components
 from motioncode.objective import lmax_bound
 
 SIGMA = 0.5
@@ -172,6 +173,64 @@ def all_cases():
     return {**cases, **EDGE_CASES}
 
 
+def dense_gradient(kp, inducing, collection, sigma, jitter):
+    """Gradients of the collection bound through full n_i x n_i matrices and
+    explicit inverses: (d_log_amplitudes, d_log_bandwidths, d_timestamps).
+
+    Series i's bound depends on Q_i = C_i^T Kt^{-1} C_i, with C_i = K(S, T_i)
+    and Kt = K_SS + jitter * I, through G_Q = (alpha alpha^T - Sigma^{-1}) / 2
+    + I / (2c), Sigma = c*I + Q_i and alpha = Sigma^{-1} y_i. A parameter
+    moving C_i by dC and Kt by dK moves Q_i by
+    dC^T Kt^{-1} C_i + C_i^T Kt^{-1} dC - C_i^T Kt^{-1} dK Kt^{-1} C_i and
+    the bound by tr(G_Q dQ) - d(tr K_ii) / (2c); the kernel derivatives are
+    those in kernel_matrix_components' docstring.
+    """
+    s = np.asarray(inducing, dtype=float)
+    m, j = s.size, kp.n_components
+    c = effective_noise(collection.size, sigma)
+    amps, bws = kp.amplitudes, kp.bandwidths
+    p_comps, d_ss = kernel_matrix_components(kp, s)
+    k_inv = np.linalg.inv(p_comps.sum(axis=0) + jitter * np.eye(m))
+    diff_ss = s[:, None] - s[None, :]
+    d_la, d_lb, d_s = np.zeros(j), np.zeros(j), np.zeros(m)
+    for ts in collection.series:
+        n = len(ts)
+        c_comps, d_cross = kernel_matrix_components(kp, s, ts.timestamps)
+        cross = c_comps.sum(axis=0)
+        a = k_inv @ cross
+        sigma_inv = np.linalg.inv(c * np.eye(n) + cross.T @ a)
+        alpha = sigma_inv @ ts.values
+        g_q = 0.5 * (np.outer(alpha, alpha) - sigma_inv) + np.eye(n) / (2.0 * c)
+
+        def moved(d_cross_k, d_k):
+            d_q = d_cross_k.T @ a + a.T @ d_cross_k - a.T @ d_k @ a
+            return float(np.sum(g_q * d_q))
+
+        diff_cross = s[:, None] - ts.timestamps[None, :]
+        for q in range(j):
+            d_la[q] += moved(c_comps[q], p_comps[q]) - n * amps[q] / (2.0 * c)
+            d_lb[q] += moved(-0.5 * bws[q] * d_cross * c_comps[q],
+                             -0.5 * bws[q] * d_ss * p_comps[q])
+        for b in range(m):
+            d_cross_k = np.zeros((m, n))
+            d_k = np.zeros((m, m))
+            for q in range(j):
+                d_cross_k[b] -= bws[q] * diff_cross[b] * c_comps[q, b]
+                d_k[b] -= bws[q] * diff_ss[b] * p_comps[q, b]
+            d_k[:, b] = d_k[b]
+            d_s[b] += moved(d_cross_k, d_k)
+    return d_la, d_lb, d_s
+
+
+@pytest.mark.parametrize("name", list(all_cases()))
+def test_blocked_gradients_match_dense_oracle(name):
+    kp, s, col = all_cases()[name]()
+    _, grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    for got, want in zip(grads, dense_gradient(kp, s, col, SIGMA, JITTER)):
+        assert np.all(np.abs(got - want) <= ORACLE_TOL * np.maximum(1.0, np.abs(want))), \
+            (got, want)
+
+
 @pytest.mark.parametrize("name", list(all_cases()))
 def test_blocked_bound_forms_no_inverse(forbid_inverse, name):
     kp, s, col = all_cases()[name]()
@@ -197,8 +256,8 @@ LINEAR_CASES = [
 @pytest.mark.parametrize("name,lengths", LINEAR_CASES, ids=[c[0] for c in LINEAR_CASES])
 def test_bound_cost_is_linear_in_points(monkeypatch, name, lengths):
     """Counts, not seconds: one lmax_bound call builds m * m kernel entries
-    for K_SS and m per padded column, and the packing pads at most
-    BLOCK_COLUMNS * ln(longest / shortest) columns in all. (Block b pads
+    for K_SS and m per padded column, twice with gradients, and the packing
+    pads at most BLOCK_COLUMNS * ln(longest / shortest) columns in all. (Block b pads
     at most (G_b - 1)(w_b - w_{b+1}) < BLOCK_COLUMNS (1 - w_{b+1} / w_b)
     columns, and the terms sum to below BLOCK_COLUMNS * ln(w_1 / w_last).)"""
     kp, s, col = make_case(lengths, 4, 1, seed=3)
@@ -214,5 +273,10 @@ def test_bound_cost_is_linear_in_points(monkeypatch, name, lengths):
     m = s.size
     padded = sum(b.times.size for b in col.blocks)
     assert sum(entries) == m * m + m * padded
+    # with gradients: the value pass, then a gradient pass that builds K_SS
+    # and each block's kernel once more
+    entries.clear()
+    lmax_bound(kp, s, col, SIGMA, JITTER, grads=True)
+    assert sum(entries) == 2 * (m * m + m * padded)
     n = col.n_points()
     assert n <= padded <= n + BLOCK_COLUMNS * math.log(max(lengths) / min(lengths))
