@@ -459,10 +459,9 @@ def check_classification(seed=0):
     }
 
 
-def _forecasting_dataset(seed):
-    """The forecasting benchmark's two-class dataset for one seed, unsplit."""
-    rng = np.random.default_rng([seed, 707])
-    return dataset_from_records(_two_class_records(rng, 10, 0.1))
+def _forecasting_records(seed):
+    """The forecasting benchmark's raw two-class records for one seed, unsplit."""
+    return _two_class_records(np.random.default_rng([seed, 707]), 10, 0.1)
 
 
 def class_forecast_errors(model, posteriors, k, train_series, queries):
@@ -520,7 +519,7 @@ def check_forecasting(seed=0):
     hyper = Hyperparams()
     model_rmse, last_rmse = [], []
     for i in range(BENCH_SEEDS):
-        train, test = forecast_split(_forecasting_dataset(seed + i), 0.8)
+        train, test = forecast_split(dataset_from_records(_forecasting_records(seed + i)), 0.8)
         model, _ = train_model(train, hyper)
         posteriors = class_posteriors(model, train)
         entry = class_forecast_errors(model, posteriors, 0, train.collections[0].series,
@@ -613,17 +612,17 @@ def report_to_bytes(report) -> bytes:
 
 
 def write_fixtures(out_dir, seed=0):
-    """Write the benchmark datasets as ragged files for use with the other
-    commands. Returns the created paths."""
+    """Write the benchmark's records for one seed as ragged files, as they
+    were drawn, for use with the other commands. Returns the created paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_recs, test_recs = _classification_records(seed)
-    datasets = {
-        "classification_train": dataset_from_records(train_recs),
-        "classification_test": dataset_from_records(test_recs),
-        "forecast": _forecasting_dataset(seed),
+    records = {
+        "classification_train": train_recs,
+        "classification_test": test_recs,
+        "forecast": _forecasting_records(seed),
     }
-    paths = {name: out / f"{name}.jsonl" for name in datasets}
-    for name, dataset in datasets.items():
-        write_ragged(dataset, paths[name])
+    paths = {name: out / f"{name}.jsonl" for name in records}
+    for name, recs in records.items():
+        write_ragged(recs, paths[name])
     return paths

@@ -511,15 +511,14 @@ def load_queries(path, model: ModelParams, fmt: str = "ragged",
             [TimeSeries.view(t, y) for t, y in mapped])
 
 
-def write_ragged(dataset: Dataset, path):
-    """Write a dataset back to the ragged format in original units."""
+def write_ragged(records, path):
+    """Write Records, or a list of RaggedRecords, to the ragged format as
+    they are: labels, timestamps and values in original units, in input
+    order. They are checked by the rules a loaded file meets."""
     with open(path, "w", encoding="utf-8") as handle:
-        for col in dataset.collections:
-            label = dataset.class_labels[col.label]
-            for ts in col.series:
-                t_raw, y_raw, _ = to_original_units(dataset, ts.timestamps, ts.values)
-                obj = {"label": int(label), "t": list(t_raw), "y": list(y_raw)}
-                handle.write(json.dumps(obj) + "\n")
+        for label, t, y in _flat(records):
+            obj = {"label": label, "t": t.tolist(), "y": y.tolist()}
+            handle.write(json.dumps(obj) + "\n")
 
 
 def inject_noise(dataset: Dataset, level: float, seed: int,

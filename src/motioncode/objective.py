@@ -351,21 +351,13 @@ def _bound_gradient(kp: KernelParams, inducing, collection: Collection, sigma: f
 
 
 def lmax_bound(kp: KernelParams, inducing, collection: Collection,
-               sigma: float, jitter: float = Hyperparams.jitter, grads: bool = False):
-    """Evidence lower bound of one collection at the given inducing timestamps.
-
-    c = effective_noise(number of series, sigma) is the effective per-point
-    noise variance. Cost is O(m^2 * N) for N total observations, with or without
-    gradients. Returns the value, or with grads=True the pair
-    (value, (d_log_amplitudes, d_log_bandwidths, d_timestamps)): analytic
-    gradients w.r.t. the log-kernel parameters, each (J,), and the inducing
-    timestamps, (m,). With grads=True this is the value pass followed by
-    the gradient pass.
+               sigma: float, jitter: float = Hyperparams.jitter) -> float:
+    """Evidence lower bound of one collection at the given inducing
+    timestamps, with c = effective_noise(number of series, sigma) the
+    effective per-point noise variance. Cost is O(m^2 * N) for N total
+    observations.
     """
-    value = _bound_pass(kp, inducing, collection, sigma, jitter)
-    if not grads:
-        return value
-    return value, _bound_gradient(kp, inducing, collection, sigma, jitter)
+    return _bound_pass(kp, inducing, collection, sigma, jitter)
 
 
 def _class_bound(params: ModelParams, dataset: Dataset, k: int):

@@ -207,9 +207,9 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
 
     Returns (ModelParams, MinimizeResult): the fitted model, and the
     minimizer's final flat vector, loss, iteration count and stop reason.
-    Evaluation failures at wild trial points surface as an infinite loss so
-    the line search backtracks past them; a failure at the starting point
-    still raises.
+    An evaluation failure (a MotionCodeError) at a line-search trial
+    surfaces as an infinite loss, so the line search backtracks past it; a
+    failure at the starting point raises that error itself.
 
     Each evaluation passes minimize's Armijo ceiling on to total_loss,
     which stops a trial's evaluation as soon as it proves the trial fails.
@@ -226,6 +226,8 @@ def train_model(dataset: Dataset, hyper: Hyperparams):
             params = unpack_params(x, start)
             loss = total_loss(params, dataset, ceiling)
         except MotionCodeError:
+            if ceiling is None:  # the starting point
+                raise
             return np.inf, None
         if ceiling is not None and not loss <= ceiling:
             return loss, None

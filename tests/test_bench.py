@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from motioncode import bench
+from motioncode.dataio import parse_ragged
 
 
 def test_bound_collapse_across_seeds():
@@ -38,3 +39,20 @@ def test_uneven_times_draws_long_series_without_rejection():
     assert np.all(gaps > 0) and gaps.min() >= bench.MIN_GAP * (1 - 1e-9)
     with pytest.raises(ValueError):
         bench._uneven_times(rng, 10001)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_fixtures_are_the_draws(tmp_path, seed):
+    # each fixture file holds the records bench draws for the seed: labels,
+    # timestamps and values bit for bit, in the order drawn
+    train, test = bench._classification_records(seed)
+    drawn = {"classification_train": train, "classification_test": test,
+             "forecast": bench._forecasting_records(seed)}
+    paths = bench.write_fixtures(tmp_path, seed)
+    assert set(paths) == set(drawn)
+    for name, records in drawn.items():
+        read = parse_ragged(paths[name])
+        assert read.labels == tuple(r.label for r in records), name
+        assert read.t.tobytes() == np.concatenate([r.t for r in records]).tobytes(), name
+        assert read.y.tobytes() == np.concatenate([r.y for r in records]).tobytes(), name
+        assert read.offsets.tolist() == np.cumsum([0] + [r.t.size for r in records]).tolist()

@@ -35,6 +35,12 @@ CASES = [
 ]
 
 
+def bound_gradient(kp, s, col):
+    """The collection bound's gradients, (d_log_amplitudes,
+    d_log_bandwidths, d_timestamps), from the pass loss_gradient runs."""
+    return objective._bound_gradient(kp, s, col, SIGMA, JITTER)
+
+
 def make_case(lengths, m, j, seed):
     rng = np.random.default_rng(seed)
     kp = KernelParams(rng.uniform(-0.5, 0.5, j), np.log(rng.uniform(40.0, 150.0, j)))
@@ -86,13 +92,12 @@ def test_blocked_bound_matches_dense_oracle(name, lengths, m, j):
     got = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
     want = dense_bound(kp, s, col, SIGMA, JITTER)
     assert abs(got - want) <= ORACLE_TOL
-    assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)[0] == got
 
 
 @pytest.mark.parametrize("name,lengths,m,j", CASES, ids=[c[0] for c in CASES])
 def test_blocked_gradients_match_finite_differences(name, lengths, m, j):
     kp, s, col = make_case(lengths, m, j, seed=3)
-    _, grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    grads = bound_gradient(kp, s, col)
     la, lb = np.array(kp.log_amplitudes), np.array(kp.log_bandwidths)
     x0 = np.concatenate([la, lb, s])
     analytic = np.concatenate(grads)
@@ -148,10 +153,10 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", list(EDGE_CASES))
 def test_bordered_system_edge_cases(name):
     kp, s, col = EDGE_CASES[name]()
-    value, grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    value = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
+    grads = bound_gradient(kp, s, col)
     assert np.isfinite(value)
     assert all(np.all(np.isfinite(g)) for g in grads)
-    assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER) == value
     assert abs(value - dense_bound(kp, s, col, SIGMA, JITTER)) <= ORACLE_TOL
     j = kp.n_components
     x0 = np.concatenate([kp.log_amplitudes, kp.log_bandwidths, s])
@@ -225,7 +230,7 @@ def dense_gradient(kp, inducing, collection, sigma, jitter):
 @pytest.mark.parametrize("name", list(all_cases()))
 def test_blocked_gradients_match_dense_oracle(name):
     kp, s, col = all_cases()[name]()
-    _, grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    grads = bound_gradient(kp, s, col)
     for got, want in zip(grads, dense_gradient(kp, s, col, SIGMA, JITTER)):
         assert np.all(np.abs(got - want) <= ORACLE_TOL * np.maximum(1.0, np.abs(want))), \
             (got, want)
@@ -235,12 +240,10 @@ def test_blocked_gradients_match_dense_oracle(name):
 def test_blocked_bound_forms_no_inverse(forbid_inverse, name):
     kp, s, col = all_cases()[name]()
     value = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
-    with_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
+    grads = bound_gradient(kp, s, col)
     forbid_inverse()
     assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER) == value
-    got_value, got_grads = lmax_bound(kp, s, col, SIGMA, jitter=JITTER, grads=True)
-    assert got_value == with_grads[0] == value
-    for got, want in zip(got_grads, with_grads[1]):
+    for got, want in zip(bound_gradient(kp, s, col), grads):
         assert np.array_equal(got, want)
 
 
@@ -256,7 +259,7 @@ LINEAR_CASES = [
 @pytest.mark.parametrize("name,lengths", LINEAR_CASES, ids=[c[0] for c in LINEAR_CASES])
 def test_bound_cost_is_linear_in_points(monkeypatch, name, lengths):
     """Counts, not seconds: one lmax_bound call builds m * m kernel entries
-    for K_SS and m per padded column, twice with gradients, and the packing
+    for K_SS and m per padded column, so does one gradient pass, and the packing
     pads at most BLOCK_COLUMNS * ln(longest / shortest) columns in all. (Block b pads
     at most (G_b - 1)(w_b - w_{b+1}) < BLOCK_COLUMNS (1 - w_{b+1} / w_b)
     columns, and the terms sum to below BLOCK_COLUMNS * ln(w_1 / w_last).)"""
@@ -273,10 +276,9 @@ def test_bound_cost_is_linear_in_points(monkeypatch, name, lengths):
     m = s.size
     padded = sum(b.times.size for b in col.blocks)
     assert sum(entries) == m * m + m * padded
-    # with gradients: the value pass, then a gradient pass that builds K_SS
-    # and each block's kernel once more
+    # the gradient pass builds K_SS and each block's kernel once more
     entries.clear()
-    lmax_bound(kp, s, col, SIGMA, JITTER, grads=True)
-    assert sum(entries) == 2 * (m * m + m * padded)
+    bound_gradient(kp, s, col)
+    assert sum(entries) == m * m + m * padded
     n = col.n_points()
     assert n <= padded <= n + BLOCK_COLUMNS * math.log(max(lengths) / min(lengths))

@@ -198,6 +198,19 @@ def test_train_rejects_a_negative_noise_seed(tmp_path, two_constants, capsys):
     assert code == 1 and report is None
     assert err == "error: noise seed must be a non-negative integer, got -1\n"
     assert not model_path.exists()
+
+
+def test_train_names_the_failure_at_the_starting_point(tmp_path, two_constants, capsys):
+    # no jitter the escalation reaches from 1e-300 makes the start point's
+    # K_SS positive definite, so the first evaluation fails, and the user
+    # sees the factorization's own error
+    model_path = tmp_path / "model.json"
+    code, report, err = run(capsys, ["train", "--data", str(two_constants), "--jitter",
+                                     "1e-300", "--out", str(model_path)])
+    assert code == 2 and report is None
+    assert err.startswith("numerical failure: matrix of size 10 stayed non positive "
+                          "definite up to jitter 1e-294 (smallest eigenvalue ~ ")
+    assert not model_path.exists()
     # without --noise the seed draws nothing
     code, _, _ = run(capsys, ["train", "--data", str(two_constants), "--seed", "-1",
                               "--max-iters", "0", "--out", str(model_path)])

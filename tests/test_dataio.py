@@ -147,10 +147,18 @@ def test_write_ragged_round_trip(tmp_path):
             while np.any(np.diff(t) <= 0):
                 t = np.sort(rng.uniform(-5, 40, n))
             records.append(RaggedRecord(label, t, rng.normal(2.0, 3.0, n)))
-    ds = dataset_from_records(records)
     p = tmp_path / "round.jsonl"
-    write_ragged(ds, p)
-    back = load_dataset(p)
+    write_ragged(records, p)
+    # the file holds the records as they are, in input order, bit for bit
+    read = parse_ragged(p)
+    assert read.labels == tuple(r.label for r in records)
+    for want, got in zip(records, read):
+        assert np.array_equal(want.t, got.t) and np.array_equal(want.y, got.y)
+    # Records write the same file
+    again = tmp_path / "again.jsonl"
+    write_ragged(read, again)
+    assert again.read_bytes() == p.read_bytes()
+    ds, back = dataset_from_records(records), load_dataset(p)
     assert back.class_labels == ds.class_labels
     assert back.time_scale == pytest.approx(ds.time_scale, rel=1e-14)
     for c1, c2 in zip(ds.collections, back.collections):

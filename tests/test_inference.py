@@ -13,6 +13,7 @@ from motioncode.core import (
     ModelParams,
     TimeSeries,
     ValidationError,
+    effective_noise,
 )
 from motioncode.dataio import forecast_split
 from motioncode.inference import (
@@ -57,7 +58,7 @@ def rand_collection(rng, label=0, n_series=2, n_lo=4, n_hi=8):
 
 def dense_posterior(kp, s, collection, sigma):
     """Oracle with explicit matrix inversion, no jitter."""
-    c = collection.size * sigma**2
+    c = effective_noise(collection.size, sigma)
     k_ss = kernel_matrix(kp, s)
     lam = k_ss.copy()
     rhs = np.zeros(s.size)
@@ -143,7 +144,7 @@ def test_predict_is_the_dense_sgpr_at_the_jittered_inducing_covariance():
     s = np.array([0.2, 0.5, 0.5 + 1e-5, 0.8])
     col = rand_collection(rng, n_series=3, n_lo=12, n_hi=12)
     sigma, jitter = 0.3, 1e-6
-    c = col.size * sigma**2
+    c = effective_noise(col.size, sigma)
     kt = kernel_matrix(kp, s) + jitter * np.eye(s.size)
     lam, rhs = kt.copy(), np.zeros(s.size)
     for ts in col.series:

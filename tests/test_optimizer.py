@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from motioncode import objective, optimizer
-from motioncode.core import Dataset, Collection, Hyperparams, NumericalError, TimeSeries
+from motioncode.core import (Dataset, Collection, Hyperparams, MotionCodeError, NumericalError,
+                             TimeSeries)
 from motioncode.objective import total_loss, loss_gradient
 from motioncode.optimizer import (
     ARMIJO_C1,
@@ -343,13 +344,21 @@ def fresh_gradient(x, template, ds):
 
 def reference_minimize(ds, template, h):
     """minimize over the plain loss, every trial evaluated in full and a
-    fresh gradient at every point. Returns the result and its call count."""
+    fresh gradient at every point it evaluates. As in train_model, a failed
+    trial has an infinite loss and a failure at the start point raises.
+    Returns the result and its call count."""
     calls = []
 
     def fun(x, ceiling):
         calls.append(x)
         params = unpack_params(x, template)
-        return total_loss(params, ds), loss_gradient(params, ds)
+        try:
+            loss = total_loss(params, ds)
+        except MotionCodeError:
+            if ceiling is None:
+                raise
+            return np.inf, None
+        return loss, loss_gradient(params, ds)
 
     return minimize(fun, pack_params(template), h.max_iters, h.epsilon), len(calls)
 
