@@ -24,6 +24,7 @@ Example:
 import argparse
 import csv
 import json
+import math
 import sys
 import zlib
 from pathlib import Path
@@ -113,6 +114,10 @@ def main(argv=None):
                         help="acceptable |delta| in percentage points")
     parser.add_argument("--out", default=None, help="write results as JSON")
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        parser.error(f"--noise must be a finite level >= 0, got {args.noise}")
+    if args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
 
     pairs = find_datasets(args.data_dir)
     if not pairs:

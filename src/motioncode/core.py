@@ -553,8 +553,8 @@ class VariationalPosterior:
     inducing   : (m,) the inducing timestamps
     mean       : (m,)
     covariance : (m, m) symmetric, eigenvalues >= -1e-8
-    jitter     : base diagonal stabilizer of the fit's factorization, and
-                 of K_SS's in every prediction (inference.predict)
+    jitter     : base diagonal stabilizer of K_SS's factorization, in the
+                 fit and in every prediction (inference.predict)
     """
 
     inducing: np.ndarray

@@ -6,20 +6,20 @@ For one collection with B series and effective noise c = B * sigma**2
 (core.effective_noise), the best Gaussian over the process values at the m
 inducing timestamps, for the bound the objective maximizes, has
 
-    Kt   = K_SS + jitter * I
+    Kt   = K_SS + jitter * I = L L^T
     Lam  = Kt + (1/c) * sum_i C_i C_i^T          (C_i = K(S, T_i))
     mean = (1/c) * Kt Lam^{-1} sum_i C_i y_i
     cov  = Kt Lam^{-1} Kt
 
-fit_posterior forms them through the lower Cholesky factor L_Lam of Lam
-and no second triangle: with G = L_Lam^{-1} Kt and h = L_Lam^{-1} sum_i
-C_i y_i, both from one substitution of [Kt, sum_i C_i y_i],
+fit_posterior reads them off the bound's own whitened design: L and
+W = L^{-1} from objective._start_pass (escalated jitter included) and each
+block's Gram stack from objective._design, whose sums over series give
+sum_i D_i = W (sum_i C_i C_i^T) W^T and sum_i w_i = W sum_i C_i y_i. Then
+Lam = L B L^T with B = I + (1/c) sum_i D_i >= I, factored L_B L_B^T with
+no jitter. One substitution of [L^T, sum_i w_i] through L_B gives
+G = L_B^{-1} L^T and h = L_B^{-1} sum_i w_i, and
 
     mean = G^T h / c,    cov = G^T G
-
-The sums over series run over the same zero-padded blocks the objective
-uses (Collection.blocks): one cross-covariance build per block, with the
-padded points masked out.
 
 Predictions at query timestamps T marginalize the signal through the
 inducing values:
@@ -65,10 +65,9 @@ from .core import (
     Prediction,
     ValidationError,
     VariationalPosterior,
-    check_inducing,
-    effective_noise,
 )
-from .kernel import KernelParams, chol_jittered, class_kernel, kernel_matrix
+from .kernel import CholeskyFactor, KernelParams, chol_jittered, class_kernel, kernel_matrix
+from .objective import _cholesky, _design, _start_pass
 
 __all__ = [
     "fit_posterior",
@@ -90,26 +89,22 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
                   sigma: float, jitter: float = Hyperparams.jitter) -> VariationalPosterior:
     """Compute the optimal posterior for one collection (module docstring).
 
-    inducing timestamps must lie strictly inside (0, 1). Kt = K_SS +
-    jitter * I is the matrix the objective and predict whiten, so the
-    posterior maximizes the bound training maximizes. One forward
-    substitution through the factor of Lam gives G and h, and cov = G^T G
-    is symmetric by construction; nothing is ever inverted explicitly.
+    inducing timestamps must lie strictly inside (0, 1). Kt is the matrix
+    whose factor the objective and predict use, so the posterior maximizes
+    the bound training maximizes. cov = G^T G is symmetric by
+    construction; nothing is ever inverted explicitly.
     """
-    s = check_inducing(inducing)
-    c = effective_noise(collection.size, sigma)
-    k_ss = kernel_matrix(kparams, s)
-    lam = k_ss.copy()
-    rhs = np.zeros(s.size)
-    for block in collection.blocks:
-        cross = kernel_matrix(kparams, s, block.times.ravel())
-        cross *= block.mask.ravel()  # padded columns must not enter the sums
-        lam += (cross @ cross.T) / c
-        rhs += cross @ block.values.ravel()
-    kt = k_ss + jitter * np.eye(s.size)
-    # one substitution of [Kt, rhs]: each column is substituted on its own
-    solved = chol_jittered(lam, jitter).half_solve(np.column_stack((kt, rhs)))
-    g, h = solved[:, :-1], solved[:, -1]
+    s, c, _, _, lower, whiten = _start_pass(kparams, inducing, collection, sigma, jitter)
+    m = s.size
+    gram = sum(_design(kparams, s, whiten, block)[3].sum(axis=0)
+               for block in collection.blocks)
+    b = np.eye(m) + gram[:m, :m] / c
+    if not np.all(np.isfinite(b)):  # c underflowed; LAPACK would not notice
+        raise NumericalError(f"posterior system of size {m} has non-finite entries")
+    factor = CholeskyFactor(_cholesky(b), 0.0)
+    # one substitution of [L^T, sum_i w_i]: each column is substituted on its own
+    solved = factor.half_solve(np.column_stack((lower.T, gram[:m, m])))
+    g, h = solved[:, :m], solved[:, m]
     return VariationalPosterior(s, (g.T @ h) / c, g.T @ g, jitter)
 
 

@@ -13,9 +13,9 @@ timestamps (10 by default), so beyond numpy's Cholesky factorization it
 needs one more operation: L^{-1} b for a lower-triangular factor L. It
 runs as column-oriented forward substitution in numpy, the algorithm of
 LAPACK's triangular solve. Every caller whitens with it: the objective and
-predict take W = L^{-1} for the factor of K_SS, and fit_posterior takes
-L^{-1} [K_SS + jI, rhs] for the factor of its Lam, so nothing substitutes
-with L^T.
+predict take W = L^{-1} for the factor L of K_SS, and fit_posterior takes
+L_B^{-1} [L^T, sum_i w_i] for the factor L_B of its B = I + sum_i D_i / c,
+so nothing substitutes through a transposed factor.
 """
 
 from __future__ import annotations

@@ -42,6 +42,9 @@ only after the reductions: where the kernel collapses (amplitudes near
 several times slower. Training takes a gradient only at the start point
 and at accepted trials, where a line search needs one.
 
+The class posterior (inference.fit_posterior) reads the same design: the
+K_SS factor of _start_pass and the Gram stacks of _design.
+
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
 
@@ -291,16 +294,17 @@ def _scale(n_points: int, y_sq: float, amp_sum: float, c: float) -> float:
 def _start_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
                 jitter: float):
     """What every pass over a collection starts from: (s, c, p_comps, d_ss,
-    whiten), the checked inducing timestamps, the effective noise, K_SS's
-    (J, m, m) components, the squared inducing distances and the inverse
-    of K_SS's lower Cholesky factor."""
+    lower, whiten), the checked inducing timestamps, the effective noise,
+    K_SS's (J, m, m) components, the squared inducing distances, the lower
+    Cholesky factor L of K_SS + jitter * I (jitter escalated as needed) and
+    its inverse W = L^{-1}."""
     s = check_inducing(inducing)
     c = effective_noise(collection.size, sigma)
     p_comps, d_ss = kernel_matrix_components(kp, s)
     factor = chol_jittered(component_sum(p_comps), jitter)
     # whitening through the explicit m x m inverse factor is one matrix
     # product per block; a triangular solve per block cost ten times more
-    return s, c, p_comps, d_ss, factor.half_solve(np.eye(s.size))
+    return s, c, p_comps, d_ss, factor.lower, factor.half_solve(np.eye(s.size))
 
 
 def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
@@ -308,7 +312,7 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
     """The bound's value over one collection. With a cap, each evaluated
     block is counted in it, and the pass raises _ProvenAbove as soon as the
     cap's bound passes its ceiling."""
-    s, c, _, _, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
+    s, c, _, _, _, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
     value = 0.0
     for block in collection.blocks:
         block_value = _block_value(kp, s, whiten, block, c)
@@ -325,7 +329,7 @@ def _bound_gradient(kp: KernelParams, inducing, collection: Collection, sigma: f
     """Gradients of the bound over one collection: (d_log_amplitudes,
     d_log_bandwidths, d_timestamps). The blocks' shares are divided by c
     once summed; K_SS's adjoint is then -W^T (sum_i V_i Z_i) / (2c)."""
-    s, c, p_comps, d_ss, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
+    s, c, p_comps, d_ss, _, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
     m = s.size
     n_comp = kp.n_components
     sums = (np.zeros((m, m)), np.zeros(n_comp), np.zeros(n_comp), np.zeros(m))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from motioncode import objective
+from motioncode import inference, objective
 from motioncode.bench import (
     FD_DENOM_FLOOR,
     FD_REL_TOL,
@@ -113,15 +113,6 @@ def test_blocked_gradients_match_finite_differences(name, lengths, m, j):
         fd = (bound_at(up) - bound_at(dn)) / (2.0 * FD_STEP)
         rel = abs(analytic[idx] - fd) / max(abs(fd), FD_DENOM_FLOOR)
         assert rel <= FD_REL_TOL, (idx, analytic[idx], fd)
-
-
-@pytest.mark.parametrize("name,lengths,m,j", CASES, ids=[c[0] for c in CASES])
-def test_blocked_posterior_matches_dense_oracle(name, lengths, m, j):
-    kp, s, col = make_case(lengths, m, j, seed=4)
-    post = fit_posterior(col, kp, s, SIGMA, jitter=JITTER)
-    mean, cov = dense_posterior(kp, s, col, SIGMA, JITTER)
-    assert np.max(np.abs(post.mean - mean)) <= ORACLE_TOL
-    assert np.max(np.abs(post.covariance - cov)) <= ORACLE_TOL
 
 
 def zero_series_case():
@@ -237,6 +228,15 @@ def test_blocked_gradients_match_dense_oracle(name):
 
 
 @pytest.mark.parametrize("name", list(all_cases()))
+def test_blocked_posterior_matches_dense_oracle(name):
+    kp, s, col = all_cases()[name]()
+    post = fit_posterior(col, kp, s, SIGMA, jitter=JITTER)
+    mean, cov = dense_posterior(kp, s, col, SIGMA, JITTER)
+    assert np.max(np.abs(post.mean - mean)) <= ORACLE_TOL
+    assert np.max(np.abs(post.covariance - cov)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("name", list(all_cases()))
 def test_blocked_bound_forms_no_inverse(forbid_inverse, name):
     kp, s, col = all_cases()[name]()
     value = lmax_bound(kp, s, col, SIGMA, jitter=JITTER)
@@ -259,10 +259,11 @@ LINEAR_CASES = [
 @pytest.mark.parametrize("name,lengths", LINEAR_CASES, ids=[c[0] for c in LINEAR_CASES])
 def test_bound_cost_is_linear_in_points(monkeypatch, name, lengths):
     """Counts, not seconds: one lmax_bound call builds m * m kernel entries
-    for K_SS and m per padded column, so does one gradient pass, and the packing
-    pads at most BLOCK_COLUMNS * ln(longest / shortest) columns in all. (Block b pads
-    at most (G_b - 1)(w_b - w_{b+1}) < BLOCK_COLUMNS (1 - w_{b+1} / w_b)
-    columns, and the terms sum to below BLOCK_COLUMNS * ln(w_1 / w_last).)"""
+    for K_SS and m per padded column, so do one gradient pass and one
+    posterior fit, and the packing pads at most BLOCK_COLUMNS *
+    ln(longest / shortest) columns in all. (Block b pads at most
+    (G_b - 1)(w_b - w_{b+1}) < BLOCK_COLUMNS (1 - w_{b+1} / w_b) columns,
+    and the terms sum to below BLOCK_COLUMNS * ln(w_1 / w_last).)"""
     kp, s, col = make_case(lengths, 4, 1, seed=3)
     entries = []
     build = objective.kernel_matrix_components
@@ -280,5 +281,20 @@ def test_bound_cost_is_linear_in_points(monkeypatch, name, lengths):
     entries.clear()
     bound_gradient(kp, s, col)
     assert sum(entries) == m * m + m * padded
+    # the fit reads the bound's design: the same builds, and K_SS is the one
+    # matrix it factors with jitter, all through the objective
+    entries.clear()
+    factored = []
+    chol = objective.chol_jittered
+    monkeypatch.setattr(objective, "chol_jittered",
+                        lambda a, jitter: factored.append(a.shape) or chol(a, jitter))
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the fit must build and factor through the objective")
+    for attr in ("kernel_matrix", "chol_jittered"):
+        monkeypatch.setattr(inference, attr, forbidden)
+    fit_posterior(col, kp, s, SIGMA, JITTER)
+    assert sum(entries) == m * m + m * padded
+    assert factored == [(m, m)]
     n = col.n_points()
     assert n <= padded <= n + BLOCK_COLUMNS * math.log(max(lengths) / min(lengths))

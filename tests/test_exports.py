@@ -1,4 +1,5 @@
-"""Every public name the package declares must resolve."""
+"""Every public name the package declares must resolve, and every name a
+module imports must be used."""
 
 import ast
 import importlib
@@ -64,3 +65,21 @@ def test_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+IMPORTING = [f"src/motioncode/{name}.py" for name in MODULES] + ["scripts/ucr_harness.py"]
+
+
+@pytest.mark.parametrize("path", IMPORTING)
+def test_every_import_is_used(path):
+    # the package's own __init__ imports only to re-export, so it is not listed
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -11,6 +11,7 @@ from motioncode.core import (
     Hyperparams,
     InputError,
     ModelParams,
+    NumericalError,
     TimeSeries,
     ValidationError,
     effective_noise,
@@ -225,6 +226,17 @@ def test_fit_posterior_validation():
         fit_posterior(col, kp, [0.5, 1.0], sigma=0.3)
     with pytest.raises(ValidationError):
         fit_posterior(col, kp, [0.2, 0.5], sigma=0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+def test_fit_posterior_refuses_an_underflowed_noise(sigma):
+    # c = B * sigma**2 is subnormal or zero, so the sums over c overflow;
+    # the fit must say so rather than factor an infinite matrix
+    rng = np.random.default_rng(29)
+    kp = sharp_params(rng)
+    col = rand_collection(rng)
+    with np.errstate(over="ignore", divide="ignore"), pytest.raises(NumericalError):
+        fit_posterior(col, kp, good_inducing(rng, kp, 2), sigma=sigma)
 
 
 def constant_model_and_data(values=(0.0, 10.0), n=12, n_series=2):

@@ -241,7 +241,7 @@ def test_cholesky_factor_matrix_rhs():
         rhs = rng.normal(size=(m, 3))
         half = assert_backward_stable(f, rhs)
         # each column is substituted as that column alone would be, which
-        # fit_posterior's one substitution of [K_SS + jI, rhs] relies on
+        # fit_posterior's one substitution of [L^T, sum_i w_i] relies on
         for col in range(3):
             assert np.array_equal(half[:, col], f.half_solve(rhs[:, col]))
     check_ill_conditioned_solves(rng, (6, 3))

@@ -3,6 +3,7 @@ import runpy
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 HARNESS = Path(__file__).resolve().parent.parent / "scripts" / "ucr_harness.py"
 
@@ -11,20 +12,20 @@ def write_ucr(path, rows):
     path.write_text("".join("\t".join(str(v) for v in row) + "\n" for row in rows))
 
 
+def two_class_rows(rng, n):
+    grid = np.linspace(0.0, 1.0, 12)
+    return [[label, *(np.sin(2 * np.pi * grid) * (1 - 2 * label)
+                      + rng.normal(0.0, 0.1, grid.size)).round(6)]
+            for label in (1, 2) for _ in range(n)]
+
+
 def test_harness_reports_a_bad_pair_and_runs_the_rest(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    grid = np.linspace(0.0, 1.0, 12)
-
-    def rows(n):
-        return [[label, *(np.sin(2 * np.pi * grid) * (1 - 2 * label)
-                          + rng.normal(0.0, 0.1, grid.size)).round(6)]
-                for label in (1, 2) for _ in range(n)]
-
-    write_ucr(tmp_path / "Good_TRAIN.tsv", rows(4))
-    write_ucr(tmp_path / "Good_TEST.tsv", rows(3))
+    write_ucr(tmp_path / "Good_TRAIN.tsv", two_class_rows(rng, 4))
+    write_ucr(tmp_path / "Good_TEST.tsv", two_class_rows(rng, 3))
     # sorts first, and its test file has a row of the wrong width
-    write_ucr(tmp_path / "Bad_TRAIN.tsv", rows(4))
-    write_ucr(tmp_path / "Bad_TEST.tsv", rows(3)[:-1] + [[2, 0.5, 0.25]])
+    write_ucr(tmp_path / "Bad_TRAIN.tsv", two_class_rows(rng, 4))
+    write_ucr(tmp_path / "Bad_TEST.tsv", two_class_rows(rng, 3)[:-1] + [[2, 0.5, 0.25]])
     out = tmp_path / "report.json"
 
     main = runpy.run_path(str(HARNESS), run_name="ucr_harness")["main"]
@@ -40,3 +41,19 @@ def test_harness_reports_a_bad_pair_and_runs_the_rest(tmp_path, capsys):
     assert "error" not in good and 0.0 <= good["accuracy_percent"] <= 100.0
     printed = capsys.readouterr().out
     assert "Bad" in printed and "FAILED" in printed and "Good" in printed
+
+
+@pytest.mark.parametrize("flags", [["--noise", "-0.3"], ["--noise", "nan"], ["--noise", "inf"],
+                                   ["--seed", "-1"]], ids=lambda f: " ".join(f))
+def test_harness_rejects_a_bad_noise_level_or_seed_before_any_dataset(tmp_path, capsys,
+                                                                       flags):
+    rng = np.random.default_rng(1)
+    write_ucr(tmp_path / "Good_TRAIN.tsv", two_class_rows(rng, 4))
+    write_ucr(tmp_path / "Good_TEST.tsv", two_class_rows(rng, 3))
+    main = runpy.run_path(str(HARNESS), run_name="ucr_harness")["main"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--data-dir", str(tmp_path), "--max-iters", "2", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flags[0] in captured.err
