@@ -1,8 +1,9 @@
 """
 cli.py - command-line surface: train, classify, forecast, timestamps, bench.
 
-Every command prints one JSON report to stdout (and optionally to --out)
-with stable field names: command, hyperparams, wall_clock_seconds, payload.
+Every command prints one JSON report to stdout as a single line (and the
+same bytes to --out when given) with stable field names: command,
+hyperparams, wall_clock_seconds, payload.
 Exit codes: 0 success, 1 input or benchmark failure, 2 numerical failure.
 Log verbosity comes from the MOTIONCODE_LOG environment variable (DEBUG,
 INFO, WARNING, ...).
@@ -170,7 +171,7 @@ def _emit(command, hyper, payload, started, out_path):
         "wall_clock_seconds": time.perf_counter() - started,
         "payload": payload,
     }
-    text = json.dumps(report, indent=1)
+    text = json.dumps(report)  # one line; with indent, json runs its Python encoder
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:

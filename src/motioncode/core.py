@@ -179,11 +179,30 @@ class Collection:
         short series."""
         return tuple(series_blocks(self.series))
 
+    @cached_property
+    def block_series(self):
+        """(counts, y_sq, starts): each series' point count and sum of
+        squared values, in the order the blocks hold them, and the index of
+        each block's first series. A line search's floors read them on every
+        trial (objective._Cap), so they are summed once and kept."""
+        counts = np.concatenate([block.mask.sum(axis=1) for block in self.blocks])
+        y_sq = np.concatenate([np.einsum("ij,ij->i", block.values, block.values)
+                               for block in self.blocks])
+        starts = np.cumsum([0] + [block.times.shape[0] for block in self.blocks[:-1]])
+        return counts, y_sq, starts
+
 
 # series are evaluated in zero-padded blocks of about this many columns, and
-# predictions in chunks of this many query points: enough to amortize
-# per-call overhead, small enough to stay in cache
-BLOCK_COLUMNS = 512
+# predictions in chunks of this many query points. A block pays some 40
+# numpy and LAPACK calls whatever its width, so wider blocks spread that cost
+# over more points: at m = 10, training on 8 classes of 120 series of 24-48
+# points took 0.85-0.87x the time at 1024 as at 512, and 1536 gained little
+# more (0.84x, and slower on series of 8-12 points). A block's temporaries
+# grow with its width times m; once they outgrow what glibc keeps between
+# blocks, it trims the heap after each block and faults it back in. At 2048
+# columns training then took 14-22k minor faults per run and ran slower than
+# at 512; at m = 20 that happens from 768 columns on
+BLOCK_COLUMNS = 1024
 
 
 @dataclass(frozen=True)

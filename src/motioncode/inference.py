@@ -13,7 +13,8 @@ inducing timestamps, for the bound the objective maximizes, has
 
 fit_posterior reads them off the bound's own whitened design: L and
 W = L^{-1} from objective._start_pass (escalated jitter included) and each
-block's Gram stack from objective._design, whose sums over series give
+block's design matrix X = [V^T, y] from objective._design. The blocks' X^T X
+sum to [[sum_i D_i, .], [sum_i w_i, .]], with
 sum_i D_i = W (sum_i C_i C_i^T) W^T and sum_i w_i = W sum_i C_i y_i. Then
 Lam = L B L^T with B = I + (1/c) sum_i D_i >= I, factored L_B L_B^T with
 no jitter. One substitution of [L^T, sum_i w_i] through L_B gives
@@ -96,8 +97,10 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     """
     s, c, _, _, lower, whiten = _start_pass(kparams, inducing, collection, sigma, jitter)
     m = s.size
-    gram = sum(_design(kparams, s, whiten, block)[3].sum(axis=0)
-               for block in collection.blocks)
+    gram = np.zeros((m + 1, m + 1))
+    for block in collection.blocks:
+        x = _design(kparams, s, whiten, block)[2]
+        gram += x.T @ x  # padded rows of x are zero
     b = np.eye(m) + gram[:m, :m] / c
     if not np.all(np.isfinite(b)):  # c underflowed; LAPACK would not notice
         raise NumericalError(f"posterior system of size {m} has non-finite entries")

@@ -31,19 +31,21 @@ pivots, and the value forms no inverse. Padded columns are zeroed on the
 kernel, so they add nothing.
 
 The gradient is taken from the parameters alone; a value pass keeps
-nothing for it. It builds each block's X and Gram matrices through the same
-_design, so its E_i and w_i are the value pass's bit for bit, and forms the
-adjoint of each series' cross-covariance in m-space, as an (m+1) x m matrix
-H_i (see _block_grads). Its per-point work past _design's is Z = X H, V Z
-for K_SS's adjoint, and one product and three reductions per kernel
-component. H_i takes L^{-1} before the per-point product, and 1/c comes
-only after the reductions: where the kernel collapses (amplitudes near
-1e-100), dividing first pushes X H into the subnormal range, which runs
-several times slower. Training takes a gradient only at the start point
-and at accepted trials, where a line search needs one.
+nothing for it. It builds each block's X and Gram matrices through the
+same _design and _grams, so its E_i and w_i are the value pass's bit for
+bit, and forms the adjoint of each series' cross-covariance in m-space, as
+an (m+1) x m matrix H_i (see _block_grads). Its per-point work past the
+value pass's is Z = X H, V Z for K_SS's adjoint, and one product and three
+reductions per kernel component. H_i takes L^{-1} before the per-point
+product, and 1/c comes only after the reductions: where the kernel
+collapses (amplitudes near 1e-100), dividing first pushes X H into the
+subnormal range, which runs several times slower. Training takes a gradient
+only at the start point and at accepted trials, where a line search needs
+one.
 
 The class posterior (inference.fit_posterior) reads the same design: the
-K_SS factor of _start_pass and the Gram stacks of _design.
+K_SS factor of _start_pass and each block's X^T X, from _design's X. Padded
+rows of X are zero, so X^T X sums the block's series' Gram matrices.
 
 The training loss sums the negated bounds over classes and adds a ridge
 penalty on the per-class codes:
@@ -54,10 +56,18 @@ where class k's inducing timestamps are sigmoid(code_map @ z_k). Each class
 term is one value pass, the one lmax_bound makes for the dense oracles.
 
 A line search only asks whether a trial's loss clears its Armijo ceiling,
-and every block has a floor: its negated value is at least
-n_b * log(2*pi*c) / 2 for its n_b points, because log|c*I + Q_i| >= n_i log c,
-the quadratic form is >= 0 and so is the trace gap. Given a ceiling,
-total_loss keeps a lower bound on the loss while it evaluates: the
+and every series has a floor. With A the sum of the amplitudes and
+t = tr Q_i, the eigenvalues of Q_i are >= 0 and sum to t, so
+log|c*I + Q_i| >= n_i log c + log(1 + t/c) and the quadratic form is at
+least y_i^T y_i / (c + t). The series' negated value is then at least
+
+    [n_i log(2*pi*c) + log(1 + t/c) + y_i^T y_i / (c + t)] / 2 + (n_i A - t) / (2c)
+
+which decreases in t, and t <= tr K_i = n_i A, since Q_i is a Nystrom
+approximation of K_i. Its value at t = n_i A is the series' floor, and a
+block's floor sums its series' floors; each series' n_i and y_i^T y_i are
+summed once per collection (core.Collection.block_series). Given a
+ceiling, total_loss keeps a lower bound on the loss while it evaluates: the
 penalties, the negated values of the blocks evaluated so far and the floors
 of the rest. Once that bound passes the ceiling by more than MARGIN_RTOL
 times the magnitude of its terms, the trial is proven to fail; the pass
@@ -124,15 +134,15 @@ def _cholesky(a):
 
 
 def _design(kp: KernelParams, s, whiten, block):
-    """A block's kernel, design matrix and Gram stack: (comps, r2, x, gram).
+    """A block's kernel and design matrix: (comps, r2, x).
 
     comps, (J, m, P), are the kernel components at the block's P padded
     points, zeroed on padded columns, and r2 the squared distances they were
     built from. x = [V^T, y], (P, m+1), where V^T = C^T W^T is whitened by
     whiten = W = L^{-1} straight into x's first m columns; series i's X_i
-    is one contiguous (width, m+1) slab. gram stacks each series'
-    X_i^T X_i = [[D_i, w_i^T], [w_i, y_i^T y_i]]. The kernel, whitening and
-    Gram are a pass's per-point products; the gradient adds Z = X H.
+    is one contiguous (width, m+1) slab, and padded rows are zero. The
+    kernel, whitening and Gram stack (_grams) are a pass's per-point
+    products; the gradient adds Z = X H.
     """
     m = s.size
     g, width = block.times.shape
@@ -142,8 +152,14 @@ def _design(kp: KernelParams, s, whiten, block):
     x = np.empty((g * width, m + 1))
     np.matmul(component_sum(comps).T, whiten.T, out=x[:, :m])
     x[:, m] = block.values.ravel()
-    xt = x.reshape(g, width, m + 1)
-    return comps, r2, x, xt.transpose(0, 2, 1) @ xt
+    return comps, r2, x
+
+
+def _grams(x, g):
+    """The stack of each series' X_i^T X_i = [[D_i, w_i^T], [w_i, y_i^T y_i]]
+    from the design matrix x of a block of g series."""
+    xt = x.reshape(g, -1, x.shape[1])
+    return xt.transpose(0, 2, 1) @ xt
 
 
 def _block_value(kp: KernelParams, s, whiten, block, c) -> float:
@@ -155,14 +171,13 @@ def _block_value(kp: KernelParams, s, whiten, block, c) -> float:
     E_i, and its last, delta_i, has
     delta_i^2 - c = y_i^T y_i - w_i E_i^{-1} w_i^T, the series' quadratic
     form times c. The border's "+ c" keeps delta_i^2 >= c > 0 even for an
-    all-zero series. c goes onto the diagonal of _design's Gram stack in
-    place, after tr Q_i = tr D_i is read from it, so the pass makes no
-    per-point product beyond _design's.
+    all-zero series. c goes onto the diagonal of the Gram stack in place,
+    after tr Q_i = tr D_i is read from it.
     """
     m = s.size
     g = block.times.shape[0]
     n_b = block.n_points
-    _, _, _, a = _design(kp, s, whiten, block)
+    a = _grams(_design(kp, s, whiten, block)[2], g)
     diagonals = a.reshape(g, -1)[:, ::m + 2]  # a view of every A_i's diagonal
     trace_q = float(diagonals[:, :m].sum())
     diagonals += c
@@ -194,9 +209,9 @@ def _block_grads(kp: KernelParams, s, whiten, block, template):
 
         H_i = [[D_i E_i^{-1} - beta_i beta_i^T], [beta_i^T]] W.
 
-    Z = X H is the one per-point product past _design's. H takes W before
-    it and 1/c waits until after the reductions (_bound_gradient), which
-    keeps X H out of the subnormal range where the kernel collapses.
+    Z = X H is the one per-point product past the value pass's. H takes W
+    before it and 1/c waits until after the reductions (_bound_gradient),
+    which keeps X H out of the subnormal range where the kernel collapses.
     E_i^{-1} = L_e^{-T} L_e^{-1}, and L_e^{-T} is the lower-left block of
     the Cholesky factor of [[E_i, I], [I, (2/c) I]] (template plus D_i),
     positive definite because its Schur complement (2/c) I - E_i^{-1} is at
@@ -207,7 +222,8 @@ def _block_grads(kp: KernelParams, s, whiten, block, template):
     """
     m = s.size
     g, width = block.times.shape
-    comps, r2, x, gram = _design(kp, s, whiten, block)
+    comps, r2, x = _design(kp, s, whiten, block)
+    gram = _grams(x, g)
     paired = np.empty((g, 2 * m, 2 * m))
     paired[:] = template
     paired[:, :m, :m] += gram[:, :m, :m]
@@ -246,28 +262,31 @@ class _Cap:
     """A trial's Armijo ceiling and the running lower bound on its loss:
     known sums the penalties and the negated values of the blocks evaluated
     so far, unseen the floors of the other blocks, and scale the magnitude
-    of every term (see MARGIN_RTOL)."""
+    of every term (see MARGIN_RTOL). Blocks are counted in the order a loss
+    evaluates them, class by class; floors holds each one's floor in that
+    order."""
 
     def __init__(self, ceiling: float, params: ModelParams, dataset: Dataset, penalties):
         self.ceiling = ceiling
         self.known = sum(penalties)
-        self.unseen = 0.0
         self.scale = sum(abs(p) for p in penalties)
         self.evaluated = 0
+        floors = []
         for k, col in enumerate(dataset.collections):
             c = effective_noise(col.size, params.hyper.sigma)
-            n = sum(block.n_points for block in col.blocks)
-            y_sq = sum(float(np.vdot(block.values, block.values)) for block in col.blocks)
             amp_sum = float(np.sum(np.exp(params.log_amplitudes[k])))
-            self.unseen += _floor(n, c)
-            self.scale += _scale(n, y_sq, amp_sum, c)
+            counts, y_sq, starts = col.block_series
+            floors.append(np.add.reduceat(_floors(counts, y_sq, amp_sum, c), starts))
+            self.scale += _scale(int(counts.sum()), float(y_sq.sum()), amp_sum, c)
+        self.floors = np.concatenate(floors)
+        self.unseen = float(self.floors.sum())
         self.check()
 
-    def add(self, block_value: float, floor: float):
-        """Count one evaluated block; raises _ProvenAbove once the loss is
-        proven above the ceiling."""
+    def add(self, block_value: float):
+        """Count the next block; raises _ProvenAbove once the loss is proven
+        above the ceiling."""
         self.known -= block_value
-        self.unseen -= floor
+        self.unseen -= float(self.floors[self.evaluated])
         self.scale += abs(block_value)
         self.evaluated += 1
         self.check()
@@ -278,10 +297,12 @@ class _Cap:
             raise _ProvenAbove(bound, self.evaluated)
 
 
-def _floor(n_points: int, c: float) -> float:
-    """Lower bound on the negated value of any n_points of a collection with
-    effective noise c."""
-    return 0.5 * n_points * float(np.log(2.0 * np.pi * c))
+def _floors(counts, y_sq, amp_sum: float, c: float):
+    """Lower bounds on the negated values of series of counts points whose
+    squared values sum to y_sq, under a kernel whose amplitudes sum to
+    amp_sum, with effective noise c (see the module docstring)."""
+    n_amp = counts * amp_sum  # n_i A, the most tr Q_i can be
+    return 0.5 * (counts * np.log(2.0 * np.pi * c) + np.log1p(n_amp / c) + y_sq / (c + n_amp))
 
 
 def _scale(n_points: int, y_sq: float, amp_sum: float, c: float) -> float:
@@ -318,7 +339,7 @@ def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
         block_value = _block_value(kp, s, whiten, block, c)
         value += block_value
         if cap is not None:
-            cap.add(block_value, _floor(block.n_points, c))
+            cap.add(block_value)
     if not np.isfinite(value):
         raise NumericalError("collection bound evaluated to a non-finite value")
     return value

@@ -19,14 +19,14 @@ from motioncode.core import (BLOCK_COLUMNS, Collection, TimeSeries, effective_no
                              series_blocks)
 from motioncode.inference import fit_posterior
 from motioncode.kernel import KernelParams, kernel_matrix, kernel_matrix_components
-from motioncode.objective import lmax_bound
+from motioncode.objective import MARGIN_RTOL, lmax_bound
 
 SIGMA = 0.5
 JITTER = 1e-10
 
-# (name, series lengths, m, J)
+# (name, series lengths, m, J); equal-lengths fills two blocks at any width
 CASES = [
-    ("equal-lengths", [9] * 80, 4, 1),
+    ("equal-lengths", [9] * (80 * BLOCK_COLUMNS // 512), 4, 1),
     ("distinct-lengths", list(range(40, 0, -1)), 4, 2),
     ("one-longer-than-a-block", [3, 8, 5] * 17 + [BLOCK_COLUMNS + 88], 5, 1),
     ("one-point-series", [1, 1, 6, 1, 4], 3, 1),
@@ -245,6 +245,24 @@ def test_blocked_bound_forms_no_inverse(forbid_inverse, name):
     assert lmax_bound(kp, s, col, SIGMA, jitter=JITTER) == value
     for got, want in zip(bound_gradient(kp, s, col), grads):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(all_cases()))
+def test_every_block_clears_its_series_floors(name):
+    """Each block's negated value is at least the sum of its series' floors,
+    the bound a stopped line-search trial counts for the blocks it skips, to
+    within the margin a stopped trial allows."""
+    kp, s, col = all_cases()[name]()
+    s, c, _, _, _, whiten = objective._start_pass(kp, s, col, SIGMA, JITTER)
+    amp_sum = float(np.sum(kp.amplitudes))
+    counts, y_sq, starts = col.block_series
+    floors = np.add.reduceat(objective._floors(counts, y_sq, amp_sum, c), starts)
+    assert floors.size == len(col.blocks)
+    for block, floor in zip(col.blocks, floors):
+        value = objective._block_value(kp, s, whiten, block, c)
+        y_sq_b = float(np.vdot(block.values, block.values))
+        margin = MARGIN_RTOL * objective._scale(block.n_points, y_sq_b, amp_sum, c)
+        assert -value >= floor - margin
 
 
 # (name, series lengths): many short series, a few long ones (some a block

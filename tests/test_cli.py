@@ -20,7 +20,10 @@ HYPER_KEYS = {"m", "d", "J", "lambda", "sigma", "max_iters", "epsilon", "jitter"
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
-    report = json.loads(out.out) if out.out.strip() else None
+    report = None
+    if out.out.strip():
+        assert out.out.count("\n") == 1 and out.out.endswith("\n")  # one line
+        report = json.loads(out.out)
     return code, report, out.err
 
 
@@ -313,6 +316,27 @@ def test_classify_constants_accuracy(tmp_path, two_constants, capsys):
     assert len(row["distances"]) == 2
     # --out wrote the same report
     assert json.loads(out_path.read_text())["payload"] == payload
+
+
+def test_every_report_is_one_json_line_that_out_holds_byte_for_byte(tmp_path, two_constants,
+                                                                    capsys):
+    model_path = str(tmp_path / "model.json")
+    data = str(two_constants)
+    serving = {
+        "classify": ["--train-data", data, "--data", data],
+        "forecast": ["--data", data, "--split-fraction", "0.5"],
+        "timestamps": ["--data", data],
+    }
+    assert main(["train", "--data", data, "--max-iters", "2", "--out", model_path]) == 0
+    printed = {"train": capsys.readouterr().out}
+    for command, flags in serving.items():
+        out_path = tmp_path / f"{command}.json"
+        assert main([command, "--model", model_path, *flags, "--out", str(out_path)]) == 0
+        printed[command] = capsys.readouterr().out
+        assert out_path.read_bytes() == printed[command].encode("utf-8")
+    for command, text in printed.items():
+        line, end = text.split("\n")
+        assert end == "" and json.loads(line)["command"] == command
 
 
 def test_classify_prototype_series(tmp_path, two_constants, capsys):

@@ -403,13 +403,14 @@ def test_classify_scale_mapping():
 
 def mixed_model_and_data(lengths, seed):
     """An untrained two-class model with a sharper kernel, and a dataset
-    whose class-k series have the given lengths."""
+    whose class-k series have the given lengths, up to 2 * BLOCK_COLUMNS
+    points each."""
     rng = np.random.default_rng(seed)
     cols = []
     for k in range(2):
         series = []
         for n in lengths:
-            t = spaced(rng, n, grid=2000)
+            t = spaced(rng, n, grid=4 * BLOCK_COLUMNS)
             series.append(TimeSeries(t, np.sin(2 * np.pi * t + k) + rng.normal(0.0, 0.2, n)))
         cols.append(Collection(k, tuple(series)))
     ds = Dataset(tuple(cols), (0.0, 1.0))

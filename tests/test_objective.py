@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from motioncode import objective
 from motioncode.core import (
+    BLOCK_COLUMNS,
     LEARNED_FIELDS,
     Collection,
     Dataset,
@@ -21,6 +22,7 @@ from motioncode.core import (
     code_to_timestamps,
     effective_noise,
     learned_arrays,
+    series_blocks,
 )
 from motioncode.kernel import KernelParams, kernel_matrix
 from motioncode.objective import MARGIN_RTOL, lmax_bound, loss_gradient, total_loss
@@ -273,38 +275,57 @@ def floor_cases(draw):
     return kp, s, Collection(0, tuple(series)), sigma, jitter
 
 
+def series_floor(n, y_sq, amp_sum, c):
+    """The lower bound on one series' negated value (objective's module
+    docstring): its value at tr Q_i = n_i A, the largest trace."""
+    return 0.5 * (n * np.log(2.0 * np.pi * c) + np.log(1.0 + n * amp_sum / c)
+                  + y_sq / (c + n * amp_sum))
+
+
+def block_series_floors(block, amp_sum, c):
+    """The floor of each series in a block, spelled out from its points."""
+    return np.array([series_floor(int(keep.sum()), float(row[keep] @ row[keep]), amp_sum, c)
+                     for row, keep in zip(block.values, block.mask)])
+
+
 @settings(max_examples=80, deadline=None)
 @given(floor_cases())
 def test_every_block_value_clears_its_floor(case):
+    """Each series alone, in a block of its own, and each block of the
+    collection clear the sum of their series' floors, to within the margin a
+    stopped pass allows."""
     kp, s, col, sigma, jitter = case
-    c = effective_noise(col.size, sigma)
-    seen = []
-
-    def recording(kp_, s_, whiten, block, c_):
-        value = real_block_value(kp_, s_, whiten, block, c_)
-        seen.append((block, value))
-        return value
-
-    real_block_value = objective._block_value
-    with mock.patch.object(objective, "_block_value", recording):
-        try:
-            lmax_bound(kp, s, col, sigma, jitter)
-        except MotionCodeError:
-            pass
     amp_sum = float(np.sum(kp.amplitudes))
-    for block, value in seen:
-        n_b = block.n_points
-        floor = 0.5 * n_b * np.log(2.0 * np.pi * c)
-        assert objective._floor(n_b, c) == floor
-        y_sq = float(np.vdot(block.values, block.values))
-        margin = MARGIN_RTOL * objective._scale(n_b, y_sq, amp_sum, c)
+    try:
+        s, c, _, _, _, whiten = objective._start_pass(kp, s, col, sigma, jitter)
+    except MotionCodeError:
+        return
+    counts, y_sq, starts = col.block_series
+    floors = objective._floors(counts, y_sq, amp_sum, c)
+    spelled = np.concatenate([block_series_floors(block, amp_sum, c) for block in col.blocks])
+    assert floors == pytest.approx(spelled, rel=1e-12, abs=1e-300)
+    units = [(block, np.add.reduceat(floors, starts)[b]) for b, block in enumerate(col.blocks)]
+    for ts in col.series:
+        y_sq_i = float(ts.values @ ts.values)
+        units.append((next(series_blocks([ts])), series_floor(len(ts), y_sq_i, amp_sum, c)))
+    for block, floor in units:
+        try:
+            value = objective._block_value(kp, s, whiten, block, c)
+        except MotionCodeError:
+            continue
+        y_sq_b = float(np.vdot(block.values, block.values))
+        margin = MARGIN_RTOL * objective._scale(block.n_points, y_sq_b, amp_sum, c)
         assert -value >= floor - margin
 
 
 def blocky_model_and_data(seed=0, L=3):
-    """A model over L classes of 60 series each, in several blocks per class."""
+    """A model over L classes of series of 20-30 points, at least three blocks
+    per class: a full block pads to fewer than BLOCK_COLUMNS + 30 columns,
+    and 60 * BLOCK_COLUMNS / 512 series of at least 20 points are more than
+    two of them."""
     rng = np.random.default_rng(seed)
-    cols = tuple(make_collection(rng, label=k, n_series=60, n_lo=20, n_hi=30)
+    cols = tuple(make_collection(rng, label=k, n_series=60 * BLOCK_COLUMNS // 512,
+                                 n_lo=20, n_hi=30)
                  for k in range(L))
     h = Hyperparams(m=4, d=2, j=1, lam=0.7, sigma=0.3)
     params = ModelParams(
@@ -325,13 +346,23 @@ def test_ceiling_at_or_above_the_loss_changes_nothing():
         assert total_loss(params, ds, ceiling=ceiling) == loss
 
 
+def blocky_floors(params, ds):
+    """Each block's floor, in the order a loss evaluates the blocks, and the
+    sum of the code penalties."""
+    floors = []
+    for k, col in enumerate(ds.collections):
+        c = effective_noise(col.size, params.hyper.sigma)
+        amp_sum = float(np.sum(np.exp(params.log_amplitudes[k])))
+        floors.extend(block_series_floors(block, amp_sum, c).sum() for block in col.blocks)
+    return np.array(floors), sum(params.hyper.lam * float(z @ z) for z in params.codes)
+
+
 def test_ceiling_below_the_loss_returns_more_than_it(monkeypatch, caplog):
     params, ds = blocky_model_and_data(seed=1)
     loss = total_loss(params, ds)
     n_blocks = sum(len(col.blocks) for col in ds.collections)
-    floor = sum(objective._floor(col.n_points(), effective_noise(col.size, params.hyper.sigma))
-                for col in ds.collections) + sum(params.hyper.lam * float(z @ z)
-                                                 for z in params.codes)
+    floors, penalties = blocky_floors(params, ds)
+    floor = float(floors.sum()) + penalties
     assert floor < loss
     calls = []
     real = objective._block_value
@@ -360,6 +391,42 @@ def test_ceiling_below_the_loss_returns_more_than_it(monkeypatch, caplog):
     # halfway between the floors and the loss some blocks are skipped
     assert evaluated[:2] == [0, 0]
     assert 0 < evaluated[2] < n_blocks
+
+
+def test_series_floors_stop_a_trial_before_the_point_count_floor_does(monkeypatch):
+    """A ceiling just below the loss, between the two floors' lower bounds
+    once all blocks but the last are known: the per-series floors prove the
+    trial failed without the last block, while the floor
+    n_b * log(2*pi*c) / 2 could not prove it before every block is known."""
+    params, ds = blocky_model_and_data(seed=1)
+    values = []
+    real = objective._block_value
+
+    def recording(*args):
+        values.append(real(*args))
+        return values[-1]
+
+    monkeypatch.setattr(objective, "_block_value", recording)
+    loss = total_loss(params, ds)
+    floors, penalties = blocky_floors(params, ds)
+    sizes = [block.n_points for col in ds.collections for block in col.blocks]
+    noises = [effective_noise(col.size, params.hyper.sigma)
+              for col in ds.collections for _ in col.blocks]
+    point_floors = 0.5 * np.array(sizes) * np.log(2.0 * np.pi * np.array(noises))
+    assert np.all(floors > point_floors)
+    negated = -np.array(values)
+    ceiling = loss - 0.5 * ((negated[-1] - floors[-1]) + (negated[-1] - point_floors[-1]))
+
+    def first_proof(block_floors):
+        """The fewest blocks after which the known values and the floors of
+        the rest pass the ceiling, with no rounding margin."""
+        return next(k for k in range(negated.size + 1)
+                    if penalties + negated[:k].sum() + block_floors[k:].sum() > ceiling)
+
+    del values[:]
+    assert total_loss(params, ds, ceiling=ceiling) > ceiling
+    assert first_proof(point_floors) == negated.size
+    assert first_proof(floors) <= len(values) < negated.size
 
 
 @pytest.mark.parametrize("fault", ["nan", "-inf", "inf", "raise"])
