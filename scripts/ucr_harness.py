@@ -118,6 +118,10 @@ def main(argv=None):
         parser.error(f"--noise must be a finite level >= 0, got {args.noise}")
     if args.seed < 0:
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.max_iters < 0:
+        parser.error(f"--max-iters must be a non-negative integer, got {args.max_iters}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        parser.error(f"--tolerance must be finite and >= 0, got {args.tolerance}")
 
     pairs = find_datasets(args.data_dir)
     if not pairs:

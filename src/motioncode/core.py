@@ -184,7 +184,7 @@ class Collection:
         """(counts, y_sq, starts): each series' point count and sum of
         squared values, in the order the blocks hold them, and the index of
         each block's first series. A line search's floors read them on every
-        trial (objective._Cap), so they are summed once and kept."""
+        trial (objective.total_loss), so they are summed once and kept."""
         counts = np.concatenate([block.mask.sum(axis=1) for block in self.blocks])
         y_sq = np.concatenate([np.einsum("ij,ij->i", block.values, block.values)
                                for block in self.blocks])

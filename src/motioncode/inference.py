@@ -67,7 +67,7 @@ from .core import (
     ValidationError,
     VariationalPosterior,
 )
-from .kernel import CholeskyFactor, KernelParams, chol_jittered, class_kernel, kernel_matrix
+from .kernel import KernelParams, chol_jittered, class_kernel, half_solve, kernel_matrix
 from .objective import _cholesky, _design, _start_pass
 
 __all__ = [
@@ -104,9 +104,8 @@ def fit_posterior(collection: Collection, kparams: KernelParams, inducing,
     b = np.eye(m) + gram[:m, :m] / c
     if not np.all(np.isfinite(b)):  # c underflowed; LAPACK would not notice
         raise NumericalError(f"posterior system of size {m} has non-finite entries")
-    factor = CholeskyFactor(_cholesky(b), 0.0)
     # one substitution of [L^T, sum_i w_i]: each column is substituted on its own
-    solved = factor.half_solve(np.column_stack((lower.T, gram[:m, m])))
+    solved = half_solve(_cholesky(b), np.column_stack((lower.T, gram[:m, m])))
     g, h = solved[:, :m], solved[:, m]
     return VariationalPosterior(s, (g.T @ h) / c, g.T @ g, jitter)
 
@@ -128,7 +127,7 @@ def predict(posterior: VariationalPosterior, kparams: KernelParams,
     # whiten once per call through the explicit inverse factor, as the
     # objective does: each chunk is then one product and no solve
     k_ss = kernel_matrix(kparams, posterior.inducing)
-    whiten = chol_jittered(k_ss, posterior.jitter).half_solve(np.eye(m))
+    whiten = half_solve(chol_jittered(k_ss, posterior.jitter).lower, np.eye(m))
     mean_w = whiten @ posterior.mean
     cov_w = whiten @ posterior.covariance @ whiten.T
     proj = np.hstack((whiten.T, whiten.T @ cov_w))  # [W^T, W^T cov_w], (m, 2m)

@@ -10,12 +10,12 @@ positivity never has to be enforced by the optimizer.
 
 The package factors only small matrices, m x m for m informative
 timestamps (10 by default), so beyond numpy's Cholesky factorization it
-needs one more operation: L^{-1} b for a lower-triangular factor L. It
-runs as column-oriented forward substitution in numpy, the algorithm of
-LAPACK's triangular solve. Every caller whitens with it: the objective and
-predict take W = L^{-1} for the factor L of K_SS, and fit_posterior takes
-L_B^{-1} [L^T, sum_i w_i] for the factor L_B of its B = I + sum_i D_i / c,
-so nothing substitutes through a transposed factor.
+needs one more operation: half_solve, L^{-1} b for a lower-triangular
+factor L. It runs as column-oriented forward substitution in numpy, the
+algorithm of LAPACK's triangular solve. Every caller whitens with it: the
+objective and predict take W = L^{-1} for the factor L of K_SS, and
+fit_posterior takes L_B^{-1} [L^T, sum_i w_i] for the factor L_B of its
+B = I + sum_i D_i / c, so nothing substitutes through a transposed factor.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "kernel_matrix",
     "kernel_matrix_components",
     "component_sum",
+    "half_solve",
     "CholeskyFactor",
     "chol_jittered",
 ]
@@ -135,8 +136,9 @@ def kernel_matrix(params: KernelParams, t, s=None) -> np.ndarray:
     return component_sum(kernel_matrix_components(params, t, s)[0])
 
 
-def _forward_substitute(lower: np.ndarray, b) -> np.ndarray:
-    """L^{-1} b for a lower-triangular L and a vector or matrix b.
+def half_solve(lower: np.ndarray, b) -> np.ndarray:
+    """L^{-1} b for a lower-triangular L and a vector or matrix b. For the
+    Cholesky factor L of A + jI it whitens: L^{-1} (A + jI) L^{-T} = I.
 
     Column-oriented forward substitution, as LAPACK's trsm runs it: step k
     divides row k by the pivot L[k, k], then subtracts L[i, k] times row k
@@ -154,15 +156,10 @@ def _forward_substitute(lower: np.ndarray, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower Cholesky factor L of (A + jitter_used * I), and L^{-1} b."""
+    """Lower Cholesky factor L of (A + jitter_used * I)."""
 
     lower: np.ndarray
     jitter_used: float
-
-    def half_solve(self, b) -> np.ndarray:
-        """L^{-1} b for a vector or matrix b, by numpy forward substitution
-        (_forward_substitute); it whitens A + jI to L^{-1} (A + jI) L^{-T} = I."""
-        return _forward_substitute(self.lower, b)
 
 
 def chol_jittered(a: np.ndarray, base_jitter: float) -> CholeskyFactor:

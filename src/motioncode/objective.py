@@ -52,8 +52,11 @@ penalty on the per-class codes:
 
     loss = -sum_k bound_k + lam * sum_k ||z_k||^2
 
-where class k's inducing timestamps are sigmoid(code_map @ z_k). Each class
-term is one value pass, the one lmax_bound makes for the dense oracles.
+where class k's inducing timestamps are sigmoid(code_map @ z_k). A value
+pass over a collection is a stream of block values (_block_values), which
+starts the pass when its first value is asked for. lmax_bound, the entry
+point of the dense oracles, sums one stream; total_loss sums the classes'
+streams in class order.
 
 A line search only asks whether a trial's loss clears its Armijo ceiling,
 and every series has a floor. With A the sum of the amplitudes and
@@ -67,13 +70,15 @@ which decreases in t, and t <= tr K_i = n_i A, since Q_i is a Nystrom
 approximation of K_i. Its value at t = n_i A is the series' floor, and a
 block's floor sums its series' floors; each series' n_i and y_i^T y_i are
 summed once per collection (core.Collection.block_series). Given a
-ceiling, total_loss keeps a lower bound on the loss while it evaluates: the
-penalties, the negated values of the blocks evaluated so far and the floors
-of the rest. Once that bound passes the ceiling by more than MARGIN_RTOL
-times the magnitude of its terms, the trial is proven to fail; the pass
-stops, keeps nothing and returns the bound. A pass that is not stopped
-sums the same values in the same order, so it returns the same float as
-one without a ceiling.
+ceiling, total_loss reads the block values in one loop and keeps a lower
+bound on the loss: the penalties, the negated values of the blocks read so
+far and the floors of the rest. It checks the bound before the first block
+and after each block. Once the bound passes the ceiling by more than
+MARGIN_RTOL times the magnitude of its terms, the trial is proven to fail:
+the loop returns the bound and asks for no further value, so no later
+block, and no later class's K_SS factor, is computed. A loop that is not
+stopped sums the same values in the same order, so it returns the same
+float as one without a ceiling.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ from .core import (
     learned_arrays,
     learned_size,
 )
-from .kernel import (KernelParams, chol_jittered, class_kernel, component_sum,
+from .kernel import (KernelParams, chol_jittered, class_kernel, component_sum, half_solve,
                      kernel_matrix_components)
 
 __all__ = [
@@ -253,50 +258,6 @@ def _block_grads(kp: KernelParams, s, whiten, block, template):
     return zt @ x[:, :m], d_la, d_lb, d_s
 
 
-class _ProvenAbove(Exception):
-    """Raised with (bound, blocks evaluated) once a trial's loss is proven
-    above its ceiling."""
-
-
-class _Cap:
-    """A trial's Armijo ceiling and the running lower bound on its loss:
-    known sums the penalties and the negated values of the blocks evaluated
-    so far, unseen the floors of the other blocks, and scale the magnitude
-    of every term (see MARGIN_RTOL). Blocks are counted in the order a loss
-    evaluates them, class by class; floors holds each one's floor in that
-    order."""
-
-    def __init__(self, ceiling: float, params: ModelParams, dataset: Dataset, penalties):
-        self.ceiling = ceiling
-        self.known = sum(penalties)
-        self.scale = sum(abs(p) for p in penalties)
-        self.evaluated = 0
-        floors = []
-        for k, col in enumerate(dataset.collections):
-            c = effective_noise(col.size, params.hyper.sigma)
-            amp_sum = float(np.sum(np.exp(params.log_amplitudes[k])))
-            counts, y_sq, starts = col.block_series
-            floors.append(np.add.reduceat(_floors(counts, y_sq, amp_sum, c), starts))
-            self.scale += _scale(int(counts.sum()), float(y_sq.sum()), amp_sum, c)
-        self.floors = np.concatenate(floors)
-        self.unseen = float(self.floors.sum())
-        self.check()
-
-    def add(self, block_value: float):
-        """Count the next block; raises _ProvenAbove once the loss is proven
-        above the ceiling."""
-        self.known -= block_value
-        self.unseen -= float(self.floors[self.evaluated])
-        self.scale += abs(block_value)
-        self.evaluated += 1
-        self.check()
-
-    def check(self):
-        bound = self.known + self.unseen
-        if bound > self.ceiling + MARGIN_RTOL * self.scale:
-            raise _ProvenAbove(bound, self.evaluated)
-
-
 def _floors(counts, y_sq, amp_sum: float, c: float):
     """Lower bounds on the negated values of series of counts points whose
     squared values sum to y_sq, under a kernel whose amplitudes sum to
@@ -325,22 +286,21 @@ def _start_pass(kp: KernelParams, inducing, collection: Collection, sigma: float
     factor = chol_jittered(component_sum(p_comps), jitter)
     # whitening through the explicit m x m inverse factor is one matrix
     # product per block; a triangular solve per block cost ten times more
-    return s, c, p_comps, d_ss, factor.lower, factor.half_solve(np.eye(s.size))
+    return s, c, p_comps, d_ss, factor.lower, half_solve(factor.lower, np.eye(s.size))
 
 
-def _bound_pass(kp: KernelParams, inducing, collection: Collection, sigma: float,
-                jitter: float, cap: _Cap | None = None) -> float:
-    """The bound's value over one collection. With a cap, each evaluated
-    block is counted in it, and the pass raises _ProvenAbove as soon as the
-    cap's bound passes its ceiling."""
+def _block_values(kp: KernelParams, inducing, collection: Collection, sigma: float,
+                  jitter: float):
+    """The bound's value over one collection as a stream: each block's
+    share, in the order of collection.blocks. The pass starts (_start_pass)
+    when the first value is asked for."""
     s, c, _, _, _, whiten = _start_pass(kp, inducing, collection, sigma, jitter)
-    value = 0.0
     for block in collection.blocks:
-        block_value = _block_value(kp, s, whiten, block, c)
-        value += block_value
-        if cap is not None:
-            cap.add(block_value)
-    if not np.isfinite(value):
+        yield _block_value(kp, s, whiten, block, c)
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
         raise NumericalError("collection bound evaluated to a non-finite value")
     return value
 
@@ -382,11 +342,14 @@ def lmax_bound(kp: KernelParams, inducing, collection: Collection,
     effective per-point noise variance. Cost is O(m^2 * N) for N total
     observations.
     """
-    return _bound_pass(kp, inducing, collection, sigma, jitter)
+    value = 0.0
+    for block_value in _block_values(kp, inducing, collection, sigma, jitter):
+        value += block_value
+    return _finite(value)
 
 
 def _class_bound(params: ModelParams, dataset: Dataset, k: int):
-    """Class k's arguments to _bound_pass and _bound_gradient: (kernel,
+    """Class k's arguments to _block_values and _bound_gradient: (kernel,
     inducing timestamps, collection, sigma, jitter)."""
     h = params.hyper
     return (class_kernel(params, k), params.inducing_timestamps(k),
@@ -396,6 +359,13 @@ def _class_bound(params: ModelParams, dataset: Dataset, k: int):
 def _penalty(params: ModelParams, k: int) -> float:
     z_k = params.codes[k]
     return params.hyper.lam * float(z_k @ z_k)
+
+
+def _stopped(bound: float, evaluated: int, n_blocks: int, ceiling: float) -> float:
+    """Log a trial stopped after evaluated of n_blocks blocks; returns its bound."""
+    log.debug("trial stopped after %d of %d blocks: loss at least %.17g, ceiling %.17g",
+              evaluated, n_blocks, bound, ceiling)
+    return bound
 
 
 def total_loss(params: ModelParams, dataset: Dataset, ceiling: float | None = None) -> float:
@@ -408,16 +378,41 @@ def total_loss(params: ModelParams, dataset: Dataset, ceiling: float | None = No
     motioncode.objective.
     """
     params.check_classes(dataset)
-    penalties = [_penalty(params, k) for k in range(dataset.n_classes)]
-    try:
-        cap = None if ceiling is None else _Cap(ceiling, params, dataset, penalties)
-        values = [_bound_pass(*_class_bound(params, dataset, k), cap)
-                  for k in range(dataset.n_classes)]
-    except _ProvenAbove as stop:
-        bound, evaluated = stop.args
-        log.debug("trial stopped after %d of %d blocks: loss at least %.17g, ceiling %.17g",
-                  evaluated, sum(len(col.blocks) for col in dataset.collections), bound, ceiling)
-        return bound
+    n = dataset.n_classes
+    penalties = [_penalty(params, k) for k in range(n)]
+    if ceiling is None:
+        return float(sum(-lmax_bound(*_class_bound(params, dataset, k)) + penalties[k]
+                         for k in range(n)))
+    # the lower bound on the loss is known + unseen: known sums the
+    # penalties and the negated values of the blocks evaluated so far, and
+    # unseen the floors of the rest, which floors holds in evaluation
+    # order; scale is the magnitude of every term (see MARGIN_RTOL)
+    known = sum(penalties)
+    scale = sum(abs(p) for p in penalties)
+    floors = []
+    for k, col in enumerate(dataset.collections):
+        c = effective_noise(col.size, params.hyper.sigma)
+        amp_sum = float(np.sum(np.exp(params.log_amplitudes[k])))
+        counts, y_sq, starts = col.block_series
+        floors.append(np.add.reduceat(_floors(counts, y_sq, amp_sum, c), starts))
+        scale += _scale(int(counts.sum()), float(y_sq.sum()), amp_sum, c)
+    floors = np.concatenate(floors)
+    unseen = float(floors.sum())
+    if known + unseen > ceiling + MARGIN_RTOL * scale:
+        return _stopped(known + unseen, 0, floors.size, ceiling)
+    evaluated = 0
+    values = []
+    for k in range(n):
+        value = 0.0
+        for block_value in _block_values(*_class_bound(params, dataset, k)):
+            value += block_value
+            known -= block_value
+            unseen -= float(floors[evaluated])
+            scale += abs(block_value)
+            evaluated += 1
+            if known + unseen > ceiling + MARGIN_RTOL * scale:
+                return _stopped(known + unseen, evaluated, floors.size, ceiling)
+        values.append(_finite(value))
     return float(sum(-value + penalties[k] for k, value in enumerate(values)))
 
 

@@ -7,6 +7,7 @@ from motioncode.core import NumericalError, SingularMatrixError, ValidationError
 from motioncode.kernel import (
     KernelParams,
     chol_jittered,
+    half_solve,
     kernel_matrix,
     kernel_matrix_components,
 )
@@ -188,7 +189,7 @@ def assert_backward_stable(f, b):
     triangular solve, |b - L x| <= n eps |L| |x| (Higham, Accuracy and
     Stability of Numerical Algorithms, Thm 8.5), with a factor 2 of room
     for the rounding of the residual itself. Returns x."""
-    x = f.half_solve(b)
+    x = half_solve(f.lower, b)
     assert x.shape == np.shape(b)
     n = f.lower.shape[0]
     resid = np.abs(b - f.lower @ x)
@@ -226,7 +227,7 @@ def test_cholesky_factor_solver():
         x = assert_backward_stable(f, rhs)
         assert np.allclose(x, longdouble_substitution(f.lower, rhs), rtol=1e-12, atol=1e-12)
         # half solve whitens: L^{-1} A L^{-T} = I when jitter is negligible
-        half = f.half_solve(np.eye(m))
+        half = half_solve(f.lower, np.eye(m))
         assert np.allclose(half @ (a + f.jitter_used * np.eye(m)) @ half.T, np.eye(m),
                            atol=1e-9)
     check_ill_conditioned_solves(rng, 6)
@@ -243,5 +244,5 @@ def test_cholesky_factor_matrix_rhs():
         # each column is substituted as that column alone would be, which
         # fit_posterior's one substitution of [L^T, sum_i w_i] relies on
         for col in range(3):
-            assert np.array_equal(half[:, col], f.half_solve(rhs[:, col]))
+            assert np.array_equal(half[:, col], half_solve(f.lower, rhs[:, col]))
     check_ill_conditioned_solves(rng, (6, 3))

@@ -452,3 +452,31 @@ def test_failing_trial_is_still_rejected(monkeypatch, fault, at):
     except MotionCodeError:
         return
     assert not (np.isfinite(got) and got <= loss)
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "-inf"])
+def test_non_finite_block_value_makes_the_bound_raise(monkeypatch, fault):
+    """A non-finite value in class 0's first block raises from lmax_bound
+    and from total_loss, with or without a ceiling. A ceiling does not stop
+    a -inf block first: its negation is +inf, which also makes the margin
+    term of the stop test infinite."""
+    params, ds = blocky_model_and_data(seed=2)
+    loss = total_loss(params, ds)
+    h = params.hyper
+    kp = KernelParams(params.log_amplitudes[0], params.log_bandwidths[0])
+    s = code_to_timestamps(params.code_map, params.codes[0])
+    real = objective._block_value
+    calls = []
+
+    def faulty(*args):
+        calls.append(None)
+        return float(fault) if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(objective, "_block_value", faulty)
+    for evaluate in (lambda: lmax_bound(kp, s, ds.collections[0], h.sigma, h.jitter),
+                     lambda: total_loss(params, ds),
+                     lambda: total_loss(params, ds, ceiling=loss)):
+        del calls[:]
+        with pytest.raises(NumericalError,
+                           match="collection bound evaluated to a non-finite value"):
+            evaluate()

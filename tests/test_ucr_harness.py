@@ -44,7 +44,9 @@ def test_harness_reports_a_bad_pair_and_runs_the_rest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--noise", "-0.3"], ["--noise", "nan"], ["--noise", "inf"],
-                                   ["--seed", "-1"]], ids=lambda f: " ".join(f))
+                                   ["--seed", "-1"], ["--max-iters", "-1"],
+                                   ["--tolerance", "nan"], ["--tolerance", "-1"]],
+                         ids=lambda f: " ".join(f))
 def test_harness_rejects_a_bad_noise_level_or_seed_before_any_dataset(tmp_path, capsys,
                                                                        flags):
     rng = np.random.default_rng(1)
