@@ -201,7 +201,10 @@ class Collection:
 # grow with its width times m; once they outgrow what glibc keeps between
 # blocks, it trims the heap after each block and faults it back in. At 2048
 # columns training then took 14-22k minor faults per run and ran slower than
-# at 512; at m = 20 that happens from 768 columns on
+# at 512. Whether it trims depends on what the process's heap held before as
+# well: at m = 20 a run after earlier trainings in one process faulted at
+# 1024 columns, while a run in a fresh process took some 50 faults at every
+# width from 512 to 1024 and was fastest at 1024
 BLOCK_COLUMNS = 1024
 
 

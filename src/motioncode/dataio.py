@@ -59,6 +59,7 @@ import hashlib
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -108,10 +109,6 @@ MODEL_FORMAT_VERSION = 2
 DATA_FORMATS = ("ragged", "ucr")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
-# parsed numbers are turned from Python lists into float arrays this many
-# at a time, so the lists held at once stay small whatever the file size
-CHUNK_POINTS = 1 << 14
-
 _FLOAT, _NUMERIC = frozenset({float}), frozenset({int, float})
 
 
@@ -155,12 +152,6 @@ def _offsets(lengths) -> np.ndarray:
     out = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=out[1:])
     return out
-
-
-def _joined(parts) -> np.ndarray:
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def _record_of(offsets, element) -> int:
@@ -233,21 +224,15 @@ def _read_records(path, parse_line) -> Records:
     floats, or raises ParseError. Each line's shape (equal lengths, then at
     least two points) is checked as it is read, and reading stops at the
     first line that fails to parse or is badly shaped. The numbers of the
-    lines before it go into flat buffers, converted to float arrays
-    CHUNK_POINTS at a time, and the numeric rules (finite values,
-    increasing times, non-negative labels) then run once over them. Errors
-    get the path and the line of the first bad record, so a numeric fault
-    on an earlier line wins over the line that stopped the read.
+    lines before it go into two growable float buffers, t and y, which the
+    returned arrays view without a copy, and the numeric rules (finite
+    values, increasing times, non-negative labels) then run once over them.
+    Errors get the path and the line of the first bad record, so a numeric
+    fault on an earlier line wins over the line that stopped the read.
     """
     labels, lines, lengths = [], [], []
-    t_buf, y_buf, t_parts, y_parts = [], [], [], []
+    t_buf, y_buf = array("d"), array("d")
     fault = None  # (record, error) of the line that stopped the read
-
-    def flush():
-        t_parts.append(np.array(t_buf, dtype=float))
-        y_parts.append(np.array(y_buf, dtype=float))
-        t_buf.clear()
-        y_buf.clear()
 
     try:
         handle = open(path, "r", encoding="utf-8")
@@ -269,13 +254,9 @@ def _read_records(path, parse_line) -> Records:
                 break
             labels.append(label)
             lengths.append(len(t))
-            t_buf += t
-            y_buf += y
-            if len(t_buf) >= CHUNK_POINTS:
-                flush()
-    if t_buf:
-        flush()
-    t, y, offsets = _joined(t_parts), _joined(y_parts), _offsets(lengths)
+            t_buf.fromlist(t)
+            y_buf.fromlist(y)
+    t, y, offsets = np.frombuffer(t_buf), np.frombuffer(y_buf), _offsets(lengths)
     fault = _record_fault(labels, t, y, offsets) or fault
     if fault:
         r, exc = fault
@@ -370,7 +351,8 @@ def _flat(records) -> Records:
             labels.append(int(r.label))
             ts.append(t)
             ys.append(y)
-    t, y, offsets = _joined(ts), _joined(ys), _offsets([a.size for a in ts])
+    t, y = np.concatenate([np.empty(0), *ts]), np.concatenate([np.empty(0), *ys])
+    offsets = _offsets([a.size for a in ts])
     fault = _record_fault(labels, t, y, offsets) or fault
     if fault:
         raise fault[1]

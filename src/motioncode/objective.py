@@ -69,16 +69,15 @@ least y_i^T y_i / (c + t). The series' negated value is then at least
 which decreases in t, and t <= tr K_i = n_i A, since Q_i is a Nystrom
 approximation of K_i. Its value at t = n_i A is the series' floor, and a
 block's floor sums its series' floors; each series' n_i and y_i^T y_i are
-summed once per collection (core.Collection.block_series). Given a
-ceiling, total_loss reads the block values in one loop and keeps a lower
-bound on the loss: the penalties, the negated values of the blocks read so
-far and the floors of the rest. It checks the bound before the first block
-and after each block. Once the bound passes the ceiling by more than
+summed once per collection (core.Collection.block_series). total_loss
+reads the block values in one loop, whose ceiling is infinite when none is
+given, and keeps a lower bound on the loss: the penalties, the negated
+values of the blocks read so far and the floors of the rest. It checks the
+bound before the first block and after each block. Once the bound passes the ceiling by more than
 MARGIN_RTOL times the magnitude of its terms, the trial is proven to fail:
 the loop returns the bound and asks for no further value, so no later
 block, and no later class's K_SS factor, is computed. A loop that is not
-stopped sums the same values in the same order, so it returns the same
-float as one without a ceiling.
+stopped returns the loss, the same float whatever its ceiling.
 """
 
 from __future__ import annotations
@@ -373,16 +372,16 @@ def total_loss(params: ModelParams, dataset: Dataset, ceiling: float | None = No
 
     With a ceiling, the evaluation stops as soon as a lower bound proves the
     loss above the ceiling (see the module docstring) and returns that
-    bound, which is above the ceiling. Otherwise it returns the loss it
-    returns without one, bit for bit. Each stop logs one DEBUG line on
+    bound, which is above the ceiling. Otherwise it returns the loss, the
+    same float with or without a ceiling: no ceiling is an infinite one,
+    which the loop never stops for. Each stop logs one DEBUG line on
     motioncode.objective.
     """
     params.check_classes(dataset)
     n = dataset.n_classes
     penalties = [_penalty(params, k) for k in range(n)]
     if ceiling is None:
-        return float(sum(-lmax_bound(*_class_bound(params, dataset, k)) + penalties[k]
-                         for k in range(n)))
+        ceiling = math.inf
     # the lower bound on the loss is known + unseen: known sums the
     # penalties and the negated values of the blocks evaluated so far, and
     # unseen the floors of the rest, which floors holds in evaluation

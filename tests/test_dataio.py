@@ -420,6 +420,18 @@ def test_model_version_check(tmp_path):
     assert "99" in str(err.value)
 
 
+def test_model_file_that_cannot_be_read_or_is_no_object(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(InputError) as err:
+        load_model(missing)
+    assert str(err.value).startswith(f"cannot read model file {missing}: ")
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(ParseError) as err:
+        load_model(p)
+    assert str(err.value) == f"{p}: model file must hold a JSON object"
+
+
 def test_model_corrupt_field_names_path(tmp_path):
     params = init_params(2, Hyperparams())
     p = tmp_path / "m.json"

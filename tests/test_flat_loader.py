@@ -294,34 +294,37 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("blank", [None, 1, 3])
 @pytest.mark.parametrize("name, fmt, lines, kind, line, message", MALFORMED,
                          ids=[case[0] for case in MALFORMED])
-def test_malformed_file_errors(tmp_path, monkeypatch, chunk, name, fmt, lines, kind,
-                               line, message):
-    # small chunks put record boundaries and faults on chunk boundaries
-    if chunk:
-        monkeypatch.setattr(dataio, "CHUNK_POINTS", chunk)
+def test_malformed_file_errors(tmp_path, blank, name, fmt, lines, kind, line, message):
+    # blank lines before every line are skipped but still counted, so the
+    # error names the bad line as the file numbers it
+    step = (blank or 0) + 1
     path = tmp_path / ("data.jsonl" if fmt == "ragged" else "data.csv")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("".join("\n" * (step - 1) + text + "\n" for text in lines),
+                    encoding="utf-8")
     with pytest.raises((ParseError, ValidationError)) as err:
         load_dataset(path, fmt)
     assert type(err.value).__name__ == kind
-    where = f"{path}:{line}" if line else f"{path}"
+    where = f"{path}:{line * step}" if line else f"{path}"
     assert str(err.value) == f"{where}: {message}"
 
 
 def test_int_fields_load_to_the_floats_numpy_makes(tmp_path):
     """Ints near and past 2**53 and 2**63 round as np.array(..., dtype=float)
-    rounds them."""
-    y = [2**53 + 1, 0.5, 2**63 + 1, 3, -(2**63) - 1, 10**300, -7, 1.25, 2**53 + 3]
-    t = list(range(len(y)))
-    path = tmp_path / "ints.jsonl"
-    path.write_text(ragged(label=0, t=t, y=y) + "\n" + ragged(label=1, t=t, y=y[::-1]) + "\n",
-                    encoding="utf-8")
-    records = dataio.parse_ragged(path)
-    assert same_bytes(records.t, np.array(t + t, dtype=float))
-    assert same_bytes(records.y, np.array(y + y[::-1], dtype=float))
+    rounds them, in a short file and in one of some 40,000 numbers per
+    array."""
+    row = [2**53 + 1, 0.5, 2**63 + 1, 3, -(2**63) - 1, 10**300, -7, 1.25, 2**53 + 3]
+    for repeats in (1, 2222):
+        y = row * repeats
+        t = list(range(len(y)))
+        path = tmp_path / f"ints-{repeats}.jsonl"
+        path.write_text(ragged(label=0, t=t, y=y) + "\n" + ragged(label=1, t=t, y=y[::-1])
+                        + "\n", encoding="utf-8")
+        records = dataio.parse_ragged(path)
+        assert same_bytes(records.t, np.array(t + t, dtype=float))
+        assert same_bytes(records.y, np.array(y + y[::-1], dtype=float))
 
 
 NAN_RECORD = RaggedRecord(1, np.array([0.0, np.nan]), np.array([1.0, 2.0]))
@@ -331,12 +334,22 @@ UNEVEN_RECORD = RaggedRecord(1, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0]))
 @pytest.mark.parametrize("records, message", [
     ([NAN_RECORD, UNEVEN_RECORD], "record values must be finite"),
     ([UNEVEN_RECORD, NAN_RECORD], "record arrays must be equal-length 1-d, got (3,) and (2,)"),
-], ids=["nan-then-lengths", "lengths-then-nan"])
+    ([RaggedRecord(1, np.zeros((2, 2)), np.zeros((2, 2)))],
+     "record arrays must be equal-length 1-d, got (2, 2) and (2, 2)"),
+    ([RaggedRecord(1.5, np.array([0.0, 1.0]), np.array([1.0, 2.0]))],
+     "record label must be a non-negative integer, got 1.5"),
+], ids=["nan-then-lengths", "lengths-then-nan", "two-d", "fractional-label"])
 def test_hand_built_records_report_the_first_bad_record(records, message):
     good = RaggedRecord(0, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValidationError) as err:
         dataset_from_records([good, *records])
     assert str(err.value) == message
+
+
+def test_no_records_to_assemble():
+    with pytest.raises(ValidationError) as err:
+        dataset_from_records([])
+    assert str(err.value) == "no records to assemble"
 
 
 # ---------------------------------------------------------------------------

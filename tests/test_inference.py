@@ -14,6 +14,7 @@ from motioncode.core import (
     NumericalError,
     TimeSeries,
     ValidationError,
+    VariationalPosterior,
     effective_noise,
 )
 from motioncode.dataio import forecast_split
@@ -338,6 +339,23 @@ def test_forecast_input_errors():
         forecast(model, class_posteriors(model, ds), 5, [0.5])  # unknown class
     with pytest.raises(InputError):
         forecast(model, class_posteriors(model, ds), 0, [1.3])  # beyond the forecast horizon
+
+
+def test_classify_many_needs_one_posterior_per_class():
+    model, ds = constant_model_and_data()
+    series = TimeSeries(np.array([0.2, 0.6]), np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError) as err:
+        classify_many(model, class_posteriors(model, ds)[:1], [series])
+    assert str(err.value) == "model has 2 classes but 1 posteriors were given"
+
+
+def test_predict_refuses_a_negative_variance():
+    # a covariance of -10 I takes 10 off the variance at the inducing points
+    posterior = VariationalPosterior(np.array([0.3, 0.7]), np.zeros(2), -10.0 * np.eye(2), 1e-6)
+    kp = KernelParams(np.zeros(1), np.zeros(1))
+    with pytest.raises(NumericalError) as err:
+        predict(posterior, kp, [0.3, 0.7])
+    assert str(err.value) == "predictive variance fell below the roundoff tolerance: -1.000e+01"
 
 
 def test_forecast_trained_sine_in_range():

@@ -174,6 +174,15 @@ def test_chol_jittered_rejects_non_finite():
         chol_jittered(a, 1e-6)
 
 
+def test_chol_jittered_rejects_a_non_square_matrix_or_a_bad_jitter():
+    with pytest.raises(ValidationError) as err:
+        chol_jittered(np.ones((2, 3)), 1e-6)
+    assert str(err.value) == "need a square matrix, got shape (2, 3)"
+    with pytest.raises(ValidationError) as err:
+        chol_jittered(np.eye(2), 0.0)
+    assert str(err.value) == "base jitter must be positive, got 0.0"
+
+
 def longdouble_substitution(lower, b):
     """Reference L^{-1} b: row-oriented forward substitution in extended
     precision, independent of the package's column-oriented float64 one."""

@@ -123,6 +123,17 @@ def test_infinite_start_raises():
         minimize(lambda x, ceiling: (np.inf, None), np.zeros(1), 5, 1e-5)
 
 
+@pytest.mark.parametrize("max_iters, epsilon, message", [
+    (-1, 1e-5, "max_iters must be >= 0, got -1"),
+    (5, 0.0, "epsilon must be positive, got 0.0"),
+])
+def test_minimize_rejects_bad_settings(max_iters, epsilon, message):
+    with pytest.raises(ValueError) as err:
+        minimize(fused(lambda x: float(x @ x), lambda x: 2.0 * x), np.ones(1), max_iters,
+                 epsilon)
+    assert str(err.value) == message
+
+
 def test_nonfinite_trial_is_backtracked():
     # f blows up past |x| > 0.6 but has its minimum at 0.5
     def fun(x, ceiling):
@@ -161,6 +172,9 @@ def test_init_params_layout():
     assert np.array_equal(p.log_bandwidths, np.zeros((2, 1)))
     p1 = init_params(2, Hyperparams(m=1, d=2, j=1))
     assert np.array_equal(p1.code_map, [[0.5, 0.5]])
+    with pytest.raises(ValueError) as err:
+        init_params(0, Hyperparams())
+    assert str(err.value) == "need at least one class, got 0"
 
 
 def test_pack_unpack_round_trip():
