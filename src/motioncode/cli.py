@@ -30,7 +30,6 @@ from .dataio import (
     file_digest,
     forecast_split,
     in_file,
-    inject_noise,
     load_dataset,
     load_model,
     load_queries,
@@ -92,7 +91,6 @@ def _build_parser():
     defaults = Hyperparams()  # each field is the train flag of the same dest
     tr = subs.add_parser("train", help="fit a model")
     _add_io_flags(tr)
-    tr.add_argument("--seed", type=int, default=0, help="seed of --noise")
     tr.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     tr.add_argument("-m", "--m", type=int, default=defaults.m, dest="m",
                     help="number of informative timestamps per class")
@@ -110,10 +108,6 @@ def _build_parser():
                     help="stop once the loss decrease falls below this")
     tr.add_argument("--jitter", type=float, default=defaults.jitter,
                     help="base diagonal stabilizer for factorizations")
-    tr.add_argument("--noise", type=float, default=0.0,
-                    help="inject noise at this level before training")
-    tr.add_argument("--per-series-noise", action="store_true",
-                    help="scale injected noise per series instead of per dataset")
     tr.add_argument("--split-fraction", type=float, default=None,
                     help="train on only the first fraction of every series")
     tr.add_argument("--out", default="model.json", help="model output path")
@@ -247,10 +241,6 @@ def cmd_train(args):
     loaded = dataset = load_dataset(args.data, args.format)
     log.info("loaded %d classes, %d series from %s", dataset.n_classes,
              sum(len(c.series) for c in dataset.collections), args.data)
-    if args.noise:
-        dataset = inject_noise(dataset, args.noise, args.seed,
-                               per_series=args.per_series_noise)
-        log.info("injected noise at level %g", args.noise)
     if args.split_fraction is not None:
         dataset, _ = forecast_split(dataset, args.split_fraction)
         log.info("kept the first %.0f%% of every series", 100 * args.split_fraction)
@@ -270,12 +260,7 @@ def cmd_train(args):
         "classes": [int(label) for label in model.class_labels],
         "data_digest": model.data_digest,
         "class_fit": _class_fit(model, dataset),
-        "data": {
-            "noise": float(args.noise),
-            "noise_seed": int(args.seed) if args.noise else None,
-            "per_series_noise": bool(args.per_series_noise),
-            "split_fraction": args.split_fraction,
-        },
+        "data": {"split_fraction": args.split_fraction},
     }
     _emit("train", _hyper_dict(hyper, args.threads), payload, started, None)
     return 0

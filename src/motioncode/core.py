@@ -462,7 +462,7 @@ class ModelParams:
     data_format : that file's format, 'ragged' or 'ucr'
     posteriors  : one VariationalPosterior per class, fitted at
                   these parameters on the training file as loaded, before
-                  any injected noise or split; () when none were stored.
+                  any split; () when none were stored.
                   Each must hold its class's inducing timestamps and
                   hyper.jitter exactly: a model file stores neither, and
                   load_model rebuilds them from the codes and hyper

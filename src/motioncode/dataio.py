@@ -1,6 +1,6 @@
 """
-dataio.py - dataset file formats, the map into model coordinates, noise
-injection, splits, and model persistence.
+dataio.py - dataset file formats, the map into model coordinates, splits,
+and model persistence.
 
 Ragged dataset format (one JSON object per line, UTF-8):
 
@@ -97,7 +97,6 @@ __all__ = [
     "load_dataset",
     "load_queries",
     "write_ragged",
-    "inject_noise",
     "forecast_split",
     "save_model",
     "load_model",
@@ -501,48 +500,6 @@ def write_ragged(records, path):
         for label, t, y in _flat(records):
             obj = {"label": label, "t": t.tolist(), "y": y.tolist()}
             handle.write(json.dumps(obj) + "\n")
-
-
-def inject_noise(dataset: Dataset, level: float, seed: int,
-                 per_series: bool = False) -> Dataset:
-    """Add Gaussian noise with std = level * max |value| to every value.
-
-    The maximum is taken over the whole dataset (pre-noise); per_series
-    scopes it to each series instead. level must be finite and >= 0; level
-    0 returns the dataset as is. Deterministic for a fixed seed >= 0.
-    """
-    if not math.isfinite(level):
-        raise ValidationError(f"noise level must be finite, got {level}")
-    if level < 0:
-        raise ValidationError(f"noise level must be >= 0, got {level}")
-    if seed < 0:
-        raise ValidationError(f"noise seed must be a non-negative integer, got {seed}")
-    if level == 0:
-        return dataset
-    series = [ts for col in dataset.collections for ts in col.series]
-    lengths = [len(ts) for ts in series]
-    offsets = _offsets(lengths)
-    values = np.concatenate([ts.values for ts in series])
-    peaks = np.abs(values)
-    if per_series:
-        scale = np.repeat(level * np.maximum.reduceat(peaks, offsets[:-1]), lengths)
-    else:
-        scale = np.full(values.size, level * float(peaks.max()))
-    # one draw for every value of a series with std > 0, in series order: the
-    # same numbers as one draw per series, and a series with std 0 keeps its
-    # values untouched
-    drawn = scale > 0
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        values[drawn] += np.random.default_rng(seed).normal(0.0, scale[drawn])
-    if not np.isfinite(values).all():
-        raise ValidationError("timestamps and values must be finite")
-    values.setflags(write=False)
-    bounds = offsets.tolist()
-    views = iter([TimeSeries.view(ts.timestamps, values[a:b])
-                  for ts, a, b in zip(series, bounds, bounds[1:])])
-    collections = tuple(Collection(col.label, tuple(next(views) for _ in col.series))
-                        for col in dataset.collections)
-    return replace(dataset, collections=collections)
 
 
 def forecast_split(dataset: Dataset, fraction: float):

@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from motioncode.kernel import chol_jittered, class_kernel, kernel_matrix
 
 REPORT_KEYS = {"command", "hyperparams", "wall_clock_seconds", "payload"}
 HYPER_KEYS = {"m", "d", "J", "lambda", "sigma", "max_iters", "epsilon", "jitter"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, argv):
@@ -86,8 +89,7 @@ def test_train_report_schema(tmp_path, two_constants, capsys):
         "loss", "iterations", "stop_reason", "model_path", "classes",
         "data_digest", "class_fit", "data",
     }
-    assert payload["data"] == {"noise": 0.0, "noise_seed": None,
-                               "per_series_noise": False, "split_fraction": None}
+    assert payload["data"] == {"split_fraction": None}
     assert math.isfinite(payload["loss"])
     assert payload["classes"] == [0, 1]
     assert model_path.exists()
@@ -106,26 +108,15 @@ def test_train_report_schema(tmp_path, two_constants, capsys):
         assert row["jitter_used"] == model.hyper.jitter == 1e-6
 
 
-def test_train_report_records_noise_and_split(tmp_path, two_constants, capsys):
-    reports = []
-    for flags in (["--seed", "3"], ["--seed", "4"],
-                  ["--seed", "3", "--per-series-noise", "--split-fraction", "0.5"]):
+def test_train_report_records_the_split(tmp_path, two_constants, capsys):
+    for flags, data in (([], {"split_fraction": None}),
+                        (["--split-fraction", "0.5"], {"split_fraction": 0.5})):
         code, report, _ = run(capsys, [
-            "train", "--data", str(two_constants), "--max-iters", "2", "--noise", "0.2",
+            "train", "--data", str(two_constants), "--max-iters", "2",
             "--out", str(tmp_path / "model.json"), *flags,
         ])
         assert code == 0
-        reports.append(report)
-    a, b, split = (report["payload"] for report in reports)
-    assert a["data"] == {"noise": 0.2, "noise_seed": 3, "per_series_noise": False,
-                         "split_fraction": None}
-    assert b["data"] == dict(a["data"], noise_seed=4)
-    assert split["data"] == dict(a["data"], per_series_noise=True, split_fraction=0.5)
-    # two noise seeds differ in the seed and in what the noise changes, no more
-    assert reports[0]["hyperparams"] == reports[1]["hyperparams"]
-    differ = {key for key in a if a[key] != b[key]}
-    assert {"data", "loss", "class_fit"} <= differ
-    assert differ <= {"data", "loss", "iterations", "stop_reason", "class_fit"}
+        assert report["payload"]["data"] == data
 
 
 def test_train_class_fit_single_inducing_timestamp(tmp_path, two_constants, capsys):
@@ -184,25 +175,6 @@ def test_train_rejects_non_finite_scales(tmp_path, capsys):
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize("level", ["nan", "inf"])
-def test_train_rejects_non_finite_noise(tmp_path, two_constants, capsys, level):
-    model_path = tmp_path / "model.json"
-    code, report, err = run(capsys, ["train", "--data", str(two_constants),
-                                     "--noise", level, "--out", str(model_path)])
-    assert code == 1 and report is None
-    assert err == f"error: noise level must be finite, got {level}\n"
-    assert not model_path.exists()
-
-
-def test_train_rejects_a_negative_noise_seed(tmp_path, two_constants, capsys):
-    model_path = tmp_path / "model.json"
-    code, report, err = run(capsys, ["train", "--data", str(two_constants), "--noise", "0.1",
-                                     "--seed", "-1", "--out", str(model_path)])
-    assert code == 1 and report is None
-    assert err == "error: noise seed must be a non-negative integer, got -1\n"
-    assert not model_path.exists()
-
-
 def test_train_names_the_failure_at_the_starting_point(tmp_path, two_constants, capsys):
     # no jitter the escalation reaches from 1e-300 makes the start point's
     # K_SS positive definite, so the first evaluation fails, and the user
@@ -214,10 +186,6 @@ def test_train_names_the_failure_at_the_starting_point(tmp_path, two_constants, 
     assert err.startswith("numerical failure: matrix of size 10 stayed non positive "
                           "definite up to jitter 1e-294 (smallest eigenvalue ~ ")
     assert not model_path.exists()
-    # without --noise the seed draws nothing
-    code, _, _ = run(capsys, ["train", "--data", str(two_constants), "--seed", "-1",
-                              "--max-iters", "0", "--out", str(model_path)])
-    assert code == 0 and model_path.exists()
 
 
 def test_train_flag_defaults_are_the_hyperparams_defaults():
@@ -226,6 +194,20 @@ def test_train_flag_defaults_are_the_hyperparams_defaults():
     for f in dataclasses.fields(Hyperparams):
         value = getattr(args, f.name)
         assert value == getattr(defaults, f.name) and type(value) is type(f.default), f.name
+
+
+def test_readme_training_flag_table_matches_the_train_parser():
+    train = next(a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["train"]
+    options = {a.dest: a.option_strings for a in train._actions}
+    lines = README.read_text(encoding="utf-8").splitlines()
+    table = lines[lines.index("### Training flags") + 1:]
+    table = table[:next(i for i, line in enumerate(table) if line.startswith("#"))]
+    rows = [line.split("|")[1].strip() for line in table if line.startswith("| `")]
+    listed = {flag.strip("`") for row in rows for flag in row.split(", ")}
+    assert listed <= {o for strings in options.values() for o in strings}
+    unlisted = {dest for dest, strings in options.items() if not listed & set(strings)}
+    assert unlisted <= {"help", "data", "format", "out"}
 
 
 def test_out_of_range_timestamps_exit_1(tmp_path, two_constants, capsys):
@@ -284,7 +266,7 @@ def test_bad_flag_exits_1(capsys):
     ["forecast", "--model", "m.json", "--data", "b.jsonl", "--split-fraction", "0.8"],
     ["timestamps", "--model", "m.json", "--data", "b.jsonl"],
 ], ids=["classify", "forecast", "timestamps"])
-def test_only_train_takes_seed_and_threads(capsys, argv, flag):
+def test_serving_commands_reject_seed_and_threads(capsys, argv, flag):
     """The serving commands draw no random numbers and run on one thread."""
     code, report, err = run(capsys, argv + [flag, "0"])
     assert code == 1
@@ -292,6 +274,19 @@ def test_only_train_takes_seed_and_threads(capsys, argv, flag):
     usage, message = err.splitlines()
     assert usage.startswith("usage: motioncode ")
     assert message == f"motioncode: error: unrecognized arguments: {flag} 0"
+
+
+@pytest.mark.parametrize("flags", [["--noise", "0.1"], ["--seed", "0"], ["--per-series-noise"]],
+                         ids=lambda f: " ".join(f))
+def test_train_rejects_the_removed_noise_flags(tmp_path, two_constants, capsys, flags):
+    """Noisy experiments add noise with scripts/ucr_harness.py --noise."""
+    model_path = tmp_path / "model.json"
+    code, report, err = run(capsys, ["train", "--data", str(two_constants),
+                                     "--out", str(model_path), *flags])
+    assert code == 1 and report is None
+    assert err.splitlines()[-1] == ("motioncode: error: unrecognized arguments: "
+                                    + " ".join(flags))
+    assert not model_path.exists()
 
 
 def test_classify_constants_accuracy(tmp_path, two_constants, capsys):
@@ -692,8 +687,8 @@ def serving_payloads(capsys, model_path, train_path, test_path):
 
 
 @pytest.mark.parametrize("flags", [
-    [], ["--noise", "0.2", "--seed", "3", "--per-series-noise", "--split-fraction", "0.8"],
-], ids=["default", "noise-and-split"])
+    [], ["--split-fraction", "0.8"],
+], ids=["default", "split"])
 def test_stored_posteriors_serve_the_refit_payloads(tmp_path, capsys, bench_fixtures, flags):
     train = bench_fixtures["classification_train"]
     test = bench_fixtures["classification_test"]

@@ -11,7 +11,6 @@ from motioncode.core import (
     Hyperparams,
     InputError,
     ParseError,
-    Scales,
     SplitError,
     TimeSeries,
     ValidationError,
@@ -23,7 +22,6 @@ from motioncode.dataio import (
     dataset_from_records,
     file_digest,
     forecast_split,
-    inject_noise,
     load_dataset,
     load_model,
     load_queries,
@@ -202,118 +200,6 @@ def test_load_ucr_rejects_ragged_rows(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset(p, "ucr")
     assert ":2:" in str(err.value)
-
-
-def test_inject_noise_statistics(tmp_path):
-    rng = np.random.default_rng(1)
-    records = []
-    for label in (0, 1):
-        for _ in range(25):
-            t = np.linspace(0, 1, 220)
-            records.append(RaggedRecord(label, t, rng.uniform(-2.0, 2.0, 220)))
-    ds = dataset_from_records(records, Scales((0.0, 1.0)))
-    peak = max(float(np.max(np.abs(s.values))) for c in ds.collections for s in c.series)
-    noisy = inject_noise(ds, 0.3, seed=5)
-    diffs = np.concatenate([
-        s2.values - s1.values
-        for c1, c2 in zip(ds.collections, noisy.collections)
-        for s1, s2 in zip(c1.series, c2.series)
-    ])
-    assert diffs.size >= 10_000
-    want = 0.3 * peak
-    assert abs(np.std(diffs) - want) < 0.05 * want
-    # timestamps untouched, determinism, zero level
-    assert np.array_equal(
-        ds.collections[0].series[0].timestamps,
-        noisy.collections[0].series[0].timestamps,
-    )
-    again = inject_noise(ds, 0.3, seed=5)
-    assert all(
-        np.array_equal(a.values, b.values)
-        for c1, c2 in zip(noisy.collections, again.collections)
-        for a, b in zip(c1.series, c2.series)
-    )
-    same = inject_noise(ds, 0.0, seed=9)
-    assert same is ds
-
-
-def test_inject_noise_per_series():
-    t = np.linspace(0, 1, 500)
-    big = TimeSeries(t, np.full(500, 10.0))
-    small = TimeSeries(t, np.full(500, 0.1))
-    ds = Dataset(
-        (Collection(0, (big,)), Collection(1, (small,))),
-        (0.0, 1.0),
-    )
-    noisy = inject_noise(ds, 0.3, seed=2, per_series=True)
-    d_big = np.std(noisy.collections[0].series[0].values - 10.0)
-    d_small = np.std(noisy.collections[1].series[0].values - 0.1)
-    assert abs(d_big - 3.0) < 0.4
-    assert abs(d_small - 0.03) < 0.004
-
-
-def reference_noise(dataset, level, seed, per_series):
-    """One draw and one validating TimeSeries per series, in series order."""
-    rng = np.random.default_rng(seed)
-    peak = max(float(np.max(np.abs(s.values))) for c in dataset.collections for s in c.series)
-    out = []
-    for col in dataset.collections:
-        for s in col.series:
-            std = level * (float(np.max(np.abs(s.values))) if per_series else peak)
-            noisy = s.values + rng.normal(0.0, std, s.values.size) if std > 0 else s.values
-            out.append(TimeSeries(s.timestamps, noisy))
-    return out
-
-
-@pytest.mark.parametrize("per_series", [False, True])
-def test_inject_noise_matches_per_series_draws(per_series):
-    rng = np.random.default_rng(11)
-    series = [TimeSeries(np.linspace(0.0, 1.0, n), rng.normal(0.0, 2.0, n))
-              for n in (7, 2, 30, 5, 12, 3)]
-    zero = TimeSeries(np.linspace(0.0, 1.0, 9), np.zeros(9))
-    ds = Dataset((Collection(0, (series[0], zero, series[1])), Collection(1, (series[2],)),
-                  Collection(2, tuple(series[3:]))), (0.0, 1.0))
-    noisy = inject_noise(ds, 0.2, seed=3, per_series=per_series)
-    assert [c.size for c in noisy.collections] == [c.size for c in ds.collections]
-    got = [s for c in noisy.collections for s in c.series]
-    for g, w in zip(got, reference_noise(ds, 0.2, 3, per_series), strict=True):
-        assert g.timestamps.tobytes() == w.timestamps.tobytes()
-        assert g.values.tobytes() == w.values.tobytes()
-        assert not g.values.flags.writeable
-
-
-def test_inject_noise_rejects_values_it_overflows():
-    t = np.linspace(0.0, 1.0, 100)
-    ds = Dataset((Collection(0, (TimeSeries(t, np.full(100, 1e308)),)),
-                  Collection(1, (TimeSeries(t, np.zeros(100)),))), (0.0, 1.0))
-    with pytest.raises(ValidationError) as err:
-        inject_noise(ds, 1.0, seed=0)
-    assert str(err.value) == "timestamps and values must be finite"
-
-
-@pytest.mark.parametrize("level, message", [
-    (float("nan"), "noise level must be finite, got nan"),
-    (float("inf"), "noise level must be finite, got inf"),
-    (float("-inf"), "noise level must be finite, got -inf"),
-    (-0.5, "noise level must be >= 0, got -0.5"),
-])
-def test_inject_noise_rejects_bad_levels(level, message):
-    t = np.linspace(0.0, 1.0, 5)
-    ds = Dataset((Collection(0, (TimeSeries(t, np.arange(5.0)),)),
-                  Collection(1, (TimeSeries(t, np.ones(5)),))), (0.0, 1.0))
-    with pytest.raises(ValidationError) as err:
-        inject_noise(ds, level, seed=0)
-    assert str(err.value) == message
-
-
-def test_inject_noise_rejects_a_negative_seed():
-    # numpy would raise its own ValueError from inside the draw
-    t = np.linspace(0.0, 1.0, 5)
-    ds = Dataset((Collection(0, (TimeSeries(t, np.arange(5.0)),)),
-                  Collection(1, (TimeSeries(t, np.ones(5)),))), (0.0, 1.0))
-    with pytest.raises(ValidationError) as err:
-        inject_noise(ds, 0.1, seed=-1)
-    assert str(err.value) == "noise seed must be a non-negative integer, got -1"
 
 
 def test_forecast_split_counts():

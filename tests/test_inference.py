@@ -58,34 +58,6 @@ def rand_collection(rng, label=0, n_series=2, n_lo=4, n_hi=8):
     return Collection(label, tuple(series))
 
 
-def dense_posterior(kp, s, collection, sigma):
-    """Oracle with explicit matrix inversion, no jitter."""
-    c = effective_noise(collection.size, sigma)
-    k_ss = kernel_matrix(kp, s)
-    lam = k_ss.copy()
-    rhs = np.zeros(s.size)
-    for ts in collection.series:
-        cross = kernel_matrix(kp, s, ts.timestamps)
-        lam = lam + cross @ cross.T / c
-        rhs = rhs + cross @ ts.values
-    sig = np.linalg.inv(lam)
-    mean = k_ss @ sig @ rhs / c
-    cov = k_ss @ sig @ k_ss
-    return mean, cov
-
-
-def dense_predict(kp, s, mean, cov, query):
-    k_ts = kernel_matrix(kp, query, s)
-    proj = np.linalg.solve(kernel_matrix(kp, s), k_ts.T).T  # K_TS K_SS^{-1}
-    p = proj @ mean
-    var = (
-        np.sum(kp.amplitudes)
-        - np.sum(proj * k_ts, axis=1)
-        + np.sum(proj @ cov * proj, axis=1)
-    )
-    return p, var
-
-
 def test_posterior_matches_dense_oracle(forbid_inverse):
     rng = np.random.default_rng(21)
     cases = []
@@ -94,7 +66,7 @@ def test_posterior_matches_dense_oracle(forbid_inverse):
         m = int(rng.integers(2, 5))
         s = good_inducing(rng, kp, m)
         col = rand_collection(rng, n_series=int(rng.integers(1, 4)))
-        cases.append((kp, s, col, dense_posterior(kp, s, col, 0.5)))
+        cases.append((kp, s, col, bench.dense_posterior(kp, s, col, 0.5, 0.0)))
     forbid_inverse()
     for kp, s, col, (mean, cov) in cases:
         post = fit_posterior(col, kp, s, sigma=0.5, jitter=1e-12)
@@ -113,7 +85,8 @@ def test_predict_matches_dense_oracle(forbid_inverse):
         col = rand_collection(rng)
         post = fit_posterior(col, kp, s, sigma=0.5, jitter=1e-12)
         q = np.sort(rng.uniform(0, 1.2, 7))
-        cases.append((kp, post, q, dense_predict(kp, s, post.mean, post.covariance, q)))
+        want = bench.dense_predict(kp, s, post.mean, post.covariance, q, 0.0)
+        cases.append((kp, post, q, want))
     forbid_inverse()
     for kp, post, q, (p, var) in cases:
         pred = predict(post, kp, q)
@@ -449,7 +422,7 @@ def test_predict_chunks_match_dense_oracle():
     post = fit_posterior(col, kp, s, sigma=0.5, jitter=1e-12)
     q = rng.uniform(0.0, 1.2, 2 * BLOCK_COLUMNS + 276)
     pred = predict(post, kp, q)
-    p, var = dense_predict(kp, s, post.mean, post.covariance, q)
+    p, var = bench.dense_predict(kp, s, post.mean, post.covariance, q, 0.0)
     assert np.array_equal(pred.timestamps, q)
     assert np.allclose(pred.mean, p, atol=1e-8)
     assert np.allclose(pred.variance, np.clip(var, 0, None), atol=1e-8)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motioncode import objective
+from motioncode import bench, objective
 from motioncode.core import (
     BLOCK_COLUMNS,
     LEARNED_FIELDS,
@@ -64,27 +64,6 @@ def sharp_params(rng, j):
     )
 
 
-def dense_bound(kp, s, collection, sigma):
-    """Direct O(N^3) evaluation of the collection bound, no jitter anywhere."""
-    c = effective_noise(collection.size, sigma)
-    k_ss = kernel_matrix(kp, s)
-    k_inv = np.linalg.inv(k_ss)
-    total = 0.0
-    for ts in collection.series:
-        t, y = ts.timestamps, ts.values
-        n = t.size
-        cross = kernel_matrix(kp, s, t)
-        q = cross.T @ k_inv @ cross
-        mat = c * np.eye(n) + q
-        sign, logdet = np.linalg.slogdet(mat)
-        assert sign > 0
-        quad = float(y @ np.linalg.solve(mat, y))
-        log_lik = -0.5 * (n * LOG_2PI + logdet + quad)
-        gap = np.trace(kernel_matrix(kp, t)) - np.trace(q)
-        total += log_lik - gap / (2.0 * c)
-    return total
-
-
 def test_bound_matches_dense_oracle():
     rng = np.random.default_rng(42)
     for trial in range(12):
@@ -94,7 +73,7 @@ def test_bound_matches_dense_oracle():
         s = well_conditioned_inducing(rng, kp, m)
         col = make_collection(rng, n_series=int(rng.integers(1, 4)))
         got = lmax_bound(kp, s, col, sigma=0.5, jitter=1e-12)
-        want = dense_bound(kp, s, col, sigma=0.5)
+        want = bench.dense_bound(kp, s, col, 0.5, 0.0)
         assert got == pytest.approx(want, abs=1e-8)
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from motioncode.dataio import RaggedRecord
+
 HARNESS = Path(__file__).resolve().parent.parent / "scripts" / "ucr_harness.py"
 
 
@@ -59,3 +61,30 @@ def test_harness_rejects_a_bad_noise_level_or_seed_before_any_dataset(tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flags[0] in captured.err
+
+
+def test_add_noise_scales_by_the_peak_over_every_record_passed():
+    add_noise = runpy.run_path(str(HARNESS), run_name="ucr_harness")["add_noise"]
+    rng = np.random.default_rng(1)
+    t = np.linspace(0.0, 1.0, 220)
+    # train values stay within 2; one test series peaks at -5, so the noise
+    # std is 0.3 * 5 only if the peak is taken over train and test together
+    train = [RaggedRecord(label, t, rng.uniform(-2.0, 2.0, t.size))
+             for label in (0, 1) for _ in range(25)]
+    spike = np.zeros(t.size)
+    spike[110] = -5.0
+    test = [RaggedRecord(1, t, spike),
+            *(RaggedRecord(label, t, rng.uniform(-2.0, 2.0, t.size)) for label in (0, 1))]
+    records = train + test
+    assert add_noise(records, 0.0, np.random.default_rng(9)) is records
+    noisy = add_noise(records, 0.3, np.random.default_rng(5))
+    assert [r.label for r in noisy] == [r.label for r in records]
+    assert all(a.t is b.t for a, b in zip(noisy, records, strict=True))
+    again = add_noise(records, 0.3, np.random.default_rng(5))
+    assert all(np.array_equal(a.y, b.y) for a, b in zip(noisy, again, strict=True))
+    diffs = np.concatenate([a.y - b.y for a, b in zip(noisy, records)])
+    assert diffs.size >= 10_000
+    # the sample std of 11,660 normal draws spreads by about 0.65%, so 5% is
+    # over 7 of its standard deviations
+    want = 0.3 * 5.0
+    assert abs(np.std(diffs) - want) < 0.05 * want
