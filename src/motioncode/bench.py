@@ -2,9 +2,12 @@
 bench.py - synthetic fixtures, dense reference computations, and the check
 suite behind the bench command.
 
-The oracle checks re-derive every quantity with plain dense linear algebra
-(full covariance matrices, explicit inverses or LU solves, no Cholesky
-factor) and compare against the low-rank production path. The benchmark
+The oracle checks re-derive the bound, the posterior, the predictions and
+each class's gradient with plain dense linear algebra (full covariance
+matrices, explicit inverses or LU solves, no Cholesky factor) and hold the
+low-rank production path to them at ORACLE_TOL (1e-8); central finite
+differences check the whole gradient at FD_REL_TOL (1e-4) as well. The
+tests draw their oracle instances from the same builders. The benchmark
 checks train real models on generated two-class data (a unit-amplitude
 sine versus a linear ramp) and score classification accuracy and forecast
 error against a last-seen baseline. class_forecast_errors also builds each
@@ -25,12 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import objective
 from .core import (Collection, Dataset, Hyperparams, InputError, TimeSeries,
                    code_to_timestamps, effective_noise)
 from .dataio import (RaggedRecord, dataset_from_records, forecast_split, model_series,
                      to_original_units, write_ragged)
 from .inference import class_posteriors, classify_many, fit_posterior, forecast, predict
-from .kernel import KernelParams, kernel_matrix
+from .kernel import KernelParams, kernel_matrix, kernel_matrix_components
 from .objective import lmax_bound, loss_gradient, total_loss
 from .optimizer import init_params, pack_params, train_model, unpack_params
 
@@ -49,6 +53,7 @@ __all__ = [
     "write_fixtures",
     "class_forecast_errors",
     "dense_bound",
+    "dense_gradient",
     "dense_posterior",
     "dense_predict",
 ]
@@ -148,6 +153,52 @@ def dense_bound(kp, inducing, collection, sigma, jitter):
         k_tt = kernel_matrix(kp, ts.timestamps)
         total -= (np.trace(k_tt) - np.trace(q)) / (2.0 * c)
     return float(total)
+
+
+def dense_gradient(kp, inducing, collection, sigma, jitter):
+    """Gradients of the collection bound through full n_i x n_i matrices and
+    explicit inverses: (d_log_amplitudes, d_log_bandwidths, d_timestamps).
+
+    Series i's bound depends on Q_i = C_i^T Kt^{-1} C_i, with C_i = K(S, T_i)
+    and Kt = K_SS + jitter * I, through G_Q = (alpha alpha^T - Sigma^{-1}) / 2
+    + I / (2c), Sigma = c*I + Q_i and alpha = Sigma^{-1} y_i. A parameter
+    moving C_i by dC and Kt by dK moves Q_i by dC^T Kt^{-1} C_i +
+    C_i^T Kt^{-1} dC - C_i^T Kt^{-1} dK Kt^{-1} C_i and the bound by
+    tr(G_Q dQ) - d(tr K_ii) / (2c)."""
+    s = np.asarray(inducing, dtype=float)
+    m, j = s.size, kp.n_components
+    c = effective_noise(collection.size, sigma)
+    amps, bws = kp.amplitudes, kp.bandwidths
+    p_comps, d_ss = kernel_matrix_components(kp, s)
+    k_inv = np.linalg.inv(p_comps.sum(axis=0) + jitter * np.eye(m))
+    diff_ss = s[:, None] - s[None, :]
+    d_la, d_lb, d_s = np.zeros(j), np.zeros(j), np.zeros(m)
+    for ts in collection.series:
+        n = len(ts)
+        c_comps, d_cross = kernel_matrix_components(kp, s, ts.timestamps)
+        cross = c_comps.sum(axis=0)
+        a = k_inv @ cross
+        sigma_inv = np.linalg.inv(c * np.eye(n) + cross.T @ a)
+        alpha = sigma_inv @ ts.values
+        g_q = 0.5 * (np.outer(alpha, alpha) - sigma_inv) + np.eye(n) / (2.0 * c)
+
+        def moved(d_cross_k, d_k):
+            d_q = d_cross_k.T @ a + a.T @ d_cross_k - a.T @ d_k @ a
+            return float(np.sum(g_q * d_q))
+
+        diff_cross = s[:, None] - ts.timestamps[None, :]
+        for q in range(j):
+            d_la[q] += moved(c_comps[q], p_comps[q]) - n * amps[q] / (2.0 * c)
+            d_lb[q] += moved(-0.5 * bws[q] * d_cross * c_comps[q],
+                             -0.5 * bws[q] * d_ss * p_comps[q])
+        for b in range(m):
+            d_cross_k, d_k = np.zeros((m, n)), np.zeros((m, m))
+            for q in range(j):
+                d_cross_k[b] -= bws[q] * diff_cross[b] * c_comps[q, b]
+                d_k[b] -= bws[q] * diff_ss[b] * p_comps[q, b]
+            d_k[:, b] = d_k[b]
+            d_s[b] += moved(d_cross_k, d_k)
+    return d_la, d_lb, d_s
 
 
 def _dense_trace_term(kp, inducing, collection, sigma, jitter):
@@ -325,34 +376,43 @@ def _gradient_instance(rng, n_classes, j, m, d):
     return params, Dataset(cols, (0.0, 1.0))
 
 
+def _fd_rel_errors(f, x0, analytic):
+    """|analytic - fd| / max(|fd|, FD_DENOM_FLOOR) per coordinate, for
+    analytic the gradient of f at x0 and fd f's central differences there."""
+    fd = np.array([(f(x0 + step) - f(x0 - step)) / (2.0 * FD_STEP)
+                   for step in FD_STEP * np.eye(x0.size)])
+    return np.abs(analytic - fd) / np.maximum(np.abs(fd), FD_DENOM_FLOOR)
+
+
 def check_gradients(seed=0):
-    """Every packed coordinate of the analytic gradient against central
-    finite differences."""
+    """Each class's gradient from objective._bound_gradient, looked up at
+    call time as loss_gradient does, against dense_gradient at ORACLE_TOL
+    relative to max(1, |dense|); and every packed coordinate of loss_gradient,
+    the codes' chain rule included, against central differences at FD_REL_TOL."""
     rng = np.random.default_rng([seed, 404])
     combos = [(L, j, m) for L in (2, 3) for j in (1, 2) for m in (2, 5)]
-    worst = 0.0
+    worst = worst_dense = 0.0
     for i in range(20):
         n_classes, j, m = combos[i % len(combos)]
         d = 2 + (i % 2)
         params, dataset = _gradient_instance(rng, n_classes, j, m, d)
-        analytic = loss_gradient(params, dataset)
-        x0 = pack_params(params)
-        for idx in range(x0.size):
-            xp = x0.copy()
-            xp[idx] += FD_STEP
-            xm = x0.copy()
-            xm[idx] -= FD_STEP
-            fd = (total_loss(unpack_params(xp, params), dataset)
-                  - total_loss(unpack_params(xm, params), dataset)) / (2.0 * FD_STEP)
-            rel = abs(analytic[idx] - fd) / max(abs(fd), FD_DENOM_FLOOR)
-            worst = max(worst, rel)
+        for k in range(n_classes):
+            args = objective._class_bound(params, dataset, k)
+            for got, want in zip(objective._bound_gradient(*args), dense_gradient(*args)):
+                error = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                worst_dense = max(worst_dense, float(np.max(error)))
+        worst = max(worst, float(np.max(_fd_rel_errors(
+            lambda x: total_loss(unpack_params(x, params), dataset),
+            pack_params(params), loss_gradient(params, dataset)))))
     return {
         "name": "gradient-finite-difference",
         "instances": 20,
         "step": FD_STEP,
         "max_rel_error": float(worst),
         "tolerance": FD_REL_TOL,
-        "passed": bool(worst <= FD_REL_TOL),
+        "max_dense_error": float(worst_dense),
+        "dense_tolerance": ORACLE_TOL,
+        "passed": bool(worst <= FD_REL_TOL and worst_dense <= ORACLE_TOL),
     }
 
 

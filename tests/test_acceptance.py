@@ -70,7 +70,8 @@ def test_posterior_oracle():
 def test_gradient_finite_difference_suite():
     # every packed coordinate on 20 instances spanning 2-3 classes, 1-2
     # kernel components, 2 or 5 inducing points; central differences at
-    # h=1e-5, 1e-4 relative tolerance
+    # h=1e-5, 1e-4 relative tolerance, and each class's bound gradient
+    # against the dense oracle at 1e-8
     run_check(bench.check_gradients, budget=30.0)
 
 

@@ -7,26 +7,40 @@ class of regression out."""
 import numpy as np
 import pytest
 
-from motioncode import bench
+from motioncode import bench, objective
 from motioncode.dataio import parse_ragged
 
 
-def test_bound_collapse_across_seeds():
-    for seed in range(8):
-        payload = bench.check_bound_collapse(seed)
+# (oracle check, the seeds it must pass at)
+SWEEPS = [
+    (bench.check_bound_collapse, range(8)),
+    (bench.check_woodbury_bound, range(4)),
+    (bench.check_posterior_oracle, range(4)),
+    (bench.check_gradients, range(4)),
+]
+
+
+@pytest.mark.parametrize("check,seeds", SWEEPS, ids=[check.__name__ for check, _ in SWEEPS])
+def test_oracle_check_across_seeds(check, seeds):
+    for seed in seeds:
+        payload = check(seed)
         assert payload["passed"], (seed, payload)
 
 
-def test_woodbury_bound_across_seeds():
-    for seed in range(4):
-        payload = bench.check_woodbury_bound(seed)
-        assert payload["passed"], (seed, payload)
+def test_gradient_check_holds_each_class_to_the_dense_oracle(monkeypatch):
+    # a first gradient array off by one part in a million is far inside the
+    # finite differences' 1e-4 but far outside the dense oracle's 1e-8
+    real = objective._bound_gradient
 
+    def skewed(*args):
+        d_la, d_lb, d_s = real(*args)
+        return d_la * (1.0 + 1e-6), d_lb, d_s
 
-def test_posterior_oracle_across_seeds():
-    for seed in range(4):
-        payload = bench.check_posterior_oracle(seed)
-        assert payload["passed"], (seed, payload)
+    monkeypatch.setattr(objective, "_bound_gradient", skewed)
+    payload = bench.check_gradients(0)
+    assert not payload["passed"]
+    assert payload["max_rel_error"] < bench.FD_REL_TOL
+    assert payload["max_dense_error"] > bench.ORACLE_TOL
 
 
 def test_uneven_times_draws_long_series_without_rejection():

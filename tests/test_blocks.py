@@ -6,19 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from motioncode import inference, objective
-from motioncode.bench import (
-    FD_DENOM_FLOOR,
-    FD_REL_TOL,
-    FD_STEP,
-    ORACLE_TOL,
-    dense_bound,
-    dense_posterior,
-)
-from motioncode.core import (BLOCK_COLUMNS, Collection, TimeSeries, effective_noise,
-                             series_blocks)
+from motioncode import bench, inference, objective
+from motioncode.bench import FD_REL_TOL, ORACLE_TOL, dense_bound, dense_gradient, dense_posterior
+from motioncode.core import BLOCK_COLUMNS, Collection, TimeSeries, series_blocks
 from motioncode.inference import fit_posterior
-from motioncode.kernel import KernelParams, kernel_matrix, kernel_matrix_components
+from motioncode.kernel import KernelParams
 from motioncode.objective import MARGIN_RTOL, lmax_bound
 
 SIGMA = 0.5
@@ -41,20 +33,28 @@ def bound_gradient(kp, s, col):
     return objective._bound_gradient(kp, s, col, SIGMA, JITTER)
 
 
+def assert_gradients_match_finite_differences(kp, s, col):
+    """The bound's gradients against central differences of the bound in
+    x = [log amplitudes, log bandwidths, inducing timestamps]."""
+    j = kp.n_components
+
+    def bound_at(x):
+        return lmax_bound(KernelParams(x[:j], x[j:2 * j]), x[2 * j:], col, SIGMA,
+                          jitter=JITTER)
+
+    x0 = np.concatenate([kp.log_amplitudes, kp.log_bandwidths, s])
+    analytic = np.concatenate(bound_gradient(kp, s, col))
+    errors = bench._fd_rel_errors(bound_at, x0, analytic)
+    assert np.all(errors <= FD_REL_TOL), (errors, analytic)
+
+
 def make_case(lengths, m, j, seed):
     rng = np.random.default_rng(seed)
-    kp = KernelParams(rng.uniform(-0.5, 0.5, j), np.log(rng.uniform(40.0, 150.0, j)))
-    for _ in range(500):
-        s = np.sort(rng.uniform(0.08, 0.92, m))
-        if (m == 1 or np.diff(s).min() > 0.12) and np.linalg.eigvalsh(
-                kernel_matrix(kp, s)).min() > 0.05:
-            break
-    else:
-        raise AssertionError("no well-conditioned inducing set found")
-    grid = np.linspace(0.02, 0.98, 2000)
+    kp = bench._sharp_params(rng, j)
+    s = bench._spread_inducing(rng, kp, m)
     series = []
     for n in lengths:
-        t = np.sort(rng.choice(grid, size=n, replace=False))
+        t = bench._spaced(rng, n, grid=2000)
         series.append(TimeSeries(t, np.sin(2 * np.pi * t) + rng.normal(0.0, 0.5, n)))
     return kp, s, Collection(0, tuple(series))
 
@@ -96,23 +96,7 @@ def test_blocked_bound_matches_dense_oracle(name, lengths, m, j):
 
 @pytest.mark.parametrize("name,lengths,m,j", CASES, ids=[c[0] for c in CASES])
 def test_blocked_gradients_match_finite_differences(name, lengths, m, j):
-    kp, s, col = make_case(lengths, m, j, seed=3)
-    grads = bound_gradient(kp, s, col)
-    la, lb = np.array(kp.log_amplitudes), np.array(kp.log_bandwidths)
-    x0 = np.concatenate([la, lb, s])
-    analytic = np.concatenate(grads)
-
-    def bound_at(x):
-        return lmax_bound(KernelParams(x[:j], x[j:2 * j]), x[2 * j:], col, SIGMA,
-                          jitter=JITTER)
-
-    for idx in range(x0.size):
-        up, dn = x0.copy(), x0.copy()
-        up[idx] += FD_STEP
-        dn[idx] -= FD_STEP
-        fd = (bound_at(up) - bound_at(dn)) / (2.0 * FD_STEP)
-        rel = abs(analytic[idx] - fd) / max(abs(fd), FD_DENOM_FLOOR)
-        assert rel <= FD_REL_TOL, (idx, analytic[idx], fd)
+    assert_gradients_match_finite_differences(*make_case(lengths, m, j, seed=3))
 
 
 def zero_series_case():
@@ -149,17 +133,7 @@ def test_bordered_system_edge_cases(name):
     assert np.isfinite(value)
     assert all(np.all(np.isfinite(g)) for g in grads)
     assert abs(value - dense_bound(kp, s, col, SIGMA, JITTER)) <= ORACLE_TOL
-    j = kp.n_components
-    x0 = np.concatenate([kp.log_amplitudes, kp.log_bandwidths, s])
-    for idx, analytic in enumerate(np.concatenate(grads)):
-        bounds = []
-        for step in (FD_STEP, -FD_STEP):
-            x = x0.copy()
-            x[idx] += step
-            bounds.append(lmax_bound(KernelParams(x[:j], x[j:2 * j]), x[2 * j:], col,
-                                     SIGMA, jitter=JITTER))
-        fd = (bounds[0] - bounds[1]) / (2.0 * FD_STEP)
-        assert abs(analytic - fd) / max(abs(fd), FD_DENOM_FLOOR) <= FD_REL_TOL, (idx, fd)
+    assert_gradients_match_finite_differences(kp, s, col)
 
 
 def all_cases():
@@ -167,55 +141,6 @@ def all_cases():
     cases = {name: (lambda c=(lengths, m, j): make_case(*c, seed=2))
              for name, lengths, m, j in CASES}
     return {**cases, **EDGE_CASES}
-
-
-def dense_gradient(kp, inducing, collection, sigma, jitter):
-    """Gradients of the collection bound through full n_i x n_i matrices and
-    explicit inverses: (d_log_amplitudes, d_log_bandwidths, d_timestamps).
-
-    Series i's bound depends on Q_i = C_i^T Kt^{-1} C_i, with C_i = K(S, T_i)
-    and Kt = K_SS + jitter * I, through G_Q = (alpha alpha^T - Sigma^{-1}) / 2
-    + I / (2c), Sigma = c*I + Q_i and alpha = Sigma^{-1} y_i. A parameter
-    moving C_i by dC and Kt by dK moves Q_i by
-    dC^T Kt^{-1} C_i + C_i^T Kt^{-1} dC - C_i^T Kt^{-1} dK Kt^{-1} C_i and
-    the bound by tr(G_Q dQ) - d(tr K_ii) / (2c); the kernel derivatives are
-    those in kernel_matrix_components' docstring.
-    """
-    s = np.asarray(inducing, dtype=float)
-    m, j = s.size, kp.n_components
-    c = effective_noise(collection.size, sigma)
-    amps, bws = kp.amplitudes, kp.bandwidths
-    p_comps, d_ss = kernel_matrix_components(kp, s)
-    k_inv = np.linalg.inv(p_comps.sum(axis=0) + jitter * np.eye(m))
-    diff_ss = s[:, None] - s[None, :]
-    d_la, d_lb, d_s = np.zeros(j), np.zeros(j), np.zeros(m)
-    for ts in collection.series:
-        n = len(ts)
-        c_comps, d_cross = kernel_matrix_components(kp, s, ts.timestamps)
-        cross = c_comps.sum(axis=0)
-        a = k_inv @ cross
-        sigma_inv = np.linalg.inv(c * np.eye(n) + cross.T @ a)
-        alpha = sigma_inv @ ts.values
-        g_q = 0.5 * (np.outer(alpha, alpha) - sigma_inv) + np.eye(n) / (2.0 * c)
-
-        def moved(d_cross_k, d_k):
-            d_q = d_cross_k.T @ a + a.T @ d_cross_k - a.T @ d_k @ a
-            return float(np.sum(g_q * d_q))
-
-        diff_cross = s[:, None] - ts.timestamps[None, :]
-        for q in range(j):
-            d_la[q] += moved(c_comps[q], p_comps[q]) - n * amps[q] / (2.0 * c)
-            d_lb[q] += moved(-0.5 * bws[q] * d_cross * c_comps[q],
-                             -0.5 * bws[q] * d_ss * p_comps[q])
-        for b in range(m):
-            d_cross_k = np.zeros((m, n))
-            d_k = np.zeros((m, m))
-            for q in range(j):
-                d_cross_k[b] -= bws[q] * diff_cross[b] * c_comps[q, b]
-                d_k[b] -= bws[q] * diff_ss[b] * p_comps[q, b]
-            d_k[:, b] = d_k[b]
-            d_s[b] += moved(d_cross_k, d_k)
-    return d_la, d_lb, d_s
 
 
 @pytest.mark.parametrize("name", list(all_cases()))

@@ -68,7 +68,8 @@ def test_package_imports_no_scipy():
 
 
 ROOT = Path(__file__).resolve().parent.parent
-IMPORTING = [f"src/motioncode/{name}.py" for name in MODULES] + ["scripts/ucr_harness.py"]
+IMPORTING = ([f"src/motioncode/{name}.py" for name in MODULES] + ["scripts/ucr_harness.py"]
+             + sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("*.py")))
 
 
 @pytest.mark.parametrize("path", IMPORTING)

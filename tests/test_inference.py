@@ -10,7 +10,6 @@ from motioncode.core import (
     Dataset,
     Hyperparams,
     InputError,
-    ModelParams,
     NumericalError,
     TimeSeries,
     ValidationError,
@@ -29,43 +28,14 @@ from motioncode.kernel import KernelParams, chol_jittered, kernel_matrix
 from motioncode.optimizer import init_params, train_model
 
 
-def spaced(rng, n, lo=0.02, hi=0.98, grid=400):
-    pts = np.linspace(lo, hi, grid)
-    return np.sort(rng.choice(pts, size=n, replace=False))
-
-
-def sharp_params(rng, j=1):
-    return KernelParams(
-        rng.uniform(-0.5, 0.5, j),
-        rng.uniform(np.log(40.0), np.log(150.0), j),
-    )
-
-
-def good_inducing(rng, kp, m):
-    for _ in range(200):
-        s = np.sort(rng.uniform(0.05, 0.95, m))
-        if m == 1 or np.diff(s).min() > 0.12:
-            if np.linalg.eigvalsh(kernel_matrix(kp, s)).min() > 0.05:
-                return s
-    raise AssertionError("no well-conditioned inducing set found")
-
-
-def rand_collection(rng, label=0, n_series=2, n_lo=4, n_hi=8):
-    series = []
-    for _ in range(n_series):
-        n = int(rng.integers(n_lo, n_hi + 1))
-        series.append(TimeSeries(spaced(rng, n), rng.normal(size=n)))
-    return Collection(label, tuple(series))
-
-
 def test_posterior_matches_dense_oracle(forbid_inverse):
     rng = np.random.default_rng(21)
     cases = []
     for trial in range(10):
-        kp = sharp_params(rng, int(rng.integers(1, 3)))
+        kp = bench._sharp_params(rng, int(rng.integers(1, 3)))
         m = int(rng.integers(2, 5))
-        s = good_inducing(rng, kp, m)
-        col = rand_collection(rng, n_series=int(rng.integers(1, 4)))
+        s = bench._spread_inducing(rng, kp, m)
+        col = bench._random_collection(rng, 0, int(rng.integers(1, 4)), 8)
         cases.append((kp, s, col, bench.dense_posterior(kp, s, col, 0.5, 0.0)))
     forbid_inverse()
     for kp, s, col, (mean, cov) in cases:
@@ -80,9 +50,9 @@ def test_predict_matches_dense_oracle(forbid_inverse):
     rng = np.random.default_rng(22)
     cases = []
     for trial in range(10):
-        kp = sharp_params(rng)
-        s = good_inducing(rng, kp, 3)
-        col = rand_collection(rng)
+        kp = bench._sharp_params(rng, 1)
+        s = bench._spread_inducing(rng, kp, 3)
+        col = bench._random_collection(rng, 0, 2, 8)
         post = fit_posterior(col, kp, s, sigma=0.5, jitter=1e-12)
         q = np.sort(rng.uniform(0, 1.2, 7))
         want = bench.dense_predict(kp, s, post.mean, post.covariance, q, 0.0)
@@ -99,7 +69,7 @@ def test_posterior_collapse_single_series():
     # mean at those timestamps is the classic smoother K (K + s2 I)^{-1} y
     rng = np.random.default_rng(23)
     kp = KernelParams(np.array([0.1]), np.array([np.log(60.0)]))
-    t = spaced(rng, 8)
+    t = bench._spaced(rng, 8)
     y = rng.normal(size=8)
     col = Collection(0, (TimeSeries(t, y),))
     sigma = 0.5
@@ -117,7 +87,7 @@ def test_predict_is_the_dense_sgpr_at_the_jittered_inducing_covariance():
     rng = np.random.default_rng(25)
     kp = KernelParams(np.array([0.0]), np.array([np.log(50.0)]))
     s = np.array([0.2, 0.5, 0.5 + 1e-5, 0.8])
-    col = rand_collection(rng, n_series=3, n_lo=12, n_hi=12)
+    col = bench._random_collection(rng, 0, 3, 12, min_points=12)
     sigma, jitter = 0.3, 1e-6
     c = effective_noise(col.size, sigma)
     kt = kernel_matrix(kp, s) + jitter * np.eye(s.size)
@@ -139,7 +109,7 @@ def test_predict_is_the_dense_sgpr_at_the_jittered_inducing_covariance():
 def test_interpolation_limit():
     rng = np.random.default_rng(24)
     kp = KernelParams(np.array([0.0]), np.array([np.log(50.0)]))
-    t = spaced(rng, 7)
+    t = bench._spaced(rng, 7)
     y = rng.normal(size=7)
     col = Collection(0, (TimeSeries(t, y),))
     post = fit_posterior(col, kp, t, sigma=1e-4, jitter=1e-12)
@@ -150,9 +120,9 @@ def test_interpolation_limit():
 
 def test_zero_data_gives_zero_mean():
     rng = np.random.default_rng(25)
-    kp = sharp_params(rng)
-    s = good_inducing(rng, kp, 3)
-    t = spaced(rng, 6)
+    kp = bench._sharp_params(rng, 1)
+    s = bench._spread_inducing(rng, kp, 3)
+    t = bench._spaced(rng, 6)
     col0 = Collection(0, (TimeSeries(t, np.zeros(6)),))
     post0 = fit_posterior(col0, kp, s, sigma=0.3)
     assert np.array_equal(post0.mean, np.zeros(3))
@@ -167,9 +137,9 @@ def test_zero_data_gives_zero_mean():
 
 def test_predict_at_inducing_points():
     rng = np.random.default_rng(26)
-    kp = sharp_params(rng)
-    s = good_inducing(rng, kp, 4)
-    col = rand_collection(rng, n_series=3)
+    kp = bench._sharp_params(rng, 1)
+    s = bench._spread_inducing(rng, kp, 4)
+    col = bench._random_collection(rng, 0, 3, 8)
     post = fit_posterior(col, kp, s, sigma=0.4, jitter=1e-12)
     pred = predict(post, kp, s)
     assert np.allclose(pred.mean, post.mean, atol=1e-8)
@@ -179,7 +149,7 @@ def test_predict_at_inducing_points():
 def test_posterior_contraction():
     rng = np.random.default_rng(27)
     kp = KernelParams(np.array([0.0]), np.array([np.log(40.0)]))
-    t = spaced(rng, 9)
+    t = bench._spaced(rng, 9)
     y = rng.normal(size=9)
     col = Collection(0, (TimeSeries(t, y),))
     errs = []
@@ -192,8 +162,8 @@ def test_posterior_contraction():
 
 def test_fit_posterior_validation():
     rng = np.random.default_rng(28)
-    kp = sharp_params(rng)
-    col = rand_collection(rng)
+    kp = bench._sharp_params(rng, 1)
+    col = bench._random_collection(rng, 0, 2, 8)
     with pytest.raises(ValidationError):
         fit_posterior(col, kp, [0.0, 0.5], sigma=0.3)  # endpoint not allowed
     with pytest.raises(ValidationError):
@@ -207,10 +177,10 @@ def test_fit_posterior_refuses_an_underflowed_noise(sigma):
     # c = B * sigma**2 is subnormal or zero, so the sums over c overflow;
     # the fit must say so rather than factor an infinite matrix
     rng = np.random.default_rng(29)
-    kp = sharp_params(rng)
-    col = rand_collection(rng)
+    kp = bench._sharp_params(rng, 1)
+    col = bench._random_collection(rng, 0, 2, 8)
     with np.errstate(over="ignore", divide="ignore"), pytest.raises(NumericalError):
-        fit_posterior(col, kp, good_inducing(rng, kp, 2), sigma=sigma)
+        fit_posterior(col, kp, bench._spread_inducing(rng, kp, 2), sigma=sigma)
 
 
 def constant_model_and_data(values=(0.0, 10.0), n=12, n_series=2):
@@ -219,13 +189,11 @@ def constant_model_and_data(values=(0.0, 10.0), n=12, n_series=2):
     for k, v in enumerate(values):
         series = []
         for _ in range(n_series):
-            t = spaced(rng, n)
+            t = bench._spaced(rng, n)
             series.append(TimeSeries(t, np.full(n, float(v))))
         cols.append(Collection(k, tuple(series)))
     ds = Dataset(tuple(cols), (0.0, 1.0))
     h = Hyperparams(m=5, d=2, j=1, sigma=0.1, max_iters=0)
-    from motioncode.optimizer import init_params
-
     model = init_params(len(values), h)
     return model, ds
 
@@ -233,7 +201,7 @@ def constant_model_and_data(values=(0.0, 10.0), n=12, n_series=2):
 def test_classify_separated_constants():
     model, ds = constant_model_and_data()
     rng = np.random.default_rng(31)
-    t = spaced(rng, 10)
+    t = bench._spaced(rng, 10)
     label, dist = classify_many(model, class_posteriors(model, ds),
                                 [TimeSeries(t, np.full(10, 0.2))])[0]
     assert label == 0
@@ -247,14 +215,12 @@ def test_classify_tie_breaks_to_smallest_index():
     # bit-identical collections and identical per-class parameters give
     # equal distances, so the reported label must be class 0
     rng = np.random.default_rng(32)
-    series = tuple(TimeSeries(spaced(rng, 10), np.full(10, 3.0)) for _ in range(2))
+    series = tuple(TimeSeries(bench._spaced(rng, 10), np.full(10, 3.0)) for _ in range(2))
     ds = Dataset(
         (Collection(0, series), Collection(1, series)), (0.0, 1.0)
     )
-    from motioncode.optimizer import init_params
-
     model = init_params(2, Hyperparams(m=5, d=2, j=1, sigma=0.1))
-    t = spaced(rng, 8)
+    t = bench._spaced(rng, 8)
     label, dist = classify_many(model, class_posteriors(model, ds),
                                 [TimeSeries(t, np.full(8, 1.0))])[0]
     assert dist[0] == dist[1]
@@ -265,7 +231,7 @@ def test_classify_many_matches_single():
     model, ds = constant_model_and_data()
     rng = np.random.default_rng(33)
     tests = [
-        TimeSeries(spaced(rng, 9), rng.normal(5.0, 1.0, 9)) for _ in range(4)
+        TimeSeries(bench._spaced(rng, 9), rng.normal(5.0, 1.0, 9)) for _ in range(4)
     ]
     posteriors = class_posteriors(model, ds)
     batch = classify_many(model, posteriors, tests)
@@ -277,12 +243,10 @@ def test_classify_many_matches_single():
 
 def test_forecast_zero_class():
     rng = np.random.default_rng(34)
-    t = spaced(rng, 15)
+    t = bench._spaced(rng, 15)
     col = Collection(0, (TimeSeries(t, np.zeros(15)),))
     ds = Dataset((col,), (0.0, 1.0))
     h = Hyperparams(m=4, d=2, j=1, sigma=0.1, max_iters=0)
-    from motioncode.optimizer import init_params
-
     model = init_params(1, h)
     pred = forecast(model, class_posteriors(model, ds), 0, [0.3, 0.9, 1.2])
     assert np.max(np.abs(pred.mean)) < 1e-6
@@ -333,7 +297,7 @@ def test_predict_refuses_a_negative_variance():
 
 def test_forecast_trained_sine_in_range():
     rng = np.random.default_rng(36)
-    t = spaced(rng, 30)
+    t = bench._spaced(rng, 30)
     col = Collection(0, (TimeSeries(t, np.sin(2 * np.pi * t)),))
     ds = Dataset((col,), (0.0, 1.0))
     h = Hyperparams(m=10, d=2, j=1, sigma=0.1, max_iters=50, epsilon=1e-8)
@@ -350,21 +314,19 @@ def test_classify_scale_mapping():
     cols = []
     for k in range(2):
         series = [
-            TimeSeries(spaced(rng, 10), np.sin(2 * np.pi * spaced(rng, 10) + k))
+            TimeSeries(bench._spaced(rng, 10), np.sin(2 * np.pi * bench._spaced(rng, 10) + k))
             for _ in range(2)
         ]
         cols.append(Collection(k, tuple(series)))
     ds = Dataset(tuple(cols), (0.0, 1.0))
     h = Hyperparams(m=4, d=2, j=1, sigma=0.3, jitter=1e-12)
-    from motioncode.optimizer import init_params
-
     model = init_params(2, h)
     model = dataclasses.replace(
         model,
         log_bandwidths=np.full((2, 1), np.log(30.0)),
         codes=rng.normal(size=(2, 2)),
     )
-    t = spaced(rng, 9)
+    t = bench._spaced(rng, 9)
     series = TimeSeries(t, rng.normal(size=9))
 
     rho = 3.7
@@ -401,7 +363,7 @@ def mixed_model_and_data(lengths, seed):
     for k in range(2):
         series = []
         for n in lengths:
-            t = spaced(rng, n, grid=4 * BLOCK_COLUMNS)
+            t = bench._spaced(rng, n, grid=4 * BLOCK_COLUMNS)
             series.append(TimeSeries(t, np.sin(2 * np.pi * t + k) + rng.normal(0.0, 0.2, n)))
         cols.append(Collection(k, tuple(series)))
     ds = Dataset(tuple(cols), (0.0, 1.0))
@@ -416,9 +378,9 @@ def mixed_model_and_data(lengths, seed):
 def test_predict_chunks_match_dense_oracle():
     # three chunks, the last one partial; queries unsorted and past 1
     rng = np.random.default_rng(40)
-    kp = sharp_params(rng, 2)
-    s = good_inducing(rng, kp, 4)
-    col = rand_collection(rng, n_series=3)
+    kp = bench._sharp_params(rng, 2)
+    s = bench._spread_inducing(rng, kp, 4)
+    col = bench._random_collection(rng, 0, 3, 8)
     post = fit_posterior(col, kp, s, sigma=0.5, jitter=1e-12)
     q = rng.uniform(0.0, 1.2, 2 * BLOCK_COLUMNS + 276)
     pred = predict(post, kp, q)
@@ -431,7 +393,7 @@ def test_predict_chunks_match_dense_oracle():
     # ulps of 0.5, so K_SS + jitter*I has condition number ~1e13 times the
     # amplitude and the whitening factor entries ~1e6
     s = 0.5 + np.arange(-5, 5) * np.spacing(0.5)
-    col = rand_collection(rng, n_series=5, n_lo=8, n_hi=12)
+    col = bench._random_collection(rng, 0, 5, 12, min_points=8)
     for amplitude in (1e-4, 1e-2, 1e-1, 1.0):
         kp = KernelParams(np.array([np.log(amplitude)]), np.array([0.44]))
         assert chol_jittered(kernel_matrix(kp, s), 1e-12).jitter_used == 1e-12
@@ -446,7 +408,7 @@ def test_classify_many_distances_over_mixed_lengths():
     model, ds = mixed_model_and_data([12, 30, 7], seed=41)
     rng = np.random.default_rng(42)
     lengths = [1, 9, BLOCK_COLUMNS + 88, 2, 40, 1, 300]
-    tests = [TimeSeries(spaced(rng, n, grid=2000), rng.normal(size=n))
+    tests = [TimeSeries(bench._spaced(rng, n, grid=2000), rng.normal(size=n))
              for n in lengths]
     posteriors = class_posteriors(model, ds)
     batch = classify_many(model, posteriors, tests)

@@ -1,6 +1,5 @@
 import dataclasses
 import logging
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,48 +29,14 @@ from motioncode.objective import MARGIN_RTOL, lmax_bound, loss_gradient, total_l
 LOG_2PI = np.log(2.0 * np.pi)
 
 
-def spaced(rng, n, lo=0.0, hi=1.0, grid=400):
-    """Strictly increasing timestamps with a guaranteed minimum gap."""
-    pts = np.linspace(lo, hi, grid)
-    return np.sort(rng.choice(pts, size=n, replace=False))
-
-
-def make_collection(rng, label=0, n_series=2, n_lo=4, n_hi=8):
-    series = []
-    for _ in range(n_series):
-        n = int(rng.integers(n_lo, n_hi + 1))
-        t = spaced(rng, n)
-        y = rng.normal(size=n)
-        series.append(TimeSeries(t, y))
-    return Collection(label, tuple(series))
-
-
-def well_conditioned_inducing(rng, kp, m, min_eig=0.05):
-    for _ in range(200):
-        s = np.sort(rng.uniform(0.05, 0.95, m))
-        if m == 1 or np.diff(s).min() > 0.12:
-            k_ss = kernel_matrix(kp, s)
-            if np.linalg.eigvalsh(k_ss).min() > min_eig:
-                return s
-    raise AssertionError("could not draw a well-conditioned inducing set")
-
-
-def sharp_params(rng, j):
-    # large bandwidths keep inducing covariance matrices well conditioned
-    return KernelParams(
-        rng.uniform(-0.5, 0.5, j),
-        rng.uniform(np.log(40.0), np.log(150.0), j),
-    )
-
-
 def test_bound_matches_dense_oracle():
     rng = np.random.default_rng(42)
     for trial in range(12):
         j = int(rng.integers(1, 3))
-        kp = sharp_params(rng, j)
+        kp = bench._sharp_params(rng, j)
         m = int(rng.integers(2, 5))
-        s = well_conditioned_inducing(rng, kp, m)
-        col = make_collection(rng, n_series=int(rng.integers(1, 4)))
+        s = bench._spread_inducing(rng, kp, m)
+        col = bench._random_collection(rng, 0, int(rng.integers(1, 4)), 8)
         got = lmax_bound(kp, s, col, sigma=0.5, jitter=1e-12)
         want = bench.dense_bound(kp, s, col, 0.5, 0.0)
         assert got == pytest.approx(want, abs=1e-8)
@@ -82,7 +47,7 @@ def test_bound_collapses_to_exact_marginal():
     # exact process marginal likelihood and the trace gap vanishes
     rng = np.random.default_rng(1)
     kp = KernelParams(np.array([0.2]), np.array([np.log(20.0)]))
-    t = spaced(rng, 9)
+    t = bench._spaced(rng, 9)
     y = rng.normal(size=9)
     col = Collection(0, (TimeSeries(t, y),))
     sigma = 0.5
@@ -97,9 +62,9 @@ def test_bound_monotone_in_inducing_set():
     # growing the inducing set can only tighten the bound
     rng = np.random.default_rng(5)
     for trial in range(6):
-        kp = sharp_params(rng, 1)
-        col = make_collection(rng, n_series=2, n_lo=6, n_hi=10)
-        s = well_conditioned_inducing(rng, kp, 3)
+        kp = bench._sharp_params(rng, 1)
+        col = bench._random_collection(rng, 0, 2, 10, min_points=6)
+        s = bench._spread_inducing(rng, kp, 3)
         extra = float(rng.uniform(0.05, 0.95))
         s_big = np.sort(np.append(s, extra))
         small = lmax_bound(kp, s, col, sigma=0.4, jitter=1e-12)
@@ -112,10 +77,10 @@ def test_bound_grads_match_finite_differences():
     h = 1e-6
     for trial in range(4):
         j = int(rng.integers(1, 3))
-        kp = sharp_params(rng, j)
+        kp = bench._sharp_params(rng, j)
         m = int(rng.integers(2, 5))
-        s = well_conditioned_inducing(rng, kp, m)
-        col = make_collection(rng, n_series=2)
+        s = bench._spread_inducing(rng, kp, m)
+        col = bench._random_collection(rng, 0, 2, 8)
         d_la, d_lb, d_s = objective._bound_gradient(kp, s, col, 0.5, 1e-10)
 
         def val(kp2, s2):
@@ -150,7 +115,7 @@ def test_bound_grads_match_finite_differences():
 
 def small_model_and_data(seed=0, L=2, m=3, d=2, j=1):
     rng = np.random.default_rng(seed)
-    cols = tuple(make_collection(rng, label=k, n_series=2) for k in range(L))
+    cols = tuple(bench._random_collection(rng, k, 2, 8) for k in range(L))
     ds = Dataset(cols, (0.0, 1.0))
     h = Hyperparams(m=m, d=d, j=j, lam=0.7, sigma=0.5, jitter=1e-10)
     params = ModelParams(
@@ -303,8 +268,8 @@ def blocky_model_and_data(seed=0, L=3):
     and 60 * BLOCK_COLUMNS / 512 series of at least 20 points are more than
     two of them."""
     rng = np.random.default_rng(seed)
-    cols = tuple(make_collection(rng, label=k, n_series=60 * BLOCK_COLUMNS // 512,
-                                 n_lo=20, n_hi=30)
+    cols = tuple(bench._random_collection(rng, k, 60 * BLOCK_COLUMNS // 512, 30,
+                                          min_points=20)
                  for k in range(L))
     h = Hyperparams(m=4, d=2, j=1, lam=0.7, sigma=0.3)
     params = ModelParams(

@@ -11,7 +11,6 @@ from motioncode.optimizer import (
     ARMIJO_C1,
     BACKTRACK,
     MAX_HALVINGS,
-    MinimizeResult,
     init_params,
     minimize,
     pack_params,
